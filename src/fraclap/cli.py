@@ -1,0 +1,54 @@
+"""Command-line entry point of the ``fraclap`` console script.
+
+    fraclap verify [--check ID] [--format text|csv]
+
+runs one verification check (all of them without ``--check``) and prints
+each Report as ``key: value`` text or as CSV rows
+(check_id, kind, key, value).  The exit status is 0 when every check
+passed, 1 otherwise; a check whose integrator raises ``ToleranceNotMet``
+is reported on standard error and counts as not passed.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+
+from . import verify
+from .quadrature import ToleranceNotMet
+
+
+def _parser():
+    ap = argparse.ArgumentParser(prog="fraclap", description="fractional Laplacian toolkit")
+    sub = ap.add_subparsers(dest="command", required=True)
+    ver = sub.add_parser("verify", help="run verification checks and print their reports")
+    ver.add_argument("--check", choices=verify.CHECK_IDS, help="run only this check")
+    ver.add_argument("--format", choices=("text", "csv"), default="text")
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    ids = [args.check] if args.check else list(verify.CHECK_IDS)
+    writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
+    if writer:
+        writer.writerow(("check_id", "kind", "key", "value"))
+    all_passed = True
+    for cid in ids:
+        try:
+            report = verify.run_check(cid)
+        except ToleranceNotMet as exc:
+            print(f"{cid}: raised ToleranceNotMet: {exc} (estimate {exc.estimate}, error {exc.error})",
+                  file=sys.stderr)
+            all_passed = False
+            continue
+        all_passed &= bool(report.passed)
+        if writer:
+            writer.writerows(report.csv_rows())
+        else:
+            sys.stdout.write(report.to_text(strict=False))
+    return 0 if all_passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,8 @@ iterator on the half-space, moving-plane diagnostics, and the interior
 Hoelder check.
 
 The Picard operator is a locally corrected Nystroem discretization: cell
-midpoint weights away from the kernel diagonal plus an exact polar mass of
-each node's own cell.  All its coefficients are nonnegative, so the
+midpoint weights away from the kernel diagonal plus the Duffy-pyramid Green
+mass of each node's own cell.  All its coefficients are nonnegative, so the
 discrete operator inherits the monotonicity of the continuous one.
 """
 from __future__ import annotations
@@ -332,8 +332,10 @@ def _cell_bounds(a):
 class PicardOperator:
     """Discrete half-space Green operator v -> int_box G(x_i, y) v(y) dy.
 
-    Off-diagonal: node-cell midpoint weights.  Diagonal: the exact polar
-    mass of the node's own cell, so every coefficient is nonnegative and
+    Off-diagonal: node-cell midpoint weights.  Diagonal: the Green mass of
+    the node's own cell by ``box_green_mass`` (Duffy pyramids with their
+    apex at the node, which lies in the closed cell), computed once per
+    distinct cell shape and height.  Every coefficient is nonnegative, so
     the operator is monotone nodewise.
     """
 
@@ -374,8 +376,7 @@ class PicardOperator:
         return K
 
     def _build_diagonal(self, spec):
-        cell_lo = [];
-        cell_hi = []
+        cell_lo, cell_hi = [], []
         for a in self.axes:
             lo, hi = _cell_bounds(a)
             cell_lo.append(lo)

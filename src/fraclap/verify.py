@@ -60,7 +60,7 @@ __all__ = ["Report", "CHECK_IDS", "run_check", "run_all", "rng_for"]
 
 
 def _fmt(v):
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))

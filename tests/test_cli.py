@@ -1,0 +1,49 @@
+import csv
+import io
+import subprocess
+import sys
+
+import pytest
+
+from fraclap import cli, verify
+from fraclap.quadrature import ToleranceNotMet
+
+
+def test_verify_text(capsys):
+    assert cli.main(["verify", "--check", "green-limit"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("check_id: green-limit\npass: true\n")
+    assert "wall_time: " in out
+
+
+def test_verify_csv(capsys):
+    assert cli.main(["verify", "--check", "dimension-reduction", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["check_id", "kind", "key", "value"]
+    assert rows[1] == ["dimension-reduction", "pass", "", "true"]
+    assert all(r[0] == "dimension-reduction" for r in rows[1:])
+
+
+def test_failed_and_raising_checks_set_exit_status(capsys, monkeypatch):
+    def raising(cid, seed=42):
+        raise ToleranceNotMet("stalled", estimate=1.0, error=0.5)
+
+    monkeypatch.setattr(verify, "run_check", raising)
+    assert cli.main(["verify", "--check", "green-limit"]) == 1
+    assert "green-limit: raised ToleranceNotMet: stalled" in capsys.readouterr().err
+
+    report = verify.check_dimension_reduction()
+    report.passed = False
+    monkeypatch.setattr(verify, "run_check", lambda cid, seed=42: report)
+    assert cli.main(["verify", "--check", "dimension-reduction"]) == 1
+
+
+def test_rejects_unknown_check():
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--check", "no-such-check"])
+
+
+def test_package_import_leaves_cli_unloaded():
+    probe = "import sys, fraclap; print('fraclap.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fraclap.core import FracParams, getoor_constant
@@ -312,3 +314,124 @@ class TestToleranceHandling:
         with pytest.raises(ToleranceNotMet) as err:
             ball_green_integral(P1, 1.0, wild, np.array([0.3]), spec)
         assert err.value.estimate is not None
+
+
+class TestBoxGreenMass:
+    # frozen from nested scipy.integrate.quad in polar coordinates around x,
+    # breakpoints at the corner angles, epsrel 1e-12; cells and nodes come
+    # from verify.default_halfspace_axes(FracParams(2, 0.5))
+    REFERENCES = [
+        ((1.05, -3.85), (1.0, -3.9), (1.1, -3.8), 0.05562742739603865),
+        ((0.05, -3.95), (0.05, -3.95), (0.1, -3.9), 0.01199608394231623),
+        ((0.15, 0.05), (0.1, 0.0), (0.2, 0.1), 0.052705942719914856),
+        ((0.05, -3.85), (0.05, -3.95), (3.95, 3.95), 0.27791192714160856),
+    ]
+
+    def test_cells_lie_on_the_default_grid(self):
+        from fraclap.verify import default_halfspace_axes
+
+        ax1, ax2 = default_halfspace_axes(P2)
+        for x, lo, hi, _ in self.REFERENCES:
+            assert np.min(np.abs(ax1 - x[0])) < 1e-12 and np.min(np.abs(ax2 - x[1])) < 1e-12
+
+    @pytest.mark.parametrize("x, lo, hi, ref", REFERENCES)
+    def test_independent_references(self, x, lo, hi, ref):
+        v = box_green_mass(P2, np.array(x), np.array(lo), np.array(hi))
+        assert abs(v / ref - 1.0) <= 1e-7
+
+    def test_rejects_apex_outside_box(self):
+        with pytest.raises(ValueError):
+            box_green_mass(P2, np.array([1.2, 0.0]), [1.0, -0.1], [1.1, 0.1])
+        with pytest.raises(ValueError):
+            box_green_mass(P2, np.array([1.05, 0.0]), [1.0, 0.1], [1.1, 0.2])
+
+    def test_tiny_budget_raises_with_estimate(self):
+        spec = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
+        with pytest.raises(ToleranceNotMet) as err:
+            box_green_mass(P2, np.array([1.05, -3.85]), [1.0, -3.9], [1.1, -3.8], spec)
+        assert err.value.estimate == pytest.approx(0.05562742739603865, rel=1e-6)
+        assert err.value.error > 0.0
+
+
+# (N, s) pairs covering the three regimes: N > 2s, N = 1 = 2s, N = 1 < 2s
+BOX_PARAMS = [FracParams(1, 0.5), FracParams(1, 0.75)] + [
+    FracParams(N, s) for N in (2, 3) for s in (0.25, 0.5, 0.75)
+]
+BOX_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True)
+MASS_REL = 3e-7  # two values each within the default rel_tol 1e-7, plus slack
+
+
+@st.composite
+def boxes(draw, N, apex=st.floats(0.0, 1.0)):
+    """(x, lo, hi) with lo1 >= 0.05, lateral corners in [-1.5, 1.5], widths in [0.05, 1.5]."""
+    unit = st.floats(0.0, 1.0)
+    lo = np.array([0.05 + 1.45 * draw(unit)] + [3.0 * draw(unit) - 1.5 for _ in range(N - 1)])
+    hi = lo + np.array([0.05 + 1.45 * draw(unit) for _ in range(N)])
+    frac = np.array([draw(apex) for _ in range(N)])
+    return lo + frac * (hi - lo), lo, hi
+
+
+def _box_id(p):
+    return f"N{p.N}-s{p.s:g}"
+
+
+class TestBoxGreenMassProperties:
+    @pytest.mark.parametrize("params", BOX_PARAMS, ids=_box_id)
+    def test_scaling_law(self, params):
+        @BOX_SETTINGS
+        @given(boxes(params.N), st.floats(0.25, 4.0))
+        def check(box, c):
+            x, lo, hi = box
+            base = box_green_mass(params, x, lo, hi)
+            scaled = box_green_mass(params, c * x, c * lo, c * hi)
+            assert scaled == pytest.approx(c ** (2.0 * params.s) * base, rel=MASS_REL)
+
+        check()
+
+    @pytest.mark.parametrize("params", [p for p in BOX_PARAMS if p.N > 1], ids=_box_id)
+    def test_lateral_reflection(self, params):
+        @BOX_SETTINGS
+        @given(boxes(params.N), st.integers(1, params.N - 1))
+        def check(box, j):
+            x, lo, hi = box
+            xr, lor, hir = x.copy(), lo.copy(), hi.copy()
+            xr[j], lor[j], hir[j] = -x[j], -hi[j], -lo[j]
+            assert box_green_mass(params, xr, lor, hir) == pytest.approx(
+                box_green_mass(params, x, lo, hi), rel=MASS_REL
+            )
+
+        check()
+
+    @pytest.mark.parametrize("params", BOX_PARAMS, ids=_box_id)
+    def test_additive_over_sub_boxes_at_the_apex(self, params):
+        # x is a vertex of each of the 2^N sub-boxes
+        @BOX_SETTINGS
+        @given(boxes(params.N, apex=st.floats(0.05, 0.95)))
+        def check(box):
+            x, lo, hi = box
+            parts = 0.0
+            for corner in range(2**params.N):
+                upper = np.array([(corner >> k) & 1 for k in range(params.N)], dtype=bool)
+                parts += box_green_mass(params, x, np.where(upper, x, lo), np.where(upper, hi, x))
+            assert parts == pytest.approx(box_green_mass(params, x, lo, hi), rel=MASS_REL)
+
+        check()
+
+    @pytest.mark.parametrize("params", BOX_PARAMS, ids=_box_id)
+    def test_error_contract(self, params):
+        tiny = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
+
+        @BOX_SETTINGS
+        @given(boxes(params.N), st.integers(0, params.N - 1), st.floats(0.01, 1.0))
+        def check(box, k, gap):
+            x, lo, hi = box
+            outside = x.copy()
+            outside[k] = hi[k] + gap
+            with pytest.raises(ValueError):
+                box_green_mass(params, outside, lo, hi)
+            with pytest.raises(ToleranceNotMet) as err:
+                box_green_mass(params, x, lo, hi, tiny)
+            assert err.value.estimate is not None and err.value.estimate > 0.0
+            assert err.value.error is not None
+
+        check()

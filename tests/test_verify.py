@@ -1,0 +1,38 @@
+import pytest
+
+from fraclap import verify
+
+# Picard verdicts of the angular-sweep self-cells this rule replaced: the
+# corrected diagonal must leave every verdict and the pass state unchanged
+SEED_LIOUVILLE = {
+    "verdict_N2_s0.5_q1.5": "converged-to-zero",
+    "verdict_N2_s0.5_q1.5_iters": 5.0,
+    "verdict_N2_s0.5_q2": "converged-to-zero",
+    "verdict_N2_s0.5_q2_iters": 3.0,
+    "verdict_N2_s0.5_q3": "converged-to-zero",
+    "verdict_N2_s0.5_q3_iters": 3.0,
+    "verdict_N3_s0.5_q2": "converged-to-zero",
+    "verdict_N3_s0.5_q2_iters": 3.0,
+}
+SEED_MONOTONICITY = {
+    "verdict_zero": "converged-to-zero",
+    "verdict_power2": "converged-to-zero",
+    "plane_violations_zero": 0.0,
+    "plane_violations_power2": 0.0,
+    "control_detected": 1.0,
+}
+
+
+@pytest.mark.slow
+def test_liouville_passes_with_seed_verdicts():
+    rep = verify.run_check("liouville")
+    assert rep.passed
+    assert rep.measured == SEED_LIOUVILLE
+
+
+@pytest.mark.slow
+def test_monotonicity_passes_with_seed_verdicts():
+    rep = verify.run_check("monotonicity")
+    assert rep.passed
+    assert {k: rep.measured[k] for k in SEED_MONOTONICITY} == SEED_MONOTONICITY
+    assert rep.measured["min_slope_power2"] >= rep.tolerance["min_slope"]
