@@ -6,12 +6,15 @@ runs one verification check (all of them without ``--check``) and prints
 each Report as ``key: value`` text or as CSV rows
 (check_id, kind, key, value).  The exit status is 0 when every check
 passed, 1 otherwise; a check whose integrator raises ``ToleranceNotMet``
-is reported on standard error and counts as not passed.
+is reported on standard error and counts as not passed.  A reader that
+closes the pipe early (``| head``) ends the run with status 1 and no
+traceback.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import verify
@@ -29,6 +32,17 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        return _verify(args)
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, and Python's own
+        # flush at exit, to devnull instead of a second BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _verify(args) -> int:
     ids = [args.check] if args.check else list(verify.CHECK_IDS)
     writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
     if writer:
@@ -47,6 +61,7 @@ def main(argv=None) -> int:
             writer.writerows(report.csv_rows())
         else:
             sys.stdout.write(report.to_text(strict=False))
+    sys.stdout.flush()
     return 0 if all_passed else 1
 
 

@@ -299,30 +299,26 @@ class HDerivatives:
 
 
 def h_function_partials(params: FracParams, r: float, t: float) -> HDerivatives:
-    """H and central-difference partials with step h = 1e-5 * max(1, |arg|).
+    """H and its partials in closed form, from I'(z) = z^(s-1) (1+z)^(-N/2):
 
-    Steps are shrunk when needed to keep r - h > 0 and t - h >= 0.
+        d_t  = (k/2) t^(s-1) (r+t)^(-N/2)
+        d_rt = -(N/2) d_t / (r+t)
+        d_r  = ((s - N/2) H - (k/2) t^s (r+t)^(-N/2)) / r
+
+    with k = ``green_constant_k``.  They hold in all three regimes (at
+    N = 1 = 2s, k = 1/pi and they are the derivatives of the arcsinh form).
+    At t = 0 the true limits for s < 1 are returned: value = d_r = 0,
+    d_t = +inf, d_rt = -inf.  Requires r > 0 and t >= 0.
     """
-    if r <= 0.0:
-        raise ValueError("H(r,t) requires r > 0")
-    hr = min(max(1e-5, 1e-5 * abs(r)), 0.5 * r)
-    ht = max(1e-5, 1e-5 * abs(t))
-    if t > 0.0:
-        ht = min(ht, 0.5 * t)
-    H = lambda rr, tt: h_function(params, rr, max(tt, 0.0))
-    value = H(r, t)
-    d_r = (H(r + hr, t) - H(r - hr, t)) / (2.0 * hr)
-    if t - ht >= 0.0:
-        d_t = (H(r, t + ht) - H(r, t - ht)) / (2.0 * ht)
-        d_rt = (
-            H(r + hr, t + ht) - H(r + hr, t - ht) - H(r - hr, t + ht) + H(r - hr, t - ht)
-        ) / (4.0 * hr * ht)
-    else:
-        d_t = (H(r, t + ht) - H(r, t)) / ht
-        d_rt = (H(r + hr, t + ht) - H(r + hr, t) - H(r - hr, t + ht) + H(r - hr, t)) / (
-            2.0 * hr * ht
-        )
-    return HDerivatives(value=value, d_r=d_r, d_t=d_t, d_rt=d_rt)
+    value = h_function(params, r, t)  # raises ValueError on r <= 0 or t < 0
+    s, half_n = params.s, params.N / 2.0
+    r, t = np.float64(r), np.float64(t)  # 0.0 ** (s - 1) is inf, not ZeroDivisionError
+    kt = 0.5 * green_constant_k(params) * (r + t) ** -half_n
+    with np.errstate(divide="ignore"):
+        d_t = kt * t ** (s - 1.0)
+    d_rt = -half_n * d_t / (r + t)
+    d_r = ((s - half_n) * value - kt * t**s) / r
+    return HDerivatives(value=value, d_r=float(d_r), d_t=float(d_t), d_rt=float(d_rt))
 
 
 # ---------------------------------------------------------------------------

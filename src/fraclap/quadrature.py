@@ -63,7 +63,6 @@ __all__ = [
     "strip_mass",
 ]
 
-_STRATEGIES = ("polar-subtraction", "duffy-like-split")
 _SMOOTHNESS = ("C2", "continuous", "grid-sampled")
 
 
@@ -82,15 +81,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     max_refinements: int = 30
     tail_radius: float | None = None
-    singularity_strategy: str = "polar-subtraction"
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
-        if self.singularity_strategy not in _STRATEGIES:
-            raise ValueError(f"unknown singularity strategy {self.singularity_strategy!r}")
 
     def tolerance(self, scale=1.0):
         return max(self.abs_tol, self.rel_tol * abs(scale))
@@ -231,30 +227,12 @@ def _singular_depth_fraction(s_exponent, spec: QuadratureSpec):
     return max(frac, 1e-40)
 
 
-def _duffy_map(fvec, s_exponent):
-    """Power substitution r = v^(1/e) collapsing an r^(e-1) endpoint at 0."""
-    e = s_exponent
-
-    def mapped(v):
-        v = np.maximum(v, 1e-300)
-        r = v ** (1.0 / e)
-        return fvec(r) * r ** (1.0 - e) / e * np.where(v > 0, 1.0, 0.0)
-
-    return mapped
-
-
 def _radial_singular_integral(fvec, r_max, s_exponent, spec: QuadratureSpec):
-    """Integral over (0, r_max) of an integrand behaving like r^(s_exponent - 1).
-
-    Two strategies: geometric panel grading toward the singular endpoint
-    (default) or a Duffy-like power-substitution collapse of the endpoint.
+    """Integral over (0, r_max) of an integrand behaving like r^(s_exponent - 1),
+    by adaptive panels graded geometrically toward the singular endpoint.
     """
     if r_max <= 0.0:
         return 0.0, 0.0
-    if spec.singularity_strategy == "duffy-like-split" and s_exponent > 0.05:
-        mapped = _duffy_map(fvec, s_exponent)
-        edges = np.linspace(0.0, r_max**s_exponent, 9)
-        return _adaptive_panels(mapped, edges, spec)
     frac = _singular_depth_fraction(s_exponent, spec)
     edges = _graded_edges(frac, r_max)
     return _adaptive_panels(fvec, edges, spec)

@@ -545,44 +545,23 @@ def lambda0_estimate(
     spec: QuadratureSpec | None = None,
     n_samples: int = 64,
 ):
-    """Largest slab width lambda0 with sup_x int over the doubled slab of the
-    Green kernel strictly below 1/c_lip, with at least 10% margin.
+    """Largest slab width lambda0 whose doubled-slab Green mass
+    sup_x int_{0 < y1 < 2 lambda0} G(x, y) dy is at most 0.9 / c_lip, i.e.
+    strictly below 1/c_lip with a 10% margin.
 
-    The sup is approximated over a low-discrepancy x1-sweep (tangential
-    invariance makes the mass independent of the lateral coordinates).
+    The mass is exactly homogeneous, strip_mass(c lam, c x) =
+    c^(2s) strip_mass(lam, x), and independent of the lateral coordinates.
+    With S the sup of strip_mass(2, (f, 0, ...)) over n_samples
+    low-discrepancy fractions f in (0, 1), lambda0 = (0.9 / (c_lip S))^(1/(2s)):
+    n_samples ``strip_mass`` calls, no bracketing and no cap on lambda0.
     """
     if c_lip <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
     spec = spec or QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)
-    fracs = _vdc_sequence(n_samples)
-    target = 0.9 / c_lip
-
-    def sup_mass(lam):
-        xs = np.zeros((n_samples, params.N))
-        xs[:, 0] = fracs * lam
-        return max(strip_mass(params, 2.0 * lam, x, spec) for x in xs)
-
-    lo_bracket, hi_bracket = 1e-8, 1e3
-    lam = 1.0
-    if sup_mass(lam) <= target:
-        while lam < hi_bracket and sup_mass(2.0 * lam) <= target:
-            lam *= 2.0
-        if lam >= hi_bracket:
-            return hi_bracket
-        lo, hi = lam, 2.0 * lam
-    else:
-        while lam > lo_bracket and sup_mass(0.5 * lam) > target:
-            lam *= 0.5
-        if lam <= lo_bracket:
-            raise ValueError("could not bracket lambda0 above 1e-8")
-        lo, hi = 0.5 * lam, lam
-    for _ in range(14):
-        mid = 0.5 * (lo + hi)
-        if sup_mass(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    xs = np.zeros((n_samples, params.N))
+    xs[:, 0] = _vdc_sequence(n_samples)
+    sup = max(strip_mass(params, 2.0, x, spec) for x in xs)
+    return (0.9 / (c_lip * sup)) ** (1.0 / (2.0 * params.s))
 
 
 # ---------------------------------------------------------------------------

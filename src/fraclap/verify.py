@@ -822,52 +822,32 @@ def experiment_monotonicity(params=None, q=2.0, lam_grid=10, seed=42):
     )
 
 
-CHECK_IDS = (
-    "poisson-normalization",
-    "green-limit",
-    "reflection-inequalities",
-    "h-monotonicity",
-    "boundary-estimate",
-    "decay-regimes",
-    "strip-mass",
-    "dimension-reduction",
-    "harmonicity-meanvalue",
-    "kernel-bounds",
-    "liouville",
-    "monotonicity",
-)
-
 _RUNNERS = {
-    "poisson-normalization": lambda seed: check_poisson_normalization(seed=seed),
-    "green-limit": lambda seed: check_green_limit(seed=seed),
-    "reflection-inequalities": lambda seed: check_reflection_inequalities(seed=seed),
-    "h-monotonicity": lambda seed: check_h_monotonicity(seed=seed),
-    "boundary-estimate": lambda seed: check_boundary_estimate(seed=seed),
-    "decay-regimes": lambda seed: check_decay_regimes(seed=seed),
-    "strip-mass": lambda seed: check_strip_mass(seed=seed),
-    "dimension-reduction": lambda seed: check_dimension_reduction(seed=seed),
-    "harmonicity-meanvalue": lambda seed: check_harmonicity_meanvalue(seed=seed),
-    "kernel-bounds": lambda seed: check_kernel_bounds(seed=seed),
-    "liouville": lambda seed: experiment_liouville(seed=seed),
-    "monotonicity": lambda seed: experiment_monotonicity(seed=seed),
+    "poisson-normalization": check_poisson_normalization,
+    "green-limit": check_green_limit,
+    "reflection-inequalities": check_reflection_inequalities,
+    "h-monotonicity": check_h_monotonicity,
+    "boundary-estimate": check_boundary_estimate,
+    "decay-regimes": check_decay_regimes,
+    "strip-mass": check_strip_mass,
+    "dimension-reduction": check_dimension_reduction,
+    "harmonicity-meanvalue": check_harmonicity_meanvalue,
+    "kernel-bounds": check_kernel_bounds,
+    "liouville": experiment_liouville,
+    "monotonicity": experiment_monotonicity,
 }
+CHECK_IDS = tuple(_RUNNERS)
 
 
 def run_check(check_id: str, seed: int = 42) -> Report:
     if check_id not in _RUNNERS:
         raise KeyError(f"unknown check id {check_id!r}")
-    return _RUNNERS[check_id](seed)
+    return _RUNNERS[check_id](seed=seed)
 
 
-def run_all(seed: int = 42, check_ids=None, max_workers: int = 1):
+def run_all(seed: int = 42, check_ids=None):
     ids = list(check_ids or CHECK_IDS)
     for cid in ids:
         if cid not in _RUNNERS:
             raise KeyError(f"unknown check id {cid!r}")
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {cid: pool.submit(run_check, cid, seed) for cid in ids}
-            return [futures[cid].result() for cid in ids]
     return [run_check(cid, seed) for cid in ids]

@@ -47,3 +47,14 @@ def test_package_import_leaves_cli_unloaded():
     probe = "import sys, fraclap; print('fraclap.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the reader is gone before the first write, like `fraclap verify | head -n 0`
+    cmd = [sys.executable, "-m", "fraclap.cli", "verify", "--check", "dimension-reduction",
+           "--format", "csv"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -235,6 +235,59 @@ class TestGreenHalfspace:
         assert np.all(np.abs(gxy - gyx) <= 1e-12 * (1.0 + gxy))
 
 
+# (value, d_r, d_t, d_rt) of H(r, t) = (k/2) r^(s-N/2) I(t/r) at 40 digits with
+# mpmath: I(z) = z^s/s 2F1(N/2, s; s+1; -z), partials by mpmath.diff; keys are
+# (N, s, r, t) in the five regimes of the benchmark
+H_REFERENCES = {
+    (1, 0.5, 0.01, 100.0): (
+        1.6865147553602627, -1.5914698594152204e+1, 1.5914698594152205e-3, -7.9565536417119311e-6,
+    ),
+    (1, 0.5, 1.0, 1.0): (
+        2.8054992616959006e-1, -1.1253953951963826e-1, 1.1253953951963826e-1, -2.8134884879909565e-2,
+    ),
+    (1, 0.5, 100.0, 0.01): (
+        3.1830458125773915e-3, -1.5914698594152205e-5, 1.5914698594152204e-1, -7.956553641711931e-4,
+    ),
+    (1, 0.75, 0.01, 100.0): (
+        2.7258921345701046, -6.3028680311924061, 7.4450171395445022e-3, -3.7221363561366374e-5,
+    ),
+    (1, 0.75, 1.0, 1.0): (
+        2.6699359060196785e-1, -9.9735570100358169e-2, 1.6648396775085013e-1, -4.1620991937712533e-2,
+    ),
+    (1, 0.75, 100.0, 0.01): (
+        9.9269731262021927e-4, -4.9632738579939541e-6, 7.4450171395445022e-2, -3.7221363561366374e-4,
+    ),
+    (2, 0.5, 0.01, 100.0): (
+        1.5814176502717356, -7.9577437776272198e+1, 5.0655526268542032e-5, -5.065046122241979e-7,
+    ),
+    (2, 0.5, 1.0, 1.0): (
+        7.9577471545947668e-2, -6.5119031683558277e-2, 2.5330295910584443e-2, -1.2665147955292221e-2,
+    ),
+    (2, 0.5, 100.0, 0.01): (
+        1.0131780647217759e-4, -1.0131442950463083e-6, 5.0655526268542031e-3, -5.0650461222419789e-5,
+    ),
+    (3, 0.25, 0.01, 100.0): (
+        1.0039203666961291e+1, -1.2549031653052572e+3, 2.7069350957618058e-7, -4.0599966439783109e-9,
+    ),
+    (3, 0.25, 1.0, 1.0): (
+        2.798100666582821e-2, -3.8003157752852254e-2, 3.0268994205669918e-3, -2.2701745654252439e-3,
+    ),
+    (3, 0.25, 100.0, 0.01): (
+        1.0829039726329843e-5, -1.624323475367411e-7, 2.7069350957618058e-4, -4.0599966439783108e-6,
+    ),
+    (3, 0.75, 0.01, 100.0): (
+        2.0062652056403076, -1.505883697030113e+2, 1.1847927998824024e-5, -1.7770114986737362e-7,
+    ),
+    (3, 0.75, 1.0, 1.0): (
+        3.1746817967120485e-2, -3.7058486681890109e-2, 1.3248373206549745e-2, -9.9362799049123091e-3,
+    ),
+    (3, 0.75, 100.0, 0.01): (
+        1.5798591368370392e-6, -2.3696871525101818e-8, 1.1847927998824024e-4, -1.7770114986737362e-6,
+    ),
+}
+H_PARAMS = sorted({FracParams(N, s) for N, s, _, _ in H_REFERENCES}, key=lambda p: (p.N, p.s))
+
+
 class TestHFunction:
     def test_consistency_with_halfspace_kernel(self):
         rng = np.random.default_rng(10)
@@ -260,15 +313,31 @@ class TestHFunction:
                 assert d.d_rt < 0.0
 
     def test_zero_t_row(self):
-        d = h_function_partials(P2, 1.0, 0.0)
-        assert d.value == 0.0
-        assert d.d_t > 0.0
+        # the true limits as t -> 0+ for s < 1
+        for params in H_PARAMS:
+            d = h_function_partials(params, 1.0, 0.0)
+            assert d.value == 0.0
+            assert d.d_r == 0.0
+            assert d.d_t == math.inf
+            assert d.d_rt == -math.inf
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             h_function(P2, 0.0, 1.0)
         with pytest.raises(ValueError):
             h_function(P2, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            h_function_partials(P2, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            h_function_partials(P2, 1.0, -0.5)
+
+    @pytest.mark.parametrize("key", sorted(H_REFERENCES), ids=lambda k: "N{}-s{}-r{}-t{}".format(*k))
+    def test_partials_match_mpmath(self, key):
+        N, s, r, t = key
+        d = h_function_partials(FracParams(N, s), r, t)
+        got = np.array([d.value, d.d_r, d.d_t, d.d_rt])
+        ref = np.array(H_REFERENCES[key])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 class TestReflection:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fraclap import solver
 from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import HalfSpace
 from fraclap.quadrature import QuadratureSpec, ScalarField, constant_field, strip_mass
@@ -265,9 +266,9 @@ class TestMonotonicityProfile:
 class TestLambda0:
     @pytest.mark.slow
     def test_golden_value_and_margin(self):
-        # frozen regression from this build's bisection + strip-mass oracle
+        # 0.61810303: bisection on sup strip_mass(2 lam) = 0.9, resolution 4e-5
         lam0 = lambda0_estimate(P2, 1.0)
-        assert lam0 == pytest.approx(0.618, abs=0.02)
+        assert lam0 == pytest.approx(0.61810303, rel=1e-4)
         sup = max(
             strip_mass(P2, 2.0 * lam0, np.array([a * lam0, 0.0]))
             for a in np.linspace(0.02, 0.98, 17)
@@ -279,6 +280,23 @@ class TestLambda0:
         lam_small = lambda0_estimate(P2, 4.0, n_samples=8)
         lam_large = lambda0_estimate(P2, 1.0, n_samples=8)
         assert lam_small <= lam_large + 1e-9
+        # lambda0 ~ c_lip^(-1/(2s)) exactly, and 2s = 1 here
+        assert lam_small == pytest.approx(lam_large / 4.0, rel=1e-12)
+
+    def test_scaling_law_from_one_strip_mass_per_sample(self, monkeypatch):
+        calls = []
+
+        def fake_strip_mass(params, lam, x, spec=None):
+            calls.append((lam, float(x[0])))
+            return 0.5 + x[0] * (1.0 - x[0])
+
+        monkeypatch.setattr(solver, "strip_mass", fake_strip_mass)
+        P3 = FracParams(3, 0.25)
+        lam0 = lambda0_estimate(P3, 2.0, n_samples=8)
+        fracs = solver._vdc_sequence(8)
+        assert calls == [(2.0, f) for f in fracs]
+        sup = max(0.5 + f * (1.0 - f) for f in fracs)
+        assert lam0 == pytest.approx((0.9 / (2.0 * sup)) ** 2.0, rel=1e-15)
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):

@@ -36,3 +36,10 @@ def test_monotonicity_passes_with_seed_verdicts():
     assert rep.passed
     assert {k: rep.measured[k] for k in SEED_MONOTONICITY} == SEED_MONOTONICITY
     assert rep.measured["min_slope_power2"] >= rep.tolerance["min_slope"]
+
+
+def test_h_monotonicity_passes_without_sign_violations():
+    rep = verify.run_check("h-monotonicity")
+    assert rep.passed
+    assert rep.samples == 4 * 30 * 30
+    assert rep.measured == {"sign_violations": 0.0}
