@@ -1,11 +1,22 @@
 """Singular-integral quadrature: the pointwise fractional Laplacian, ball and
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
-Engines share three building blocks: Gauss-Legendre panels with adaptive
-bisection of the worst panels, geometric grading toward weak singularities,
-and explicit kernel-bound tails for unbounded domains.  Evaluations are
-vectorized over quadrature nodes throughout, so field callables must accept
-``(..., N)`` arrays.
+The ball, half-space and N = 1 strip integrals share one polar-ray engine,
+``_ray_integral``.  At each angular level of a sphere rule a geometry
+callback gives the radial span of every direction at once, and
+``_adaptive_panels`` integrates all (direction, radial panel) pairs in one
+array: GL8/GL16 per panel, values and errors scaled by the direction's
+weight, the worst panels bisected against one summed tolerance.  Levels
+double until two agree, and the error is the final level's summed panel
+error plus the last level difference.  ``ball_green_integral`` raises
+``ToleranceNotMet``, carrying the estimate and the error, when that error
+exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
+fixed Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
+reports it.  ``box_green_mass`` integrates Duffy pyramids, and
+``strip_mass`` for N >= 2 its own (direction x radial node) array with a
+kernel-bound lateral tail.  Every batched evaluation takes a bounded number
+of nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must
+accept ``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -26,27 +37,6 @@ from .core import (
 )
 from .kernels import _green_from_psi, green_halfspace
 
-
-def _green_ball_polar(params, R, x, r, omega):
-    """Ball Green function at (x, x + r*omega) using the exact polar distance r."""
-    r = np.asarray(r, dtype=float)
-    pts = x + r[:, None] * omega
-    y2 = np.sum(pts * pts, axis=-1)
-    x2 = float(np.dot(x, x))
-    live = (y2 < R * R) & (r > 0.0)
-    r2 = np.where(live, r * r, 1.0)
-    psi = np.where(live, (R * R - x2) * (R * R - y2) / (R * R * r2), 0.0)
-    return np.where(live, _green_from_psi(params, r2, psi), 0.0)
-
-
-def _green_halfspace_polar(params, x, r, omega):
-    """Half-space Green function at (x, x + r*omega) with exact polar distance."""
-    r = np.asarray(r, dtype=float)
-    y1 = x[0] + r * omega[0]
-    live = (y1 > 0.0) & (r > 0.0)
-    r2 = np.where(live, r * r, 1.0)
-    psi = np.where(live, 4.0 * x[0] * y1 / r2, 0.0)
-    return np.where(live, _green_from_psi(params, r2, psi), 0.0)
 
 __all__ = [
     "QuadratureSpec",
@@ -158,46 +148,64 @@ def _panel_nodes(a, b, n):
     return nodes, weights
 
 
-def _adaptive_panels(fvec, edges, spec: QuadratureSpec, n_low=8, n_high=16):
-    """Adaptive panel integration of a vectorized scalar integrand.
+_RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule; bounds its arrays
 
-    Error per panel is the GL(n_low)/GL(n_high) difference; the worst
-    panels are bisected until the summed estimate meets the spec.
-    Returns (value, error_estimate).
+
+def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), n_low=8, n_high=16):
+    """Adaptive Gauss-Legendre panels on one or more rays.
+
+    ``edges`` holds one row of panel edges per ray direction (a 1-D array
+    is one direction) and ``weights`` the directions' angular weights;
+    ``fvec(r, d)`` evaluates the integrand at radial nodes ``r`` on the
+    directions with indices ``d`` (1-D arrays of at most ``_RAY_CHUNK``
+    nodes).  Each panel's GL(n_high) value and |GL(n_high) - GL(n_low)|
+    error are scaled by its direction's weight, and the panels above a
+    quarter of the mean error are bisected until the summed error meets
+    the spec.  Returns (value, error); raises ``ToleranceNotMet`` if the
+    error is still above 100 x tolerance after ``spec.max_refinements``
+    passes.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    d = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
+    live = b > a  # a direction that misses the domain has zero-width panels
+    a, b, d = a[live], b[live], d[live]
+    step = max(1, _RAY_CHUNK // (n_low + n_high))
 
-    def _eval(a_arr, b_arr):
-        if len(a_arr) == 0:
-            return np.zeros(0), np.zeros(0)
-        nl, wl = _panel_nodes(a_arr, b_arr, n_low)
-        nh, wh = _panel_nodes(a_arr, b_arr, n_high)
-        vl = np.sum(fvec(nl.ravel()).reshape(nl.shape) * wl, axis=-1)
-        vh = np.sum(fvec(nh.ravel()).reshape(nh.shape) * wh, axis=-1)
-        return vh, np.abs(vh - vl)
+    def _eval(a_arr, b_arr, d_arr):
+        vals, errs = [np.zeros(0)], [np.zeros(0)]
+        for i in range(0, len(a_arr), step):
+            pa, pb, pd = a_arr[i : i + step], b_arr[i : i + step], d_arr[i : i + step]
+            nl, wl = _panel_nodes(pa, pb, n_low)
+            nh, wh = _panel_nodes(pa, pb, n_high)
+            w = weights[pd]
+            nodes = np.concatenate([nl, nh], axis=1)
+            f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
+            vl = np.sum(f[:, :n_low] * wl, axis=-1)
+            vh = np.sum(f[:, n_low:] * wh, axis=-1)
+            vals.append(vh * w)
+            errs.append(np.abs(vh - vl) * w)
+        return np.concatenate(vals), np.concatenate(errs)
 
-    vals, errs = _eval(a, b)
+    vals, errs = _eval(a, b, d)
     for _ in range(spec.max_refinements):
         total = float(np.sum(vals))
         err = float(np.sum(errs))
         if err <= spec.tolerance(total):
             return total, err
         # bisect every panel holding more than its share of the error
-        share = max(err / max(len(a), 1), 0.0)
-        split = errs >= max(0.25 * share, 1e-300)
+        split = errs >= max(0.25 * err / len(a), 1e-300)
         if not np.any(split):
             split = errs == errs.max()
-        keep_a, keep_b = a[~split], b[~split]
-        keep_v, keep_e = vals[~split], errs[~split]
-        sa, sb = a[split], b[split]
+        sa, sb, sd = a[split], b[split], d[split]
         smid = 0.5 * (sa + sb)
-        new_a = np.concatenate([keep_a, sa, smid])
-        new_b = np.concatenate([keep_b, smid, sb])
-        nv, ne = _eval(np.concatenate([sa, smid]), np.concatenate([smid, sb]))
-        vals = np.concatenate([keep_v, nv])
-        errs = np.concatenate([keep_e, ne])
-        a, b = new_a, new_b
+        nv, ne = _eval(np.concatenate([sa, smid]), np.concatenate([smid, sb]), np.concatenate([sd, sd]))
+        a = np.concatenate([a[~split], sa, smid])
+        b = np.concatenate([b[~split], smid, sb])
+        d = np.concatenate([d[~split], sd, sd])
+        vals = np.concatenate([vals[~split], nv])
+        errs = np.concatenate([errs[~split], ne])
     total = float(np.sum(vals))
     err = float(np.sum(errs))
     if err <= 100.0 * spec.tolerance(total):
@@ -225,17 +233,6 @@ def _singular_depth_fraction(s_exponent, spec: QuadratureSpec):
     expo = max(s_exponent, 0.05)
     frac = target ** (1.0 / expo)
     return max(frac, 1e-40)
-
-
-def _radial_singular_integral(fvec, r_max, s_exponent, spec: QuadratureSpec):
-    """Integral over (0, r_max) of an integrand behaving like r^(s_exponent - 1),
-    by adaptive panels graded geometrically toward the singular endpoint.
-    """
-    if r_max <= 0.0:
-        return 0.0, 0.0
-    frac = _singular_depth_fraction(s_exponent, spec)
-    edges = _graded_edges(frac, r_max)
-    return _adaptive_panels(fvec, edges, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +285,6 @@ def _ray_sphere_roots(x, omega, radius):
         return []
     root = math.sqrt(disc)
     return [r for r in (-c - root, -c + root) if r > 1e-14]
-
-
-def _ray_box_span(x, omega, lo, hi):
-    """Parameter span [t_in, t_out] of {x + t omega, t >= 0} inside a box."""
-    t_in, t_out = 0.0, np.inf
-    for k in range(len(x)):
-        d = omega[k]
-        if abs(d) < 1e-300:
-            if not (lo[k] <= x[k] <= hi[k]):
-                return None
-            continue
-        t1 = (lo[k] - x[k]) / d
-        t2 = (hi[k] - x[k]) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        t_in = max(t_in, t1)
-        t_out = min(t_out, t2)
-    if t_out <= t_in:
-        return None
-    return t_in, t_out
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +397,61 @@ def getoor_field(params: FracParams) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# ball Green integral
+# polar-ray engine and the ball Green integral
 
 
-def _angular_converge(run_level, spec, start=8, max_doublings=4, scale_hint=None):
-    """Run a direction-resolved computation at doubling angular resolutions."""
-    prev = run_level(start)
-    m = start
-    diff = np.inf
-    cur = prev
+def _angular_converge(run_level, spec, start, max_doublings):
+    """Run ``run_level(m) -> (value, error)`` at doubling angular resolutions
+    until two levels agree to 10 x tolerance.
+
+    Returns the last value and its error: the last level's own error plus
+    its difference from the level before.
+    """
+    value, err = run_level(start)
+    diff = 0.0
     for _ in range(max_doublings):
-        m *= 2
-        cur = run_level(m)
-        scale = scale_hint if scale_hint is not None else cur
-        diff = abs(cur - prev)
-        if diff <= 10.0 * spec.tolerance(scale):
-            return cur, diff
-        prev = cur
-    return cur, diff
+        start *= 2
+        prev = value
+        value, err = run_level(start)
+        diff = abs(value - prev)
+        if diff <= 10.0 * spec.tolerance(value):
+            break
+    return value, err + diff
+
+
+def _checked(value, err, spec, what):
+    """``value``, unless ``err`` exceeds 100 x tolerance: then ``ToleranceNotMet``."""
+    if err > 100.0 * spec.tolerance(value) + 1e-9:
+        raise ToleranceNotMet(f"{what} error {err:.2e} exceeds tolerance", estimate=value, error=err)
+    return value
+
+
+def _ray_integral(params, spans, integrand, spec):
+    """int over directions w and r in [t_in(w), t_out(w)] of integrand(r, w) r^(N-1) dr dw.
+
+    The polar-ray engine: ``spans(dirs)`` gives every direction's
+    (t_in, t_out) at once, a span from x (t_in = 0) gets radial panels
+    graded toward the |x-y|^(2s-N) singularity and any other span eight
+    uniform panels, and one ``_adaptive_panels`` call integrates all
+    (direction, panel) pairs of an angular level against one summed
+    tolerance.  Levels double from m = 8
+    up to m = 128; N = 1 runs one level, its two-point rule being exact.
+    Returns (value, error): the final level's summed panel error plus its
+    difference from the level before.
+    """
+    N, s = params.N, params.s
+    expo = 2.0 * s if N > 2.0 * s else 1.0  # the integrand behaves like r^(expo - 1)
+    graded = _graded_edges(_singular_depth_fraction(expo, spec), 1.0)
+    uniform = np.minimum(np.arange(len(graded)) / 8.0, 1.0)  # 8 panels, the rest zero-width
+
+    def run_level(m):
+        dirs, wts = _sphere_rule(N, m)
+        t_in, t_out = spans(dirs)
+        fracs = np.where(t_in[:, None] > 0.0, uniform, graded)
+        edges = t_in[:, None] + np.maximum(t_out - t_in, 0.0)[:, None] * fracs
+        return _adaptive_panels(lambda r, d: integrand(r, dirs[d]) * r ** (N - 1.0), edges, spec, wts)
+
+    return _angular_converge(run_level, spec, 8, 4 if N > 1 else 0)
 
 
 def ball_green_integral(
@@ -445,39 +459,35 @@ def ball_green_integral(
 ):
     """int_{B_R} G_R(x, y) f(y) dy for x inside B_R.
 
-    Polar refinement around the weak |x-y|^(2s-N) singularity at x; the
-    radial direction is graded (or Duffy-collapsed) near 0 and resolves
-    the (r_exit - r)^s degeneracy at the sphere via panel adaptivity.
+    Polar rays around x on the ray engine (``_ray_integral``): every
+    direction w of a level exits the sphere at r = -x.w + sqrt((x.w)^2 +
+    R^2 - |x|^2), its radial panels are graded toward the |x-y|^(2s-N)
+    singularity at x, and panel bisection resolves the (r_exit - r)^s
+    degeneracy at the sphere.  Returns a value whose error (the final
+    level's summed panel error plus the last angular level difference) is
+    within 100 x tolerance, or raises ``ToleranceNotMet`` carrying the
+    estimate and the error.
     """
     spec = spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
-    N, s = params.N, params.s
-    if float(np.dot(x, x)) >= R * R:
+    x2 = float(np.dot(x, x))
+    if x2 >= R * R:
         raise ValueError("evaluation point must lie inside the ball")
 
-    sing_expo = min(2.0 * s, 2.0) if N > 2 * s else 1.0  # integrand ~ r^(2s-1) or milder
+    def spans(dirs):
+        c = dirs @ x
+        return np.zeros(len(dirs)), np.sqrt(c * c + R * R - x2) - c
 
-    def run_level(m):
-        dirs, wts = _sphere_rule(N, m, antipodal=False)
-        total = 0.0
-        for omega, w in zip(dirs, wts):
-            roots = _ray_sphere_roots(x, omega, R)
-            r_exit = roots[-1] if roots else 0.0
-            if r_exit <= 0.0:
-                continue
+    def integrand(r, omega):
+        pts = x + r[:, None] * omega
+        y2 = np.sum(pts * pts, axis=-1)
+        live = (y2 < R * R) & (r > 0.0)
+        r2 = np.where(live, r * r, 1.0)
+        psi = np.where(live, (R * R - x2) * (R * R - y2) / (R * R * r2), 0.0)
+        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(pts)
 
-            def integrand(r):
-                r = np.asarray(r, dtype=float)
-                pts = x + r[:, None] * omega
-                g = _green_ball_polar(params, R, x, r, omega)
-                return g * np.asarray(f(pts), dtype=float) * r ** (N - 1.0)
-
-            val, _ = _radial_singular_integral(integrand, r_exit, sing_expo, spec)
-            total += w * val
-        return total
-
-    value, err = _angular_converge(run_level, spec, start=8 if N > 1 else 1, max_doublings=4)
-    return value
+    value, err = _ray_integral(params, spans, integrand, spec)
+    return _checked(value, err, spec, "ball Green integral")
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +499,14 @@ def exterior_poisson_integral(
 ):
     """int_{|y|>R} Poisson_R(x, y) g(y) dy for x inside B_R.
 
-    Radial treatment per direction: a Gauss-Jacobi panel on [R, 2R] with
-    the (rho-R)^(-s) factor taken as the weight (it factors exactly out of
-    (rho^2-R^2)^(-s)), geometric Gauss-Legendre panels out to a truncation
-    radius, and a kernel-bound tail below tolerance.
+    One fixed radial rule serves every direction of an angular level: a
+    Gauss-Jacobi panel on [R, R + d] with the (rho-R)^(-s) factor taken as
+    the weight (it factors exactly out of (rho^2-R^2)^(-s)), geometric
+    Gauss-Legendre panels out to a truncation radius, and a kernel-bound
+    tail below tolerance; the directions are evaluated together, at most
+    ``_RAY_CHUNK`` nodes at a time.  The error (last angular level
+    difference plus the tail bound) above 100 x tolerance raises
+    ``ToleranceNotMet`` carrying the estimate.
     """
     spec = spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
@@ -542,7 +556,6 @@ def exterior_poisson_integral(
         # Jacobi panel [R, R + d]: rho = R + (d/2)(1+u), weight (rho-R)^(-s)
         d0 = min(layer, R)
         rho_j = R + 0.5 * d0 * (1.0 + u_j)
-        jac_scale = (0.5 * d0) ** (1.0 - s)
 
         # geometrically growing panels [R + d, 2R], then [2R, L]
         inner_edges = [R + d0]
@@ -553,40 +566,23 @@ def exterior_poisson_integral(
         edges = np.unique(np.concatenate([inner_edges, outer]))
         gl_nodes, gl_wts = _panel_nodes(edges[:-1], edges[1:], n_gl)
         rho_g = gl_nodes.ravel()
-        w_g = gl_wts.ravel()
 
+        # one radial rule for every direction, (rho^2 - R^2)^(-s) rho^(N-1) in its weights
+        rho = np.concatenate([rho_j, rho_g])
+        w_rho = np.concatenate([
+            (0.5 * d0) ** (1.0 - s) * w_j * (rho_j + R) ** (-s),
+            gl_wts.ravel() * (rho_g * rho_g - R * R) ** (-s),
+        ]) * rho ** (N - 1.0)
         total = 0.0
-        for omega, w in zip(dirs, wts):
-            pts_j = rho_j[:, None] * omega
-            vals_j = (
-                pref
-                * (rho_j + R) ** (-s)
-                * np.sum((x - pts_j) ** 2, axis=-1) ** (-N / 2.0)
-                * np.asarray(g(pts_j), dtype=float)
-                * rho_j ** (N - 1.0)
-            )
-            part_j = jac_scale * np.dot(w_j, vals_j)
+        step = max(1, _RAY_CHUNK // len(rho))
+        for i in range(0, len(dirs), step):
+            pts = rho[:, None] * dirs[i : i + step, None, :]
+            vals = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0) * np.asarray(g(pts), dtype=float)
+            total += float(wts[i : i + step] @ (vals @ w_rho))
+        return pref * total, 0.0  # the fixed radial rule has no error estimate of its own
 
-            pts_g = rho_g[:, None] * omega
-            vals_g = (
-                pref
-                * (rho_g * rho_g - R * R) ** (-s)
-                * np.sum((x - pts_g) ** 2, axis=-1) ** (-N / 2.0)
-                * np.asarray(g(pts_g), dtype=float)
-                * rho_g ** (N - 1.0)
-            )
-            part_g = np.dot(w_g, vals_g)
-            total += w * (part_j + part_g)
-        return total
-
-    value, err = _angular_converge(run_level, spec, start=16, max_doublings=6)
-    if err + tail_bound > 100.0 * spec.tolerance(value) + 1e-9:
-        raise ToleranceNotMet(
-            f"exterior integral error {err + tail_bound:.2e} exceeds tolerance",
-            estimate=value,
-            error=err + tail_bound,
-        )
-    return value
+    value, err = _angular_converge(run_level, spec, 16, 6)
+    return _checked(value, err + tail_bound, spec, "exterior integral")
 
 
 def poisson_extension_field(
@@ -628,6 +624,7 @@ def poisson_extension_field(
 @dataclass(frozen=True)
 class BoxIntegral:
     value: float
+    error: float
     tail_bound: float
     tail_rigorous: bool
 
@@ -817,35 +814,23 @@ def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = 
 
 
 def _halfspace_box_integral(params, f, x, lo, hi, spec):
-    N, s = params.N, params.s
-    x = np.asarray(x, dtype=float)
-    sing_expo = min(2.0 * s, 2.0) if N > 2 * s else 1.0
+    """(value, error) of int over the box [lo, hi], lo1 >= 0, of G(x, y) f(y) dy."""
 
-    def run_level(m):
-        dirs, wts = _sphere_rule(N, m, antipodal=False)
-        total = 0.0
-        for omega, w in zip(dirs, wts):
-            span = _ray_box_span(x, omega, lo, hi)
-            if span is None:
-                continue
-            t_in, t_out = span
+    def spans(dirs):
+        t_lo, t_hi = (lo - x) / dirs, (hi - x) / dirs
+        return (
+            np.maximum(np.max(np.minimum(t_lo, t_hi), axis=1), 0.0),
+            np.min(np.maximum(t_lo, t_hi), axis=1),
+        )
 
-            def integrand(r):
-                r = np.asarray(r, dtype=float)
-                pts = x + r[:, None] * omega
-                gv = _green_halfspace_polar(params, x, r, omega)
-                return gv * np.asarray(f(pts), dtype=float) * r ** (N - 1.0)
+    def integrand(r, omega):
+        pts = x + r[:, None] * omega
+        live = (pts[:, 0] > 0.0) & (r > 0.0)
+        r2 = np.where(live, r * r, 1.0)
+        psi = np.where(live, 4.0 * x[0] * pts[:, 0] / r2, 0.0)
+        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(pts)
 
-            if t_in <= 1e-14:
-                val, _ = _radial_singular_integral(integrand, t_out, sing_expo, spec)
-            else:
-                edges = np.linspace(t_in, t_out, 9)
-                val, _ = _adaptive_panels(integrand, edges, spec)
-            total += w * val
-        return total
-
-    value, _ = _angular_converge(run_level, spec, start=8 if N > 1 else 1, max_doublings=4)
-    return value
+    return _ray_integral(params, spans, integrand, spec)
 
 
 def halfspace_green_integral(
@@ -861,7 +846,14 @@ def halfspace_green_integral(
     f must be nonnegative with either compact support or a decay tag; the
     dropped tail is bracketed by the explicit kernel bound and reported in
     the detailed result (tail_rigorous marks that the bound, not an
-    estimate, was used).
+    estimate, was used).  The box runs on the polar-ray engine
+    (``_ray_integral``) with vectorised box spans (t_in, t_out).  Its
+    error (final level panel error plus last angular level difference) is
+    reported as the detailed result's ``error`` but not enforced: the ray
+    integral kinks where rays pass a box corner and peaks toward a long
+    lateral side, so the angular sweep converges slowly and the value can
+    miss by far more than the requested tolerance.  Only a radial stall
+    raises ``ToleranceNotMet``.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
@@ -895,9 +887,9 @@ def halfspace_green_integral(
 
     lo = lo.copy()
     lo[0] = max(lo[0], 0.0)
-    value = _halfspace_box_integral(params, f, x, lo, hi, spec)
+    value, err = _halfspace_box_integral(params, f, x, lo, hi, spec)
     if detail:
-        return BoxIntegral(value=value, tail_bound=tail, tail_rigorous=rigorous)
+        return BoxIntegral(value=value, error=err, tail_bound=tail, tail_rigorous=rigorous)
     return value
 
 
@@ -910,7 +902,8 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
 
     Tangential invariance reduces the slab to the (y1, lateral radius)
     half-plane; polar coordinates around (x1, 0) absorb the kernel
-    singularity, with an explicit kernel-bound lateral tail.
+    singularity, with an explicit kernel-bound lateral tail.  For N = 1 the
+    slab is the box [0, lam] of ``halfspace_green_integral``'s ray engine.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
     x = np.asarray(x, dtype=float)
@@ -921,21 +914,8 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     k = green_constant_k(params)
 
     if N == 1:
-        x_pt = np.array([x1])
-        sing_expo = min(2.0 * s, 1.0) if N > 2 * s else 1.0
-        left, _ = _radial_singular_integral(
-            lambda r: _green_halfspace_polar(params, x_pt, np.asarray(r), np.array([-1.0])),
-            x1,
-            sing_expo,
-            spec,
-        )
-        right, _ = _radial_singular_integral(
-            lambda r: _green_halfspace_polar(params, x_pt, np.asarray(r), np.array([1.0])),
-            lam - x1,
-            sing_expo,
-            spec,
-        )
-        return left + right
+        one = constant_field(1.0)
+        return _halfspace_box_integral(params, one, x, np.zeros(1), np.array([lam]), spec)[0]
 
     # lateral truncation: the leading tail is added back analytically, so T
     # only needs the second-order kernel-expansion residual below tolerance

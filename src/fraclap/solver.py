@@ -252,8 +252,9 @@ def solve_ball_dirichlet(
 
     v(x) = exterior Poisson integral of g plus ball Green integral of f at
     every node inside the ball; nodes outside copy the exterior data.
-    Nodes where an integrator cannot meet its tolerance land in
-    ``node_errors`` (index -> (estimate, error)) and keep the estimate.
+    Where an integrator cannot meet its tolerance the node keeps its
+    estimate in the sum and lands in ``node_errors`` (index -> (value,
+    summed error of the integrators that raised)).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
     axes = tuple(np.asarray(a, dtype=float) for a in grid)
@@ -266,14 +267,15 @@ def solve_ball_dirichlet(
         if float(np.dot(x, x)) >= R * R:
             flat[i] = float(np.asarray(g(x)))
             continue
-        total = 0.0
-        try:
-            total += exterior_poisson_integral(params, R, g, x, spec)
-            total += ball_green_integral(params, R, f, x, spec)
-        except ToleranceNotMet as exc:
-            total = exc.estimate if exc.estimate is not None else total
-            if node_errors is not None:
-                node_errors[np.unravel_index(i, shape)] = (exc.estimate, exc.error)
+        total, errors = 0.0, []
+        for integral, data in ((exterior_poisson_integral, g), (ball_green_integral, f)):
+            try:
+                total += integral(params, R, data, x, spec)
+            except ToleranceNotMet as exc:
+                total += exc.estimate
+                errors.append(exc.error)
+        if errors and node_errors is not None:
+            node_errors[np.unravel_index(i, shape)] = (total, sum(errors))
         flat[i] = total
     return GridFunction(
         domain=Ball(R),

@@ -372,7 +372,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
             return np.abs(y - x1) ** (-1.0) * ((y - 1.0) ** 2 - 1.0) ** (-s)
 
         edges = 2.0 + np.concatenate([[0.0], np.logspace(-10, 0, 28), 2.0 ** np.arange(1.0, 40.0)])
-        val, _ = _adaptive_panels(f, edges, spec)
+        val, _ = _adaptive_panels(lambda y, d: f(y), edges, spec)
         tailc = f(np.array([edges[-1]]))[0] * edges[-1] ** (1.0 + 2.0 * s)
         return val + tailc * edges[-1] ** (-2.0 * s) / (2.0 * s)
 
@@ -451,7 +451,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
         [2.0],
         2.0 * 2.0 ** np.arange(0.0, 11.0),
     ]))
-    val, _ = _adaptive_panels(inner, edges, spec)
+    val, _ = _adaptive_panels(lambda y1, d: inner(y1), edges, spec)
     y_far = edges[-1]
     c_far = inner(np.array([y_far]))[0] * y_far ** (1.0 + 2.0 * s)
     tail = c_far * y_far ** (-2.0 * s) / (2.0 * s)
@@ -616,7 +616,7 @@ def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
             sphere_avg += w * np.asarray(u(pts), dtype=float)
         return gamma * m ** (N - 1.0) * sphere_avg
 
-    val, _ = _adaptive_panels(radial_integrand, edges, spec)
+    val, _ = _adaptive_panels(lambda m, d: radial_integrand(m), edges, spec)
     return val
 
 

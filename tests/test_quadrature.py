@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gamma
 
 from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import riesz_constant
@@ -128,6 +130,37 @@ class TestFracLaplacian:
             frac_laplacian_point(P1, f, np.array([0.0]))
 
 
+BALL_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+CLOSED_FORM_POINTS = [
+    (P1, [0.0]),
+    (P1, [-0.6]),
+    (FracParams(1, 0.75), [0.3]),
+    (FracParams(1, 0.75), [0.95]),
+    (FracParams(2, 0.25), [0.3, -0.4]),
+    (FracParams(2, 0.25), [0.99, 0.0]),
+    (P2, [0.3, -0.4]),
+    (P2, [0.99 * math.cos(1.0), 0.99 * math.sin(1.0)]),
+    (FracParams(2, 0.75), [0.3, -0.4]),
+    (FracParams(2, 0.75), [0.0, 0.99]),
+    (P3, [0.0, 0.0, 0.0]),
+    (P3, [0.3, 0.0, 0.4]),
+]
+
+
+def _point_id(value):
+    if isinstance(value, FracParams):
+        return f"N{value.N}-s{value.s:g}"
+    if isinstance(value, list):
+        return "x" + ",".join(f"{c:.3g}" for c in value)
+    return "ref"
+
+
+def ball_closed_form(params, x):
+    """int_B G(x, y) dy = (1-|x|^2)^s Gamma(N/2) / (4^s Gamma(1+s) Gamma(N/2+s))."""
+    N, s = params.N, params.s
+    return (1.0 - float(np.dot(x, x))) ** s * gamma(N / 2) / (4.0**s * gamma(1 + s) * gamma(N / 2 + s))
+
+
 class TestBallGreenIntegral:
     def test_zero_density(self):
         assert ball_green_integral(P1, 1.0, ZERO, np.array([0.2])) == 0.0
@@ -155,6 +188,35 @@ class TestBallGreenIntegral:
         with pytest.raises(ValueError):
             ball_green_integral(P1, 1.0, ONE, np.array([1.5]))
 
+    @pytest.mark.parametrize("params, x", CLOSED_FORM_POINTS, ids=_point_id)
+    def test_closed_form(self, params, x):
+        v = ball_green_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
+        assert abs(v / ball_closed_form(params, x) - 1.0) <= 1e-7
+
+    def test_angular_error_raises_with_estimate(self):
+        # the jump of f along y2 = 0 passes 0.05 from x, so the last two
+        # angular levels still differ by about 2e-5
+        half_plane = ScalarField(
+            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
+        )
+        with pytest.raises(ToleranceNotMet) as err:
+            ball_green_integral(P2, 1.0, half_plane, np.array([0.3, 0.05]), BALL_SPEC)
+        assert err.value.estimate == pytest.approx(0.3579293, abs=1e-5)
+        assert err.value.error > 100.0 * BALL_SPEC.tolerance(err.value.estimate)
+
+    def test_batched_rays_bound_memory(self):
+        # the batched ray arrays are chunked at _RAY_CHUNK nodes
+        P = FracParams(2, 0.25)
+        x = np.array([0.99, 0.0])
+        tracemalloc.start()
+        try:
+            ball_green_integral(P, 1.0, ONE, x, BALL_SPEC)
+            exterior_poisson_integral(P, 1.0, ONE, x, BALL_SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
 
 class TestExteriorPoisson:
     def test_normalization(self):
@@ -171,6 +233,22 @@ class TestExteriorPoisson:
 
     def test_zero_data(self):
         assert exterior_poisson_integral(P2, 1.0, ZERO, np.array([0.1, 0.0])) == 0.0
+
+    @pytest.mark.parametrize(
+        "params, x, frozen",
+        [
+            (FracParams(1, 0.75), [0.95], 0.9999999999826482),
+            (FracParams(2, 0.25), [0.99, 0.0], 0.9999999999163579),
+            (FracParams(2, 0.75), [0.3, -0.4], 0.9999999999899233),
+            (P3, [0.3, 0.0, 0.4], 0.9999999999839817),
+        ],
+        ids=_point_id,
+    )
+    def test_directions_batched_like_the_loop(self, params, x, frozen):
+        # frozen from the one-direction-at-a-time loop; batching the
+        # directions only reorders the sums
+        v = exterior_poisson_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
+        assert abs(v / frozen - 1.0) <= 1e-12
 
     def test_half_exterior_indicator(self):
         half1 = ScalarField(
@@ -248,6 +326,15 @@ class TestHalfspaceIntegral:
         f = ScalarField(func=lambda p: np.ones(p.shape[:-1]), smoothness="continuous", bound=1.0)
         with pytest.raises(ValueError):
             halfspace_green_integral(P2, f, np.array([0.5, 0.0]))
+
+    def test_whole_box_reports_its_angular_error(self):
+        # the reported error must cover the miss against the
+        # nested-quadrature mass of TestBoxGreenMass
+        x, lo, hi, ref = TestBoxGreenMass.REFERENCES[3]
+        res = halfspace_green_integral(
+            P2, ONE, np.array(x), QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10), box=(lo, hi), detail=True
+        )
+        assert res.error >= abs(res.value - ref)
 
     def test_box_mass_positive(self):
         m = box_green_mass(P2, np.array([0.5, 0.0]), [0.0, -1.0], [1.0, 1.0])

@@ -111,6 +111,23 @@ class TestBallSolve:
         gf = solve_ball_dirichlet(P1, 1.0, ZERO, ONE, grid)
         assert gf.values[0] == 1.0 and gf.values[-1] == 1.0
 
+    def test_flagged_node_keeps_every_term(self):
+        # the ball integral of the half-plane indicator raises at (0.3, 0.05);
+        # the node must still hold the exterior term (1 for g == 1) plus the
+        # ball estimate, and report their combined error; the other nodes
+        # lie outside the ball
+        half_plane = ScalarField(
+            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
+        )
+        node_errors = {}
+        grid = ([0.3, 1.5], [0.05, 1.5])
+        gf = solve_ball_dirichlet(P2, 1.0, half_plane, ONE, grid, node_errors=node_errors)
+        estimate, error = node_errors[(0, 0)]
+        assert gf.values[0, 0] == estimate
+        assert estimate == pytest.approx(1.0 + 0.3579293, abs=1e-5)
+        assert error > 0.0
+        assert list(node_errors) == [(0, 0)]
+
 
 class TestHalfspaceLinear:
     def test_zero(self):

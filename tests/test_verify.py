@@ -1,6 +1,7 @@
 import pytest
 
 from fraclap import verify
+from fraclap.quadrature import ToleranceNotMet
 
 # Picard verdicts of the angular-sweep self-cells this rule replaced: the
 # corrected diagonal must leave every verdict and the pass state unchanged
@@ -43,3 +44,27 @@ def test_h_monotonicity_passes_without_sign_violations():
     assert rep.passed
     assert rep.samples == 4 * 30 * 30
     assert rep.measured == {"sign_violations": 0.0}
+
+
+@pytest.mark.slow
+def test_boundary_estimate_passes_with_seed_slopes():
+    rep = verify.run_check("boundary-estimate")
+    assert rep.passed
+    assert rep.measured == pytest.approx(
+        {
+            "slope_N2_s0.3": 0.297213,
+            "slope_N2_s0.5": 0.495355,
+            "slope_N1_s0.5": 0.495355,
+            "slope_N1_s0.75": 0.743032,
+        },
+        abs=1e-6,
+    )
+
+
+@pytest.mark.slow
+def test_poisson_normalization_still_raises():
+    # red: at N = 2, x1 = 0.99 the value is within 1e-10 of 1, but the
+    # angular level difference reports 3e-6
+    with pytest.raises(ToleranceNotMet) as err:
+        verify.run_check("poisson-normalization")
+    assert err.value.estimate == pytest.approx(1.0, abs=1e-9)
