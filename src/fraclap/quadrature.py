@@ -1,7 +1,7 @@
 """Singular-integral quadrature: the pointwise fractional Laplacian, ball and
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
-The ball, half-space and N = 1 strip integrals share one polar-ray engine,
+The ball, half-space and strip integrals share one polar-ray engine,
 ``_ray_integral``.  At each angular level of a sphere rule a geometry
 callback gives the radial span of every direction at once, and
 ``_adaptive_panels`` integrates all (direction, radial panel) pairs in one
@@ -12,11 +12,12 @@ error plus the last level difference.  ``ball_green_integral`` raises
 ``ToleranceNotMet``, carrying the estimate and the error, when that error
 exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
 fixed Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
-reports it.  ``box_green_mass`` integrates Duffy pyramids, and
-``strip_mass`` for N >= 2 its own (direction x radial node) array with a
-kernel-bound lateral tail.  Every batched evaluation takes a bounded number
-of nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must
-accept ``(..., N)`` arrays.
+reports it.  ``strip_mass`` is the box [0, lam] of the one-dimensional
+half-line for every N (the lateral integral of the half-space Green
+function is the half-line one), and ``box_green_mass`` integrates Duffy
+pyramids.  Every batched evaluation takes a bounded number of nodes at a
+time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must accept
+``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -900,107 +901,23 @@ def halfspace_green_integral(
 def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = None):
     """int over the slab {0 < y1 < lam} of G_halfspace(x, y) dy, 0 < x1 < lam.
 
-    Tangential invariance reduces the slab to the (y1, lateral radius)
-    half-plane; polar coordinates around (x1, 0) absorb the kernel
-    singularity, with an explicit kernel-bound lateral tail.  For N = 1 the
-    slab is the box [0, lam] of ``halfspace_green_integral``'s ray engine.
+    The mass depends on s, lam and x1 only:
+
+        int over R^(N-1) of G_N((x1, x'), (y1, y')) dy' = G_1(x1, y1),
+
+    with G_1 the half-line Green function of ``FracParams(1, s)``.  The
+    half-space is invariant under tangential translations, so the lateral
+    integral of G_N(x, .) is the Green function of the half-space problem
+    restricted to functions of x1 alone, on which the symbol |xi|^(2s)
+    acts as the one-dimensional |xi1|^(2s).  The slab is therefore the box
+    [0, lam] of the one-dimensional half-line, on the polar-ray engine.
+    ``x`` must have shape (N,).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
     x = np.asarray(x, dtype=float)
-    N, s = params.N, params.s
-    x1 = float(x[0])
-    if not (0.0 < x1 < lam):
+    if x.shape != (params.N,):
+        raise ValueError("x needs shape (N,)")
+    if not (0.0 < x[0] < lam):
         raise ValueError("strip_mass needs 0 < x1 < lam")
-    k = green_constant_k(params)
-
-    if N == 1:
-        one = constant_field(1.0)
-        return _halfspace_box_integral(params, one, x, np.zeros(1), np.array([lam]), spec)[0]
-
-    # lateral truncation: the leading tail is added back analytically, so T
-    # only needs the second-order kernel-expansion residual below tolerance
-    lateral_area = 2.0 if N == 2 else 2.0 * math.pi  # |S^(N-2)| for N = 2, 3
-    c_tail = (k / (2.0 * s)) * (4.0 * x1) ** s * lam ** (1.0 + s) / (1.0 + s) * lateral_area
-    tol_t = 0.1 * max(spec.abs_tol, spec.rel_tol * 1e-3)
-    T = max(8.0 * lam, 8.0 * x1, 1.0)
-    while c_tail * (4.0 * x1 * lam) / T**3 > tol_t and T < 1e9:
-        T *= 2.0
-
-    theta_breaks = [0.0, math.atan2(T, lam - x1), math.pi - math.atan2(T, x1), math.pi]
-    sing_expo = 2.0 * s if N > 2 * s else 1.0
-    frac = _singular_depth_fraction(sing_expo, spec)
-
-    def _ang_edges(th_a, th_b, cluster_left, cluster_right, level):
-        width = th_b - th_a
-        pts = set(np.linspace(th_a, th_b, max(2, int(math.ceil(2.0 * width))) * level + 1))
-        depth = min(48, max(10, int(math.ceil(math.log2(max(T / lam, 4.0)))) + 6))
-        ks = width * 2.0 ** (-np.arange(1.0, float(depth)))
-        if cluster_right:
-            pts.update(th_b - ks)
-        if cluster_left:
-            pts.update(th_a + ks)
-        return np.array(sorted(pts))
-
-    def run(level, n_radial_coarse):
-        # radial fractions shared across directions, scaled by each exit radius;
-        # graded at 0 (kernel singularity) and at 1 (exit degeneracy)
-        base = _graded_edges(frac, 1.0, n_coarse=n_radial_coarse)
-        exit_grade = 1.0 - 0.25 * 2.0 ** (-np.arange(1.0, 14.0 + 4.0 * level))
-        edges = np.unique(np.concatenate([base, exit_grade, [1.0]]))
-        nodes01, wts01 = _panel_nodes(edges[:-1], edges[1:], 8 * level)
-        r01 = nodes01.ravel()
-        w01 = wts01.ravel()
-        total = 0.0
-        for seg, (th_a, th_b) in enumerate(zip(theta_breaks[:-1], theta_breaks[1:])):
-            sub = _ang_edges(th_a, th_b, cluster_left=(seg == 2), cluster_right=(seg == 0), level=level)
-            t_nodes, t_wts = _panel_nodes(sub[:-1], sub[1:], 8)
-            theta = t_nodes.ravel()
-            t_w = t_wts.ravel()
-            ct, st = np.cos(theta), np.sin(theta)
-            with np.errstate(divide="ignore"):
-                r_exit = np.where(st > 1e-300, T / np.maximum(st, 1e-300), np.inf)
-                r_exit = np.where(ct > 1e-300, np.minimum(r_exit, (lam - x1) / np.where(ct > 0, ct, 1.0)), r_exit)
-                r_exit = np.where(ct < -1e-300, np.minimum(r_exit, x1 / np.where(ct < 0, -ct, 1.0)), r_exit)
-            # (n_theta, n_radial) node matrix in one kernel call
-            r = r_exit[:, None] * r01[None, :]
-            y1 = x1 + r * ct[:, None]
-            rho = r * st[:, None]
-            live = (y1 > 0.0) & (r > 0.0)
-            r2 = np.where(live, r * r, 1.0)
-            psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
-            gv = np.where(live, _green_from_psi(params, r2, psi), 0.0)
-            vals = gv * rho ** (N - 2.0) * r
-            total += float(np.sum(t_w[:, None] * (r_exit[:, None] * w01[None, :]) * vals))
-        return lateral_area * total
-
-    prev = run(1, 6)
-    value = prev
-    for level in (2, 3):
-        value = run(level, 6 * level)
-        if abs(value - prev) <= 10.0 * spec.tolerance(value):
-            break
-        prev = value
-    # add the exact leading lateral tail beyond T
-    tail = _strip_lateral_tail(params, x1, lam, T, spec)
-    return value + tail
-
-
-def _strip_lateral_tail(params, x1, lam, T, spec):
-    """Leading term of the strip integral beyond lateral radius T.
-
-    G ~ (k/2s)(4 x1 y1)^s d^(-N) there; the lateral integral of d^(-N)
-    over rho > T has a closed form per dimension.
-    """
-    N, s = params.N, params.s
-    k = green_constant_k(params)
-    nodes, wts = _panel_nodes(np.array([0.0]), np.array([lam]), 32)
-    y1 = nodes[0]
-    delta = np.abs(y1 - x1)
-    if N == 2:
-        lateral = 2.0 * np.where(
-            delta > 1e-12, np.arctan2(delta, T) / np.maximum(delta, 1e-300), 1.0 / T
-        )
-    else:
-        lateral = 2.0 * math.pi * (delta**2 + T * T) ** (-0.5)
-    vals = (k / (2.0 * s)) * (4.0 * x1 * y1) ** s * lateral
-    return float(np.dot(wts[0], vals))
+    line = FracParams(1, params.s)
+    return _halfspace_box_integral(line, constant_field(1.0), x[:1], np.zeros(1), np.array([lam]), spec)[0]

@@ -552,8 +552,9 @@ def lambda0_estimate(
     strictly below 1/c_lip with a 10% margin.
 
     The mass is exactly homogeneous, strip_mass(c lam, c x) =
-    c^(2s) strip_mass(lam, x), and independent of the lateral coordinates.
-    With S the sup of strip_mass(2, (f, 0, ...)) over n_samples
+    c^(2s) strip_mass(lam, x), and it is the half-line mass of
+    ``FracParams(1, s)`` in every dimension, so lambda0 depends on s and
+    c_lip only.  With S the sup of strip_mass(2, (f, 0, ...)) over n_samples
     low-discrepancy fractions f in (0, 1), lambda0 = (0.9 / (c_lip S))^(1/(2s)):
     n_samples ``strip_mass`` calls, no bracketing and no cap on lambda0.
     """

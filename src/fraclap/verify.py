@@ -105,6 +105,14 @@ class Report:
             rows.extend((self.check_id, kind, k, _fmt(group[k])) for k in group)
         return rows
 
+    def to_dict(self) -> dict:
+        """The Report as one object of ``fraclap verify --format json``."""
+        return {
+            "check_id": self.check_id, "pass": self.passed, "samples": self.samples,
+            "seed": self.seed, "params": self.params, "measured": self.measured,
+            "tolerance": self.tolerance, "window": self.window, "wall_time": self.wall_time,
+        }
+
 
 def rng_for(seed: int, check_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(check_id.encode())])

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import subprocess
 import sys
 
@@ -22,6 +23,31 @@ def test_verify_csv(capsys):
     assert rows[0] == ["check_id", "kind", "key", "value"]
     assert rows[1] == ["dimension-reduction", "pass", "", "true"]
     assert all(r[0] == "dimension-reduction" for r in rows[1:])
+
+
+def test_verify_json(capsys):
+    assert cli.main(["verify", "--check", "dimension-reduction", "--format", "json"]) == 0
+    (obj,) = json.loads(capsys.readouterr().out)
+    assert set(obj) == {"check_id", "pass", "samples", "seed", "params", "measured", "tolerance",
+                        "window", "wall_time"}
+    assert obj["check_id"] == "dimension-reduction"
+    assert obj["pass"] is True  # an np.bool_ in the Report
+    assert obj["samples"] == 20 and obj["seed"] == 42
+    assert obj["measured"]["max_rel_mismatch"] <= 1e-10
+    assert obj["tolerance"] == {"max_rel_mismatch": 1e-10}
+
+
+def test_verify_json_raising_check(capsys, monkeypatch):
+    def raising(cid, seed=42):
+        raise ToleranceNotMet("stalled", estimate=1.0, error=0.5)
+
+    monkeypatch.setattr(verify, "run_check", raising)
+    assert cli.main(["verify", "--check", "green-limit", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == [
+        {"check_id": "green-limit", "raised": "ToleranceNotMet: stalled", "estimate": 1.0, "error": 0.5}
+    ]
+    assert "green-limit: raised ToleranceNotMet: stalled" in err
 
 
 def test_failed_and_raising_checks_set_exit_status(capsys, monkeypatch):

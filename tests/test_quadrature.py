@@ -354,6 +354,28 @@ class TestStripMass:
         with pytest.raises(ValueError):
             strip_mass(P2, 1.0, np.array([1.5, 0.0]))
 
+    def test_rejects_point_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            strip_mass(P1, 1.0, [0.5, 3.0, 1.0])
+        with pytest.raises(ValueError):
+            strip_mass(P2, 1.0, [0.5])
+
+    # int_0^1 G_1(x1, y1) dy1 to 30 digits (mpmath), from
+    # I(t) = t^s/s 2F1(1/2, s; s+1; -t) and green_constant_k(FracParams(1, s))
+    HALF_LINE_REFERENCES = {
+        0.25: (0.5697185676049543, 0.8971698960214877, 0.7638420706590707),
+        0.5: (0.2799114369286984, 0.7307080842481433, 0.6898367576444099),
+        0.75: (0.1224858580816233, 0.5447145148532507, 0.6074912061887188),
+    }
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_every_dimension_has_the_half_line_mass(self, N, s):
+        # the lateral integral of G_N is G_1, whatever x' is
+        lateral = [0.7, -2.0][: N - 1]
+        for x1, ref in zip((0.05, 0.5, 0.95), self.HALF_LINE_REFERENCES[s]):
+            assert strip_mass(FracParams(N, s), 1.0, [x1, *lateral]) == pytest.approx(ref, rel=1e-8)
+
     def test_halving_decreases(self):
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
         masses = [

@@ -315,6 +315,11 @@ class TestLambda0:
         sup = max(0.5 + f * (1.0 - f) for f in fracs)
         assert lam0 == pytest.approx((0.9 / (2.0 * sup)) ** 2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_depends_on_s_and_lipschitz_constant_only(self, s):
+        lam0 = [lambda0_estimate(FracParams(N, s), 1.0) for N in (1, 2, 3)]
+        assert lam0[0] == lam0[1] == lam0[2]
+
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
             lambda0_estimate(P2, 0.0)

@@ -68,3 +68,19 @@ def test_poisson_normalization_still_raises():
     with pytest.raises(ToleranceNotMet) as err:
         verify.run_check("poisson-normalization")
     assert err.value.estimate == pytest.approx(1.0, abs=1e-9)
+
+
+def test_strip_mass_stays_red_against_the_stated_constant():
+    # the mass decreases with the slab width, but at lam = 0.01 its sup is
+    # 7.6e-3, above the asserted 1e-3
+    rep = verify.run_check("strip-mass")
+    assert not rep.passed
+    assert rep.measured["decreasing"] == 1.0
+    assert rep.measured["sup_mass_at_0.01"] == pytest.approx(7.637357e-3, rel=1e-6)
+    assert rep.tolerance == {"sup_mass_at_0.01": 1e-3}
+
+
+def test_dimension_reduction_passes():
+    rep = verify.run_check("dimension-reduction")
+    assert rep.passed
+    assert rep.measured["max_rel_mismatch"] <= 1e-14
