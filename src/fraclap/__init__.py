@@ -22,10 +22,7 @@ from .core import (
 from .kernels import (
     Ball,
     DiagonalSingularity,
-    FullSpace,
     HalfSpace,
-    ShiftedBall,
-    StripSet,
     green_ball,
     green_halfspace,
     green_shifted_ball,

@@ -27,10 +27,7 @@ from .core import (
 
 __all__ = [
     "Ball",
-    "ShiftedBall",
     "HalfSpace",
-    "FullSpace",
-    "StripSet",
     "DiagonalSingularity",
     "shifted_center",
     "poisson_ball",
@@ -72,25 +69,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class ShiftedBall:
-    """Ball of radius R centered at P_R = (R, 0, ..., 0), tangent to x1 = 0."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
-
-    def center(self, N: int):
-        return shifted_center(N, self.radius)
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        # |x - P_R|^2 < R^2  <=>  |x|^2 < 2 R x1, stable for large R
-        return np.sum(x * x, axis=-1) < 2.0 * self.radius * x[..., 0]
-
-
-@dataclass(frozen=True)
 class HalfSpace:
     """Open half-space x1 > 0."""
 
@@ -99,32 +77,7 @@ class HalfSpace:
         return x[..., 0] > 0.0
 
 
-@dataclass(frozen=True)
-class FullSpace:
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
-
-
-Domain = Ball | ShiftedBall | HalfSpace | FullSpace
-
-
-@dataclass(frozen=True)
-class StripSet:
-    """Slab Sigma_lambda = {0 < x1 < lambda} and far region J = {x1 >= 2 lambda}."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("strip width must be positive")
-
-    def contains(self, x):
-        x1 = np.asarray(x, dtype=float)[..., 0]
-        return (x1 > 0.0) & (x1 < self.lam)
-
-    def far_contains(self, x):
-        return np.asarray(x, dtype=float)[..., 0] >= 2.0 * self.lam
+Domain = Ball | HalfSpace
 
 
 def shifted_center(N: int, R: float):

@@ -12,7 +12,12 @@ error plus the last level difference.  ``ball_green_integral`` raises
 ``ToleranceNotMet``, carrying the estimate and the error, when that error
 exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
 fixed Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
-reports it.  ``strip_mass`` is the box [0, lam] of the one-dimensional
+reports it.  ``frac_laplacian_point`` runs the same two pieces,
+``_adaptive_panels`` per level and ``_angular_converge`` across levels, on
+the symmetrized second difference over antipodal directions and geometric
+panels, with a Taylor stub at 0 and an exact-or-bounded tail; it adds the
+tail bound to the error and raises ``ToleranceNotMet`` likewise.
+``strip_mass`` is the box [0, lam] of the one-dimensional
 half-line for every N (the lateral integral of the half-space Green
 function is the half-line one), and ``box_green_mass`` integrates Duffy
 pyramids.  Every batched evaluation takes a bounded number of nodes at a
@@ -22,12 +27,10 @@ time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must accept
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _spec
 
 from .core import (
@@ -89,8 +92,7 @@ class ScalarField:
 
     ``func`` must be vectorized over points of shape (..., N).  ``bound``
     and ``decay_exponent`` encode |f(y)| <= bound * (1+|y|)^(-decay);
-    ``support_radius`` marks exact vanishing outside a centered ball, and
-    ``kink_radii`` lists sphere radii where f is continuous but not C^1.
+    ``support_radius`` marks exact vanishing outside a centered ball.
     """
 
     func: Callable
@@ -98,7 +100,6 @@ class ScalarField:
     support_radius: float | None = None
     decay_exponent: float = 0.0
     bound: float | None = None
-    kink_radii: tuple = ()
 
     def __post_init__(self):
         if self.smoothness not in _SMOOTHNESS:
@@ -278,16 +279,6 @@ def _sphere_rule(N, m, antipodal=False):
     raise ValueError("volume quadrature supports N <= 3 at desk scale")
 
 
-def _ray_sphere_roots(x, omega, radius):
-    """Positive radii r with |x + r omega| = radius (0, 1 or 2 roots)."""
-    c = float(np.dot(x, omega))
-    disc = c * c + radius * radius - float(np.dot(x, x))
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [r for r in (-c - root, -c + root) if r > 1e-14]
-
-
 # ---------------------------------------------------------------------------
 # pointwise fractional Laplacian
 
@@ -295,18 +286,28 @@ def _ray_sphere_roots(x, omega, radius):
 def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: QuadratureSpec | None = None):
     """(a/2) * integral of (2u(x)-u(x+z)-u(x-z)) |z|^(-N-2s) dz.
 
-    The symmetrized second difference removes the principal value for C^2
-    fields.  Radial integration per direction uses a Taylor-fitted stub on
-    (0, r0) (second differences drown in rounding noise there), adaptive
-    quadrature with breakpoints at known kink spheres, and an exact or
-    bounded tail from the support/decay descriptor.
+    The symmetrized second difference D2(r, w) removes the principal value
+    for C^2 fields and is even in the direction w, so each angular level
+    runs the antipodal sphere rule.  On (0, r0) every direction gets a
+    Taylor-fitted stub (second differences drown in rounding noise there);
+    on [r0, r_far] one ``_adaptive_panels`` call integrates (a/2) D2
+    r^(-1-2s) over all (direction, geometric panel) pairs, panel bisection
+    resolving any kink sphere of the field; beyond r_far the u(x) term is
+    exact and the rest is bounded from the support/decay descriptor.
+    Levels double until two agree (``_angular_converge``).
+
+    Raises ``ValueError`` for a field not tagged C2, or one with neither a
+    support radius nor a decay exponent and bound.  Raises
+    ``ToleranceNotMet``, carrying the estimate and the error, when the
+    panels stall or when the error (the final level's panel error plus the
+    last level difference plus the tail bound) exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
     if u.smoothness != "C2":
         raise ValueError("frac_laplacian_point requires a C2-tagged field")
     x = np.asarray(x, dtype=float)
     N, s = params.N, params.s
-    a_const = normalization_a(params)
+    half_a = 0.5 * normalization_a(params)
     ux = float(u(x))
 
     if u.support_radius is not None:
@@ -323,66 +324,37 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
             r_far = max(r_far, spec.tail_radius)
         tail_err = 2.0 * u.bound * r_far ** (-(p + 2.0 * s)) / (p + 2.0 * s)
 
-    kink_spheres = list(u.kink_radii)
-    if u.support_radius is not None:
-        kink_spheres.append(float(u.support_radius))
-
-    m_ang = 16 if N <= 2 else 6
-    dirs, wts = _sphere_rule(N, m_ang, antipodal=True)
     r0 = 1e-3
+    edges = np.geomspace(r0, r_far, max(1, math.ceil(math.log(r_far / r0, 8.0))) + 1)
+    shell = half_a * sphere_surface(N)  # weight of a direction-independent radial term
+    tail = 2.0 * ux * r_far ** (-2.0 * s) / (2.0 * s)
 
-    total = 0.0
-    err_total = 0.0
-    for omega, w in zip(dirs, wts):
+    def run_level(m):
+        dirs, wts = _sphere_rule(N, m, antipodal=True)
+        wts = half_a * wts
 
-        def d2(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            pts = np.concatenate([x + r[:, None] * omega, x - r[:, None] * omega])
-            vals = np.asarray(u(pts), dtype=float)
-            m = len(r)
-            return 2.0 * ux - vals[:m] - vals[m:]
+        def d2(r, d):
+            step = r[:, None] * dirs[d]
+            return 2.0 * ux - u(np.concatenate([x + step, x - step])).reshape(2, -1).sum(axis=0)
 
         # Taylor stub: D2(r)/r^2 ~ c1 + c2 r^2 near 0
-        f1 = float(d2(r0)[0]) / r0**2
-        f2 = float(d2(0.5 * r0)[0]) / (0.5 * r0) ** 2
+        every = np.arange(len(dirs))
+        f1 = d2(np.full(len(dirs), r0), every) / r0**2
+        f2 = d2(np.full(len(dirs), 0.5 * r0), every) / (0.5 * r0) ** 2
         c2 = (f1 - f2) / (0.75 * r0**2)
         c1 = f1 - c2 * r0**2
-        stub = c1 * r0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * r0 ** (4.0 - 2.0 * s) / (
-            4.0 - 2.0 * s
-        )
-
-        breaks = set()
-        for radius in kink_spheres:
-            for sgn in (1.0, -1.0):
-                for root in _ray_sphere_roots(x, sgn * omega, radius):
-                    if r0 < root < r_far:
-                        breaks.add(root)
-
-        def integrand(r):
-            return float(d2(r)[0]) * r ** (-1.0 - 2.0 * s)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-            mid, mid_err = _integrate.quad(
-                integrand,
-                r0,
-                r_far,
-                points=sorted(breaks) if breaks else None,
-                limit=300,
-                epsabs=max(spec.abs_tol * 0.1, 1e-13),
-                epsrel=max(spec.rel_tol * 0.1, 1e-11),
+        stub = c1 * r0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * r0 ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
+        outer = float(wts @ stub) + shell * tail
+        try:
+            mid, err = _adaptive_panels(
+                lambda r, d: d2(r, d) * r ** (-1.0 - 2.0 * s), np.tile(edges, (len(dirs), 1)), spec, wts
             )
-        tail = 2.0 * ux * r_far ** (-2.0 * s) / (2.0 * s)
-        total += w * (stub + mid + tail)
-        err_total += w * (mid_err + tail_err)
+        except ToleranceNotMet as exc:
+            raise ToleranceNotMet(str(exc), estimate=outer + exc.estimate, error=exc.error) from exc
+        return outer + mid, err
 
-    value = 0.5 * a_const * total
-    err = 0.5 * a_const * err_total
-    if err > 100.0 * spec.tolerance(value) + 1e-9:
-        raise ToleranceNotMet(
-            f"fractional Laplacian error estimate {err:.2e} too large", estimate=value, error=err
-        )
-    return value
+    value, err = _angular_converge(run_level, spec, 4 if N == 2 else 2, 5 if N > 1 else 0)
+    return _checked(value, err + shell * tail_err, spec, "fractional Laplacian")
 
 
 def getoor_field(params: FracParams) -> ScalarField:
@@ -592,8 +564,7 @@ def poisson_extension_field(
     """The s-harmonic extension of exterior data g into B_R, as a field.
 
     Inside the ball the value is the exterior Poisson integral of g;
-    outside it is g itself.  The field is C-infinity inside, with a kink
-    sphere at |x| = R recorded for downstream quadrature.
+    outside it is g itself.  The field is C-infinity inside.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -614,7 +585,6 @@ def poisson_extension_field(
         support_radius=None,
         decay_exponent=g.decay_exponent,
         bound=g.bound,
-        kink_radii=(R,),
     )
 
 

@@ -713,6 +713,61 @@ def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
     )
 
 
+def _bubble(n, s):
+    """w = (1+|x|^2)^(-e), e = (n-2s)/2, on R^n; w <= 2^e (1+|x|)^(-2e)."""
+    e = 0.5 * (n - 2.0 * s)
+    return ScalarField(
+        func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e),
+        smoothness="C2",
+        decay_exponent=2.0 * e,
+        bound=2.0**e,
+    )
+
+
+def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
+    """At the half-space exponent p = (N-1+2s)/(N-1-2s) the bubble of R^n,
+    n = N-1, solves (-Delta)^s w = lam w^p with lam = 2^(2s)
+    Gamma((n+2s)/2) / Gamma((n-2s)/2) (Chen, Li & Ou, CPAM 59, 2006; Lieb,
+    Ann. Math. 118, 1983): the ratio (-Delta)^s w / w^p is lam at every |x|.
+    Negative control: at p +/- 0.25 the ratio must vary with |x|.
+    """
+    t0 = time.perf_counter()
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+    spread = dev = 0.0
+    control = np.inf
+    samples = 0
+    for N in (2, 3, 4):
+        for s in (0.25, 0.5, 0.75):
+            p = critical_exponents(FracParams(N, s)).halfspace
+            if p is None:  # N - 1 <= 2s
+                continue
+            n = N - 1
+            w = _bubble(n, s)
+            lap = np.array([frac_laplacian_point(FracParams(n, s), w, r * np.eye(n)[0], spec) for r in radii])
+            wx = w(np.outer(radii, np.eye(n)[0]))
+            lam = 4.0**s * _spec.gamma(0.5 * n + s) / _spec.gamma(0.5 * n - s)
+
+            def ratio_spread(q):
+                ratio = lap / wx**q
+                return float(np.max(ratio) / np.min(ratio) - 1.0)
+
+            spread = max(spread, ratio_spread(p))
+            dev = max(dev, float(np.max(np.abs(lap / wx**p / lam - 1.0))))
+            control = min(control, ratio_spread(p - 0.25), ratio_spread(p + 0.25))
+            samples += len(radii)
+    return Report(
+        check_id="critical-bubble",
+        params={"sweep": "N in {2,3,4} x s in {0.25,0.5,0.75}, N-1 > 2s", "radii": str(tuple(radii)),
+                "control": "p +/- 0.25"},
+        samples=samples,
+        passed=spread <= 1e-5 and dev <= 1e-5 and control >= 1e-2,
+        measured={"max_ratio_spread": spread, "max_rel_dev_from_lambda": dev, "min_control_spread": control},
+        tolerance={"max_ratio_spread": 1e-5, "max_rel_dev_from_lambda": 1e-5, "min_control_spread": 1e-2},
+        seed=seed,
+        wall_time=time.perf_counter() - t0,
+    )
+
+
 _OPERATOR_CACHE = {}
 
 
@@ -841,6 +896,7 @@ _RUNNERS = {
     "dimension-reduction": check_dimension_reduction,
     "harmonicity-meanvalue": check_harmonicity_meanvalue,
     "kernel-bounds": check_kernel_bounds,
+    "critical-bubble": check_critical_bubble,
     "liouville": experiment_liouville,
     "monotonicity": experiment_monotonicity,
 }

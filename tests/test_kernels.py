@@ -9,8 +9,6 @@ from fraclap.kernels import (
     Ball,
     DiagonalSingularity,
     HalfSpace,
-    ShiftedBall,
-    StripSet,
     green_ball,
     green_halfspace,
     green_shifted_ball,
@@ -40,27 +38,9 @@ class TestDomains:
         assert b.contains([1.9, 0.0])
         assert not b.contains([2.0, 0.0])
 
-    def test_shifted_ball_membership(self):
-        b = ShiftedBall(3.0)
-        assert b.contains([3.0, 0.0])
-        assert b.contains([0.1, 0.0])
-        assert not b.contains([-0.1, 0.0])
-        assert not b.contains([6.0, 0.0])
-        assert np.allclose(b.center(2), [3.0, 0.0])
-
-    def test_strip_disjoint(self):
-        strip = StripSet(0.7)
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-1, 3, size=(500, 2))
-        inside = strip.contains(pts)
-        far = strip.far_contains(pts)
-        assert not np.any(inside & far)
-
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             Ball(0.0)
-        with pytest.raises(ValueError):
-            StripSet(-1.0)
 
 
 class TestPoissonBall:

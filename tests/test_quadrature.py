@@ -81,7 +81,7 @@ class TestFracLaplacian:
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
         for x in (0.0, 0.4, 0.8):
             v = frac_laplacian_point(P1, getoor_field(P1), np.array([x]), spec)
-            assert v == pytest.approx(1.0, abs=2e-3)
+            assert v == pytest.approx(1.0, rel=1e-7)
 
     def test_getoor_oracle_other_orders(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
@@ -123,6 +123,36 @@ class TestFracLaplacian:
         spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-5)
         v = frac_laplacian_point(p, u, np.array([0.05, 0.0, 0.0]), spec)
         assert v == pytest.approx(math.exp(-0.05**2), abs=1e-3)
+
+    def test_bubble_identity(self):
+        # (-Delta)^s (1+|x|^2)^(-e) = lam (1+|x|^2)^(-e-2s) in R^n, e = (n-2s)/2
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+        cases = [(1, 0.25, 0.0), (1, 0.4, 2.0), (2, 0.25, 0.5), (2, 0.5, 1.0), (2, 0.75, 2.0),
+                 (3, 0.25, 1.0), (3, 0.5, 2.0), (3, 0.75, 0.5)]
+        for n, s, r in cases:
+            e = 0.5 * (n - 2.0 * s)
+            w = ScalarField(
+                func=lambda y, e=e: (1.0 + np.sum(y * y, axis=-1)) ** (-e),
+                smoothness="C2",
+                decay_exponent=2.0 * e,
+                bound=2.0**e,
+            )
+            lam = 4.0**s * gamma(0.5 * n + s) / gamma(0.5 * n - s)
+            x = np.zeros(n)
+            x[0] = r
+            v = frac_laplacian_point(FracParams(n, s), w, x, spec)
+            assert v == pytest.approx(lam * (1.0 + r * r) ** (-e - 2.0 * s), rel=2e-6), (n, s, r)
+
+    def test_unreachable_tolerance_raises_with_estimate(self):
+        # (-Delta)^(1/2) exp(-|x|^2) = 2 Gamma(N/2 + 1/2) / Gamma(N/2) at x = 0
+        bump = ScalarField(
+            func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0
+        )
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_refinements=2)
+        with pytest.raises(ToleranceNotMet) as err:
+            frac_laplacian_point(P2, bump, np.zeros(2), spec)
+        assert err.value.estimate == pytest.approx(2.0 * gamma(1.5), rel=1e-10)
+        assert err.value.error > 100.0 * spec.tolerance(err.value.estimate)
 
     def test_unbounded_field_needs_decay(self):
         f = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")

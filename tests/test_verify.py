@@ -84,3 +84,60 @@ def test_dimension_reduction_passes():
     rep = verify.run_check("dimension-reduction")
     assert rep.passed
     assert rep.measured["max_rel_mismatch"] <= 1e-14
+
+
+def test_critical_bubble_passes():
+    rep = verify.run_check("critical-bubble")
+    assert rep.passed
+    assert rep.samples == 28
+    assert rep.measured["max_ratio_spread"] <= 1e-5
+    assert rep.measured["max_rel_dev_from_lambda"] <= 1e-5
+    # negative control: off the critical power the ratio is not constant
+    assert rep.measured["min_control_spread"] >= 0.1
+
+
+@pytest.mark.slow
+def test_green_limit_passes():
+    rep = verify.run_check("green-limit")
+    assert rep.passed
+    assert rep.measured == pytest.approx(
+        {"min_monotone_step": 1.1798e-8, "final_gap": 1.2701e-8, "psi_gap": 2.4381e-12}, rel=1e-4
+    )
+
+
+@pytest.mark.slow
+def test_reflection_inequalities_pass_without_violations():
+    rep = verify.run_check("reflection-inequalities")
+    assert rep.passed
+    assert rep.samples == 60000
+    assert rep.measured == pytest.approx(
+        {"violations": 0.0, "worst_margin": 4.8775e-8, "control_missed": 0.0}, rel=1e-4
+    )
+
+
+@pytest.mark.slow
+def test_decay_regimes_pass_with_seed_slopes():
+    rep = verify.run_check("decay-regimes")
+    assert rep.passed
+    assert rep.measured == pytest.approx(
+        {"slope_s0.25": -0.0020849, "log_ratio_drift_s0.5": 0.051075, "slope_s0.75": -0.50204},
+        abs=1e-6,
+    )
+
+
+@pytest.mark.slow
+def test_harmonicity_meanvalue_passes():
+    rep = verify.run_check("harmonicity-meanvalue")
+    assert rep.passed
+    assert max(rep.measured.values()) <= 1e-6
+
+
+@pytest.mark.slow
+def test_kernel_bounds_stays_red_on_its_sampled_sup():
+    # a sampled sup keeps growing with the sample count: at (3, 0.5) it
+    # moves 0.16494 -> 0.17352 when the samples double, past the 1.05 allowed
+    rep = verify.run_check("kernel-bounds")
+    assert not rep.passed
+    assert rep.measured["ratio_sup_N3_s0.5"] == pytest.approx(0.164937, rel=1e-5)
+    assert rep.measured["ratio_sup_doubled_N3_s0.5"] == pytest.approx(0.173522, rel=1e-5)
+    assert rep.tolerance == {"doubling_growth": 1.05}
