@@ -12,7 +12,11 @@ error plus the last level difference.  ``ball_green_integral`` raises
 ``ToleranceNotMet``, carrying the estimate and the error, when that error
 exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
 fixed Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
-reports it.  ``frac_laplacian_point`` runs the same two pieces,
+reports it.  The exterior integral takes the peak of its kernel
+|x - rho w|^(-N) out of the sphere rule: the kernel's angular mass is known
+in closed form, so only the remainder g(rho w) - g(rho x/|x|) is summed
+over directions, and radial data leave nothing to sum.
+``frac_laplacian_point`` runs the same two pieces,
 ``_adaptive_panels`` per level and ``_angular_converge`` across levels, on
 the symmetrized second difference over antipodal directions and geometric
 panels, with a Taylor stub at 0 and an exact-or-bounded tail; it adds the
@@ -294,7 +298,10 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     r^(-1-2s) over all (direction, geometric panel) pairs, panel bisection
     resolving any kink sphere of the field; beyond r_far the u(x) term is
     exact and the rest is bounded from the support/decay descriptor.
-    Levels double until two agree (``_angular_converge``).
+    Levels double until two agree (``_angular_converge``).  The decay
+    bound first sets r_far for a target relative to |u(x)| + 1; when the
+    bound then exceeds a tenth of the tolerance of the result (which can be
+    far smaller than u(x)), r_far is set for that and the levels run again.
 
     Raises ``ValueError`` for a field not tagged C2, or one with neither a
     support radius nor a decay exponent and bound.  Raises
@@ -317,21 +324,25 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
         p = u.decay_exponent
         if p <= 0.0 or u.bound is None:
             raise ValueError("unbounded field needs a decay exponent and bound")
-        target = max(spec.abs_tol, spec.rel_tol * (abs(ux) + 1.0)) * 0.1
-        r_far = (2.0 * u.bound / (target * (p + 2.0 * s))) ** (1.0 / (p + 2.0 * s))
-        r_far = max(r_far, 10.0)
-        if spec.tail_radius:
-            r_far = max(r_far, spec.tail_radius)
-        tail_err = 2.0 * u.bound * r_far ** (-(p + 2.0 * s)) / (p + 2.0 * s)
+
+        def tail_radius(target):
+            r = (2.0 * u.bound / (target * (p + 2.0 * s))) ** (1.0 / (p + 2.0 * s))
+            return max(r, 10.0, spec.tail_radius or 0.0)
+
+        def tail_bound(r):
+            return 2.0 * u.bound * r ** (-(p + 2.0 * s)) / (p + 2.0 * s)
+
+        r_far = tail_radius(max(spec.abs_tol, spec.rel_tol * (abs(ux) + 1.0)) * 0.1)
+        tail_err = tail_bound(r_far)
 
     r0 = 1e-3
-    edges = np.geomspace(r0, r_far, max(1, math.ceil(math.log(r_far / r0, 8.0))) + 1)
     shell = half_a * sphere_surface(N)  # weight of a direction-independent radial term
-    tail = 2.0 * ux * r_far ** (-2.0 * s) / (2.0 * s)
 
-    def run_level(m):
+    def run_level(m, r_far):
         dirs, wts = _sphere_rule(N, m, antipodal=True)
         wts = half_a * wts
+        edges = np.geomspace(r0, r_far, max(1, math.ceil(math.log(r_far / r0, 8.0))) + 1)
+        tail = 2.0 * ux * r_far ** (-2.0 * s) / (2.0 * s)
 
         def d2(r, d):
             step = r[:, None] * dirs[d]
@@ -353,7 +364,15 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
             raise ToleranceNotMet(str(exc), estimate=outer + exc.estimate, error=exc.error) from exc
         return outer + mid, err
 
-    value, err = _angular_converge(run_level, spec, 4 if N == 2 else 2, 5 if N > 1 else 0)
+    def levels(r_far):
+        return _angular_converge(lambda m: run_level(m, r_far), spec, 4 if N == 2 else 2, 5 if N > 1 else 0)
+
+    value, err = levels(r_far)
+    if shell * tail_err > 0.1 * spec.tolerance(value):
+        # the tail was cut for |u(x)| + 1; cut it again for the result itself
+        r_far = tail_radius(0.1 * spec.tolerance(value) / shell)
+        tail_err = tail_bound(r_far)
+        value, err = levels(r_far)
     return _checked(value, err + shell * tail_err, spec, "fractional Laplacian")
 
 
@@ -476,10 +495,22 @@ def exterior_poisson_integral(
     Gauss-Jacobi panel on [R, R + d] with the (rho-R)^(-s) factor taken as
     the weight (it factors exactly out of (rho^2-R^2)^(-s)), geometric
     Gauss-Legendre panels out to a truncation radius, and a kernel-bound
-    tail below tolerance; the directions are evaluated together, at most
-    ``_RAY_CHUNK`` nodes at a time.  The error (last angular level
-    difference plus the tail bound) above 100 x tolerance raises
-    ``ToleranceNotMet`` carrying the estimate.
+    tail below tolerance.  At each radial node the kernel's angular mass is
+    exact (the normalisation of the Poisson kernel, for every N):
+
+        int over S^(N-1) of |x - rho w|^(-N) dw = |S^(N-1)| rho^(2-N) / (rho^2 - |x|^2),
+
+    so the node takes g(rho x^) times that mass, x^ = x/|x| (e_1 at x = 0),
+    and the sphere rule integrates only |x - rho w|^(-N) (g(rho w) -
+    g(rho x^)).  The kernel peaks toward x^ with width about R - |x|, which
+    a uniform rule resolves only at high levels; the remainder vanishes
+    there.  For radial data it vanishes everywhere, and the levels differ
+    only through the radial rule, which grows with m; for constant and
+    1/(1 + |y|^2) data at N = 1, 2, 3, up to |x| = 0.99 R, the first two
+    levels already agree and the rule stops at m = 32.  The directions
+    are evaluated together, at most ``_RAY_CHUNK`` nodes at a time.  The
+    error (last angular level difference plus the tail bound) above
+    100 x tolerance raises ``ToleranceNotMet`` carrying the estimate.
     """
     spec = spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
@@ -492,6 +523,8 @@ def exterior_poisson_integral(
     C = poisson_constant_C(params)
     pref = C * (R * R - x2) ** s
     p = max(g.decay_exponent, 0.0)
+    surface = sphere_surface(N)
+    axis = x / math.sqrt(x2) if x2 > 0.0 else np.eye(N)[0]
 
     # truncation radius: remaining tail below tolerance
     if g.support_radius is not None:
@@ -499,7 +532,6 @@ def exterior_poisson_integral(
         tail_bound = 0.0
     else:
         L = max(4.0 * R, spec.tail_radius or 0.0)
-        surface = sphere_surface(N)
 
         def bound_at(LL):
             geom = (1.0 - math.sqrt(x2) / LL) ** (-N) * (1.0 - (R / LL) ** 2) ** (-s)
@@ -546,11 +578,14 @@ def exterior_poisson_integral(
             (0.5 * d0) ** (1.0 - s) * w_j * (rho_j + R) ** (-s),
             gl_wts.ravel() * (rho_g * rho_g - R * R) ** (-s),
         ]) * rho ** (N - 1.0)
-        total = 0.0
+        # the peak g(rho x^) times the kernel's exact angular mass, then the
+        # sphere rule on the remainder |x - rho w|^(-N) (g(rho w) - g(rho x^))
+        g_axis = np.asarray(g(rho[:, None] * axis), dtype=float)
+        total = float(w_rho @ (g_axis * surface * rho ** (2.0 - N) / (rho * rho - x2)))
         step = max(1, _RAY_CHUNK // len(rho))
         for i in range(0, len(dirs), step):
             pts = rho[:, None] * dirs[i : i + step, None, :]
-            vals = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0) * np.asarray(g(pts), dtype=float)
+            vals = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0) * (np.asarray(g(pts), dtype=float) - g_axis)
             total += float(wts[i : i + step] @ (vals @ w_rho))
         return pref * total, 0.0  # the fixed radial rule has no error estimate of its own
 

@@ -37,6 +37,14 @@ def test_verify_json(capsys):
     assert obj["tolerance"] == {"max_rel_mismatch": 1e-10}
 
 
+@pytest.mark.slow
+def test_verify_json_poisson_normalization_exits_zero(capsys):
+    assert cli.main(["verify", "--check", "poisson-normalization", "--format", "json"]) == 0
+    (obj,) = json.loads(capsys.readouterr().out)
+    assert obj["check_id"] == "poisson-normalization"
+    assert obj["pass"] is True
+
+
 def test_verify_json_raising_check(capsys, monkeypatch):
     def raising(cid, seed=42):
         raise ToleranceNotMet("stalled", estimate=1.0, error=0.5)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma
 
-from fraclap.core import FracParams, getoor_constant
+from fraclap.core import FracParams, getoor_constant, poisson_constant_C
 from fraclap.kernels import riesz_constant
 from fraclap.quadrature import (
     QuadratureSpec,
@@ -143,6 +143,19 @@ class TestFracLaplacian:
             v = frac_laplacian_point(FracParams(n, s), w, x, spec)
             assert v == pytest.approx(lam * (1.0 + r * r) ** (-e - 2.0 * s), rel=2e-6), (n, s, r)
 
+    def test_bubble_far_from_origin(self):
+        # far out (-Delta)^s w is small against w(x): the tail is cut for the result, not for |w(x)| + 1
+        n, s = 2, 0.75
+        e = 0.5 * (n - 2.0 * s)
+        w = ScalarField(
+            func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2", decay_exponent=2.0 * e,
+            bound=2.0**e,
+        )
+        lam = 4.0**s * gamma(0.5 * n + s) / gamma(0.5 * n - s)
+        for r in (2.0, 4.0):
+            v = frac_laplacian_point(FracParams(n, s), w, np.array([r, 0.0]), QuadratureSpec(rel_tol=1e-6))
+            assert v == pytest.approx(lam * (1.0 + r * r) ** (-e - 2.0 * s), rel=2e-7), r
+
     def test_unreachable_tolerance_raises_with_estimate(self):
         # (-Delta)^(1/2) exp(-|x|^2) = 2 Gamma(N/2 + 1/2) / Gamma(N/2) at x = 0
         bump = ScalarField(
@@ -189,6 +202,31 @@ def ball_closed_form(params, x):
     """int_B G(x, y) dy = (1-|x|^2)^s Gamma(N/2) / (4^s Gamma(1+s) Gamma(N/2+s))."""
     N, s = params.N, params.s
     return (1.0 - float(np.dot(x, x))) ** s * gamma(N / 2) / (4.0**s * gamma(1 + s) * gamma(N / 2 + s))
+
+
+def _exterior_bump_reference(params, x, c):
+    """C (1-|x|^2)^s int_{|y|>1} (|y|^2-1)^(-s) |x-y|^(-N) exp(-4|y-c|^2) dy by nested quad.
+
+    Polar coordinates y = rho (cos t, sin t) at N = 2; at N = 3, x and c on
+    the first axis, y = rho (cos t, sin t cos phi, sin t sin phi) and the phi
+    integral is 2 pi.  The bump is below 1e-40 beyond rho = 7.
+    """
+    N, s = params.N, params.s
+
+    def angular(rho):
+        def f(t):
+            y = rho * np.array([math.cos(t), math.sin(t), 0.0][:N])
+            kernel = np.sum((x - y) ** 2) ** (-N / 2.0) * math.exp(-4.0 * np.sum((y - c) ** 2))
+            return kernel * rho if N == 2 else 2.0 * math.pi * math.sin(t) * rho**2 * kernel
+
+        lo = -math.pi if N == 2 else 0.0
+        return integrate.quad(f, lo, math.pi, points=[0.0] if N == 2 else None, epsabs=0.0, epsrel=1e-12,
+                              limit=400)[0]
+
+    # (rho^2 - 1)^(-s) = (rho - 1)^(-s) (rho + 1)^(-s), the first factor as the QAWS weight
+    radial = integrate.quad(lambda r: angular(r) * (r + 1.0) ** (-s), 1.0, 7.0, weight="alg", wvar=(-s, 0.0),
+                            epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return poisson_constant_C(params) * (1.0 - float(x @ x)) ** s * radial
 
 
 class TestBallGreenIntegral:
@@ -265,20 +303,42 @@ class TestExteriorPoisson:
         assert exterior_poisson_integral(P2, 1.0, ZERO, np.array([0.1, 0.0])) == 0.0
 
     @pytest.mark.parametrize(
-        "params, x, frozen",
+        "params, x",
         [
-            (FracParams(1, 0.75), [0.95], 0.9999999999826482),
-            (FracParams(2, 0.25), [0.99, 0.0], 0.9999999999163579),
-            (FracParams(2, 0.75), [0.3, -0.4], 0.9999999999899233),
-            (P3, [0.3, 0.0, 0.4], 0.9999999999839817),
+            (FracParams(1, 0.75), [0.95]),
+            (FracParams(2, 0.25), [0.99, 0.0]),
+            (FracParams(2, 0.75), [0.3, -0.4]),
+            (P3, [0.3, 0.0, 0.4]),
+            (P2, [0.99, 0.0]),
+            (FracParams(2, 0.75), [0.99, 0.0]),
+            (FracParams(3, 0.75), [0.0, 0.99, 0.0]),
         ],
         ids=_point_id,
     )
-    def test_directions_batched_like_the_loop(self, params, x, frozen):
-        # frozen from the one-direction-at-a-time loop; batching the
-        # directions only reorders the sums
+    def test_normalization_near_the_sphere(self, params, x):
         v = exterior_poisson_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
-        assert abs(v / frozen - 1.0) <= 1e-12
+        assert abs(v - 1.0) <= 5e-11
+
+    @pytest.mark.parametrize(
+        "N, x, c",
+        [
+            (2, [0.95, 0.0], [-1.3, 0.0]),
+            (2, [0.95, 0.0], [1.3, 0.2]),
+            (3, [0.9, 0.0, 0.0], [-1.3, 0.0, 0.0]),
+        ],
+        ids=["N2-far-side", "N2-near-side", "N3-far-side"],
+    )
+    def test_off_centre_bump_near_the_sphere(self, N, x, c):
+        params = FracParams(N, 0.5)
+        x, c = np.array(x), np.array(c)
+        bump = ScalarField(
+            func=lambda p: np.exp(-4.0 * np.sum((p - c) ** 2, axis=-1)),
+            smoothness="C2",
+            decay_exponent=4.0,
+            bound=1.0,
+        )
+        v = exterior_poisson_integral(params, 1.0, bump, x, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12))
+        assert v == pytest.approx(_exterior_bump_reference(params, x, c), rel=1e-9)
 
     def test_half_exterior_indicator(self):
         half1 = ScalarField(

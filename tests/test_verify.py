@@ -1,7 +1,6 @@
 import pytest
 
 from fraclap import verify
-from fraclap.quadrature import ToleranceNotMet
 
 # Picard verdicts of the angular-sweep self-cells this rule replaced: the
 # corrected diagonal must leave every verdict and the pass state unchanged
@@ -62,12 +61,10 @@ def test_boundary_estimate_passes_with_seed_slopes():
 
 
 @pytest.mark.slow
-def test_poisson_normalization_still_raises():
-    # red: at N = 2, x1 = 0.99 the value is within 1e-10 of 1, but the
-    # angular level difference reports 3e-6
-    with pytest.raises(ToleranceNotMet) as err:
-        verify.run_check("poisson-normalization")
-    assert err.value.estimate == pytest.approx(1.0, abs=1e-9)
+def test_poisson_normalization_passes():
+    rep = verify.run_check("poisson-normalization")
+    assert rep.passed
+    assert rep.measured["max_abs_error"] <= 1e-11
 
 
 def test_strip_mass_stays_red_against_the_stated_constant():
