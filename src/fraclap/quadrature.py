@@ -508,7 +508,8 @@ def exterior_poisson_integral(
     only through the radial rule, which grows with m; for constant and
     1/(1 + |y|^2) data at N = 1, 2, 3, up to |x| = 0.99 R, the first two
     levels already agree and the rule stops at m = 32.  The directions
-    are evaluated together, at most ``_RAY_CHUNK`` nodes at a time.  The
+    are evaluated together, at most ``_RAY_CHUNK`` nodes at a time, and a
+    chunk whose remainder is exactly zero skips the kernel.  The
     error (last angular level difference plus the tail bound) above
     100 x tolerance raises ``ToleranceNotMet`` carrying the estimate.
     """
@@ -585,8 +586,10 @@ def exterior_poisson_integral(
         step = max(1, _RAY_CHUNK // len(rho))
         for i in range(0, len(dirs), step):
             pts = rho[:, None] * dirs[i : i + step, None, :]
-            vals = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0) * (np.asarray(g(pts), dtype=float) - g_axis)
-            total += float(wts[i : i + step] @ (vals @ w_rho))
+            rest = np.asarray(g(pts), dtype=float) - g_axis
+            if np.any(rest):  # a zero remainder (radial data) adds exactly 0.0
+                kernel = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0)
+                total += float(wts[i : i + step] @ ((kernel * rest) @ w_rho))
         return pref * total, 0.0  # the fixed radial rule has no error estimate of its own
 
     value, err = _angular_converge(run_level, spec, 16, 6)

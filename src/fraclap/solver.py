@@ -5,7 +5,11 @@ Hoelder check.
 The Picard operator is a locally corrected Nystroem discretization: cell
 midpoint weights away from the kernel diagonal plus the Duffy-pyramid Green
 mass of each node's own cell.  All its coefficients are nonnegative, so the
-discrete operator inherits the monotonicity of the continuous one.
+discrete operator inherits the monotonicity of the continuous one.  The
+half-space Green function is invariant under tangential translations, so
+on uniform lateral axes the off-diagonal part is a kernel table over
+(x1, y1, x' - y') of n1^2 prod(2 n_k - 1) values, applied by FFT over the
+lateral axes; no M x M matrix is held.
 """
 from __future__ import annotations
 
@@ -334,11 +338,25 @@ def _cell_bounds(a):
 class PicardOperator:
     """Discrete half-space Green operator v -> int_box G(x_i, y) v(y) dy.
 
-    Off-diagonal: node-cell midpoint weights.  Diagonal: the Green mass of
-    the node's own cell by ``box_green_mass`` (Duffy pyramids with their
-    apex at the node, which lies in the closed cell), computed once per
-    distinct cell shape and height.  Every coefficient is nonnegative, so
-    the operator is monotone nodewise.
+    Off-diagonal: node-cell midpoint weights, G(x_i, y_j) w_j with zero at
+    x_i = y_j.  The half-space Green function is invariant under tangential
+    translations: G(x, y) depends on x1, y1 and x' - y' only.  On uniform
+    lateral axes (x2 ... xN; the x1 axis may be graded) the coefficients
+    are therefore the table T[i1, j1, d'] over the lateral offsets
+    d'_k in {-(n_k - 1) .. n_k - 1} h_k, n1^2 prod(2 n_k - 1) kernel values
+    in place of M^2.  ``apply`` multiplies by the weights, takes an FFT over
+    the lateral axes zero-padded to 2 n_k (so the circular convolution is
+    the linear one), contracts with the transformed table over j1 (one
+    n1 x n1 matvec per frequency), transforms back, crops and adds the
+    diagonal; with N = 1 the table is the n1 x n1 matrix and ``apply`` is a
+    matvec.  Non-uniform lateral axes raise ``ValueError``.  ``matrix`` is
+    a dense M x M view assembled from the table on each access; ``apply``
+    does not use it.
+
+    Diagonal: the Green mass of the node's own cell by ``box_green_mass``
+    (Duffy pyramids with their apex at the node, which lies in the closed
+    cell), computed once per distinct cell shape and height.  Every
+    coefficient is nonnegative, so the operator is monotone nodewise.
     """
 
     def __init__(self, params: FracParams, axes, spec: QuadratureSpec | None = None):
@@ -346,6 +364,11 @@ class PicardOperator:
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         if len(self.axes) != params.N:
             raise ValueError("grid dimension does not match params")
+        if any(len(a) < 2 for a in self.axes):
+            raise ValueError("grid axes need at least two nodes")
+        for k, a in enumerate(self.axes[1:], start=1):
+            if not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-12, atol=0):
+                raise ValueError(f"lateral axis {k} must be uniformly spaced")
         spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
         mesh = np.meshgrid(*self.axes, indexing="ij")
         self.shape = tuple(len(a) for a in self.axes)
@@ -355,55 +378,78 @@ class PicardOperator:
         axis_w = [_axis_weights(a) for a in self.axes]
         wmesh = np.meshgrid(*axis_w, indexing="ij")
         self.weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=0), axis=0)
-        self.matrix = self._build_matrix()
+        self._table, self._table_hat = self._build_matrix()
         self.diag_mass = self._build_diagonal(spec)
         lo = np.array([a[0] for a in self.axes])
         hi = np.array([a[-1] for a in self.axes])
         self.box = (lo, hi)
 
     def _build_matrix(self):
-        nodes, w = self.nodes, self.weights
-        M = len(nodes)
-        K = np.empty((M, M))
-        block = max(1, int(2e6) // M)
-        for start in range(0, M, block):
-            end = min(start + block, M)
-            xs = nodes[start:end]
-            diff = xs[:, None, :] - nodes[None, :, :]
-            d2 = np.sum(diff * diff, axis=-1)
-            live = d2 > 0.0
-            d2safe = np.where(live, d2, 1.0)
-            psi = np.where(live, 4.0 * xs[:, None, 0] * nodes[None, :, 0] / d2safe, 0.0)
-            K[start:end] = np.where(live, _green_from_psi(self.params, d2safe, psi), 0.0) * w
-        return K
+        """The kernel table T[i1, j1, d'] and its lateral transform.
+
+        Offset index m_k = 0 .. 2 n_k - 2 stands for x_k - y_k = (m_k - n_k + 1) h_k.
+        The benchmark's tracer (``bench/fraclap_bench/tracing.py``) times
+        this method, ``_build_diagonal`` and ``apply`` by name.
+        """
+        a1, lateral = self.axes[0], self.shape[1:]
+        ones = (1,) * len(lateral)
+        r2 = np.zeros([2 * n - 1 for n in lateral])
+        for k, (a, n) in enumerate(zip(self.axes[1:], lateral)):
+            d = np.arange(1 - n, n) * ((a[-1] - a[0]) / (n - 1))
+            r2 = r2 + (d * d).reshape(ones[:k] + (-1,) + ones[k + 1 :])
+        x1 = a1.reshape((-1, 1) + ones)
+        y1 = a1.reshape((1, -1) + ones)
+        d2 = (x1 - y1) ** 2 + r2
+        live = d2 > 0.0
+        d2safe = np.where(live, d2, 1.0)
+        psi = np.where(live, 4.0 * x1 * y1 / d2safe, 0.0)
+        table = np.where(live, _green_from_psi(self.params, d2safe, psi), 0.0)
+        if not lateral:
+            return table, None
+        # zero-padded to 2 n_k, the output node i_k reads the product at
+        # i_k + n_k - 1; frequencies first, so apply is one batched matmul
+        table_hat = np.fft.rfftn(np.moveaxis(table, (0, 1), (-2, -1)), s=[2 * n for n in lateral],
+                                 axes=tuple(range(len(lateral))))
+        return table, np.ascontiguousarray(table_hat)
 
     def _build_diagonal(self, spec):
-        cell_lo, cell_hi = [], []
-        for a in self.axes:
-            lo, hi = _cell_bounds(a)
-            cell_lo.append(lo)
-            cell_hi.append(hi)
-        idx_mesh = np.meshgrid(*[np.arange(len(a)) for a in self.axes], indexing="ij")
-        idx = np.stack([m.ravel() for m in idx_mesh], axis=-1)
-        D = np.zeros(len(self.nodes))
-        cache = {}
-        for row, (x, ij) in enumerate(zip(self.nodes, idx)):
-            lo = np.array([cell_lo[k][ij[k]] for k in range(len(self.axes))])
-            hi = np.array([cell_hi[k][ij[k]] for k in range(len(self.axes))])
-            key = (round(float(x[0]), 12),) + tuple(
-                np.round(np.concatenate([lo - x, hi - x]), 12)
-            )
-            if key not in cache:
-                cache[key] = box_green_mass(self.params, x, lo, hi, spec)
-            D[row] = cache[key]
-        return D
+        bounds = [_cell_bounds(a) for a in self.axes]
+        lo = np.stack([m.ravel() for m in np.meshgrid(*[b[0] for b in bounds], indexing="ij")], axis=-1)
+        hi = np.stack([m.ravel() for m in np.meshgrid(*[b[1] for b in bounds], indexing="ij")], axis=-1)
+        x = self.nodes
+        keys = np.round(np.column_stack([x[:, :1], lo - x, hi - x]), 12)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        masses = np.array([box_green_mass(self.params, x[i], lo[i], hi[i], spec) for i in first])
+        return masses[inverse.reshape(-1)]
+
+    def _off_diagonal(self, u):
+        v = self.weights.reshape(self.shape) * u
+        lateral = self.shape[1:]
+        if not lateral:
+            return self._table @ v
+        axes = tuple(range(len(lateral)))
+        pad = [2 * n for n in lateral]
+        v_hat = np.fft.rfftn(np.moveaxis(v, 0, -1), s=pad, axes=axes)
+        out = np.fft.irfftn((self._table_hat @ v_hat[..., None])[..., 0], s=pad, axes=axes)
+        return np.moveaxis(out[tuple(slice(n - 1, 2 * n - 1) for n in lateral)], -1, 0)
 
     def apply(self, values):
-        flat = np.asarray(values, dtype=float).reshape(-1)
-        return (self.matrix @ flat + self.diag_mass * flat).reshape(self.shape)
+        u = np.asarray(values, dtype=float).reshape(self.shape)
+        return self._off_diagonal(u) + self.diag_mass.reshape(self.shape) * u
 
     def mass_row_sums(self):
-        return self.matrix.sum(axis=1) + self.diag_mass
+        return self._off_diagonal(np.ones(self.shape)).reshape(-1) + self.diag_mass
+
+    @property
+    def matrix(self):
+        """Dense M x M off-diagonal coefficients G(x_i, y_j) w_j, assembled from
+        the table on each access (exact zeros on the diagonal, no FFT)."""
+        N = len(self.shape)
+        i = np.indices(self.shape + self.shape, sparse=True)
+        index = (i[0], i[N]) + tuple(i[k] - i[N + k] + n - 1 for k, n in enumerate(self.shape[1:], start=1))
+        dense = self._table[index].reshape(len(self.nodes), -1)
+        dense *= self.weights
+        return dense
 
 
 def picard_semilinear(

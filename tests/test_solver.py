@@ -3,8 +3,8 @@ import pytest
 
 from fraclap import solver
 from fraclap.core import FracParams, getoor_constant
-from fraclap.kernels import HalfSpace
-from fraclap.quadrature import QuadratureSpec, ScalarField, constant_field, strip_mass
+from fraclap.kernels import HalfSpace, _green_from_psi
+from fraclap.quadrature import QuadratureSpec, ScalarField, box_green_mass, constant_field, strip_mass
 from fraclap.solver import (
     GridFunction,
     MonotonicityProfile,
@@ -220,6 +220,83 @@ class TestPicard:
             SolveReport(iterations=2, sup_norms=[1.0], residual=0.0, verdict="converged-to-zero")
         with pytest.raises(ValueError):
             SolveReport(iterations=1, sup_norms=[1.0], residual=0.0, verdict="nonsense")
+
+
+def dense_reference(op, rows=None):
+    """G(x_i, y_j) w_j by ``_green_from_psi`` at every node pair, zero at x_i = y_j,
+    for the given rows of ``op`` (all by default): the pairwise dense build."""
+    nodes = op.nodes
+    xs = nodes if rows is None else nodes[rows]
+    diff = xs[:, None, :] - nodes[None, :, :]
+    d2 = np.sum(diff * diff, axis=-1)
+    live = d2 > 0.0
+    d2safe = np.where(live, d2, 1.0)
+    psi = np.where(live, 4.0 * xs[:, None, 0] * nodes[None, :, 0] / d2safe, 0.0)
+    return np.where(live, _green_from_psi(op.params, d2safe, psi), 0.0) * op.weights
+
+
+def operator_grid(N):
+    if N == 1:
+        return (np.linspace(0.05, 3.95, 40),)
+    if N == 2:
+        return halfspace_grid()
+    # unequal lateral node counts, one lateral axis off centre
+    return (np.linspace(0.125, 2.875, 6), np.linspace(-2.5, 2.5, 8), np.linspace(-1.5, 2.5, 7))
+
+
+def assert_matches_reference(op, rows=None, seed=0):
+    K = dense_reference(op, rows)
+    rows = np.arange(len(op.nodes)) if rows is None else rows
+    u = np.random.default_rng(seed).random(op.shape).ravel()
+    ref = K @ u + op.diag_mass[rows] * u[rows]
+    np.testing.assert_allclose(op.apply(u.reshape(op.shape)).ravel()[rows], ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(op.mass_row_sums()[rows], K.sum(axis=1) + op.diag_mass[rows], rtol=1e-13, atol=0)
+    return K
+
+
+class TestPicardOperator:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_matches_dense_reference(self, N, s):
+        op = PicardOperator(FracParams(N, s), operator_grid(N))
+        K = assert_matches_reference(op)
+        dense = op.matrix
+        np.testing.assert_allclose(dense, K, rtol=1e-13, atol=0)
+        assert np.all(np.diag(dense) == 0.0)
+
+    def test_graded_x1_axis(self):
+        axes = (0.05 * 1.4 ** np.arange(10), np.linspace(-2.0, 2.0, 9))
+        op = PicardOperator(P2, axes)
+        K = assert_matches_reference(op)
+        np.testing.assert_allclose(op.matrix, K, rtol=1e-13, atol=0)
+
+    def test_large_three_dimensional_grid_rows(self):
+        # 9216 nodes: the dense matrix would take 680 MB, the reference only 50 rows
+        lat = np.linspace(-3.0, 3.0, 24)
+        op = PicardOperator(FracParams(3, 0.5), (np.linspace(0.1, 3.1, 16), lat, lat))
+        rows = np.sort(np.random.default_rng(3).choice(len(op.nodes), 50, replace=False))
+        assert_matches_reference(op, rows, seed=4)
+
+    def test_diagonal_is_own_cell_mass(self, small_operator):
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
+        for row in (0, 19, 151, 279):
+            idx = np.unravel_index(row, small_operator.shape)
+            lo, hi = [], []
+            for a, i in zip(small_operator.axes, idx):
+                lo.append(a[0] if i == 0 else 0.5 * (a[i - 1] + a[i]))
+                hi.append(a[-1] if i == len(a) - 1 else 0.5 * (a[i] + a[i + 1]))
+            mass = box_green_mass(P2, small_operator.nodes[row], np.array(lo), np.array(hi), spec)
+            assert small_operator.diag_mass[row] == pytest.approx(mass, rel=1e-12)
+
+    def test_rejects_nonuniform_lateral_axis(self):
+        x1 = np.linspace(0.1, 1.0, 5)
+        bent = np.array([-1.0, -0.5, 0.0, 0.6, 1.0])
+        with pytest.raises(ValueError, match="lateral axis 1"):
+            PicardOperator(P2, (x1, bent))
+        with pytest.raises(ValueError, match="lateral axis 2"):
+            PicardOperator(FracParams(3, 0.5), (x1, np.linspace(-1.0, 1.0, 5), bent))
+        with pytest.raises(ValueError, match="two nodes"):
+            PicardOperator(P2, (x1, np.array([0.0])))
 
 
 class TestMovingPlane:
