@@ -5,13 +5,18 @@ The ball, half-space and strip integrals share one polar-ray engine,
 ``_ray_integral``.  At each angular level of a sphere rule a geometry
 callback gives the radial span of every direction at once, and
 ``_adaptive_panels`` integrates all (direction, radial panel) pairs in one
-array: GL8/GL16 per panel, values and errors scaled by the direction's
-weight, the worst panels bisected against one summed tolerance.  Levels
-double until two agree, and the error is the final level's summed panel
-error plus the last level difference.  ``ball_green_integral`` raises
+array: a 16-point Gauss rule per panel checked against the 8-point one,
+values and errors scaled by the direction's weight, the worst panels
+bisected against one summed tolerance.  A ray's two end panels may carry a
+Gauss-Jacobi weight from the one rule table ``_gj``: (r - a)^(2s-1) for
+the |x-y|^(2s-N) singularity at x, with halvings toward x only as deep as
+that rule's error on the next term needs, and (t_exit - r)^s where the ray
+leaves the ball, so neither end is resolved by bisection.  Levels double
+until two agree, and the error is the final level's summed panel error
+plus the last level difference.  ``ball_green_integral`` raises
 ``ToleranceNotMet``, carrying the estimate and the error, when that error
 exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
-fixed Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
+fixed Gauss-Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
 reports it.  The exterior integral takes the peak of its kernel
 |x - rho w|^(-N) out of the sphere rule: the kernel's angular mass is known
 in closed form, so only the remainder g(rho w) - g(rho x/|x|) is summed
@@ -135,12 +140,35 @@ def _gl(n):
     return _GL_CACHE[n]
 
 
+def _gj(n, alpha=0.0, beta=0.0):
+    """n-point rule on [-1, 1] for int (1+u)^alpha (1-u)^beta g(u) du, the weight
+    divided out of its weights: sum f(u_i) w_i integrates f itself.
+
+    Gauss-Jacobi nodes from ``scipy.special.roots_jacobi`` (Gauss-Legendre
+    when both exponents vanish).  The weights come from the closed form
+    C / ((1 - u^2) P_n'(u)^2): at n = 16 the moments of the weights
+    ``roots_jacobi`` returns are off by up to 1.2e-13, these by 4e-14.
+    """
+    key = (n, float(alpha), float(beta))
+    if key not in _GJ_CACHE:
+        if alpha == beta == 0.0:
+            _GJ_CACHE[key] = _gl(n)
+        else:
+            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b
+            u = _spec.roots_jacobi(n, beta, alpha)[0]
+            dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
+            c = math.exp(
+                (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
+                + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)
+            )
+            _GJ_CACHE[key] = (u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp))
+    return _GJ_CACHE[key]
+
+
 def _gj_left(n, sigma):
     """Nodes/weights for int_{-1}^{1} (1+u)^(-sigma) g(u) du (singular at -1)."""
-    key = (n, round(sigma, 14))
-    if key not in _GJ_CACHE:
-        _GJ_CACHE[key] = _spec.roots_jacobi(n, 0.0, -sigma)
-    return _GJ_CACHE[key]
+    u, w = _gj(n, -sigma)
+    return u, w * (1.0 + u) ** (-sigma)
 
 
 def _panel_nodes(a, b, n):
@@ -157,44 +185,62 @@ def _panel_nodes(a, b, n):
 _RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule; bounds its arrays
 
 
-def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), n_low=8, n_high=16):
-    """Adaptive Gauss-Legendre panels on one or more rays.
+def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), n_low=8, n_high=16):
+    """Adaptive Gauss panels on one or more rays.
 
     ``edges`` holds one row of panel edges per ray direction (a 1-D array
     is one direction) and ``weights`` the directions' angular weights;
     ``fvec(r, d)`` evaluates the integrand at radial nodes ``r`` on the
     directions with indices ``d`` (1-D arrays of at most ``_RAY_CHUNK``
-    nodes).  Each panel's GL(n_high) value and |GL(n_high) - GL(n_low)|
-    error are scaled by its direction's weight, and the panels above a
-    quarter of the mean error are bisected until the summed error meets
-    the spec.  Returns (value, error); raises ``ToleranceNotMet`` if the
-    error is still above 100 x tolerance after ``spec.max_refinements``
-    passes.
+    nodes).  ``ends = (alpha, beta)``, scalars or one value per row, are
+    the integrand's endpoint exponents: a row's first panel [a, b]
+    integrates with the Gauss-Jacobi rule for the weight (r - a)^alpha and
+    its last with the one for (b - r)^beta, the weight divided out
+    (``_gj``), so every panel is a plain sum of f(r_i) w_i.  Each panel's
+    n_high-point value and |n_high - n_low| error are scaled by its
+    direction's weight, and the panels above a quarter of the mean error
+    are bisected until the summed error meets the spec; a bisected end
+    panel passes its weight to the child that holds that end, and the
+    other child is a Gauss-Legendre panel.  Returns (value, error); raises
+    ``ToleranceNotMet`` if the error is still above 100 x tolerance after
+    ``spec.max_refinements`` passes.
     """
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     weights = np.asarray(weights, dtype=float)
+    rows = len(edges)
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    d = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
+    d = np.repeat(np.arange(rows), edges.shape[1] - 1)
     live = b > a  # a direction that misses the domain has zero-width panels
     a, b, d = a[live], b[live], d[live]
+    # a panel's rule indexes (0, *alphas) at its left end and (0, *betas) at its right
+    (alphas, ia), (betas, ib) = (
+        np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
+    )
+    nb = len(betas) + 1
+    rule = np.where(a == edges[d, 0], ia[d] + 1, 0) * nb + np.where(b == edges[d, -1], ib[d] + 1, 0)
+    low, high = (
+        [_gj(n, ka, kb) for ka in (0.0, *alphas) for kb in (0.0, *betas)] for n in (n_low, n_high)
+    )
+    u = np.array([np.concatenate([lo[0], hi[0]]) for lo, hi in zip(low, high)])
+    w_low = np.array([lo[1] for lo in low])
+    w_high = np.array([hi[1] for hi in high])
     step = max(1, _RAY_CHUNK // (n_low + n_high))
 
-    def _eval(a_arr, b_arr, d_arr):
+    def _eval(a_arr, b_arr, d_arr, r_arr):
         vals, errs = [np.zeros(0)], [np.zeros(0)]
         for i in range(0, len(a_arr), step):
-            pa, pb, pd = a_arr[i : i + step], b_arr[i : i + step], d_arr[i : i + step]
-            nl, wl = _panel_nodes(pa, pb, n_low)
-            nh, wh = _panel_nodes(pa, pb, n_high)
-            w = weights[pd]
-            nodes = np.concatenate([nl, nh], axis=1)
+            pa, pb, pd, pr = (v[i : i + step] for v in (a_arr, b_arr, d_arr, r_arr))
+            half = 0.5 * (pb - pa)
+            nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * u[pr]
             f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
-            vl = np.sum(f[:, :n_low] * wl, axis=-1)
-            vh = np.sum(f[:, n_low:] * wh, axis=-1)
+            vl = np.sum(f[:, :n_low] * w_low[pr], axis=-1)
+            vh = np.sum(f[:, n_low:] * w_high[pr], axis=-1)
+            w = weights[pd] * half
             vals.append(vh * w)
             errs.append(np.abs(vh - vl) * w)
         return np.concatenate(vals), np.concatenate(errs)
 
-    vals, errs = _eval(a, b, d)
+    vals, errs = _eval(a, b, d, rule)
     for _ in range(spec.max_refinements):
         total = float(np.sum(vals))
         err = float(np.sum(errs))
@@ -204,12 +250,17 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), n_low=8,
         split = errs >= max(0.25 * err / len(a), 1e-300)
         if not np.any(split):
             split = errs == errs.max()
-        sa, sb, sd = a[split], b[split], d[split]
+        sa, sb, sd, sr = a[split], b[split], d[split], rule[split]
         smid = 0.5 * (sa + sb)
-        nv, ne = _eval(np.concatenate([sa, smid]), np.concatenate([smid, sb]), np.concatenate([sd, sd]))
-        a = np.concatenate([a[~split], sa, smid])
-        b = np.concatenate([b[~split], smid, sb])
-        d = np.concatenate([d[~split], sd, sd])
+        # the left child keeps the left end's weight, the right child the right end's
+        children = (
+            np.concatenate([sa, smid]),
+            np.concatenate([smid, sb]),
+            np.concatenate([sd, sd]),
+            np.concatenate([sr - sr % nb, sr % nb]),
+        )
+        nv, ne = _eval(*children)
+        a, b, d, rule = (np.concatenate([old[~split], new]) for old, new in zip((a, b, d, rule), children))
         vals = np.concatenate([vals[~split], nv])
         errs = np.concatenate([errs[~split], ne])
     total = float(np.sum(vals))
@@ -221,24 +272,35 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), n_low=8,
     )
 
 
-def _graded_edges(r_min_frac, r_max, n_coarse=6, ratio=2.0):
-    """Edges on (0, r_max] clustering geometrically at 0 down to r_min_frac*r_max."""
-    depth = max(1, int(math.ceil(math.log(1.0 / r_min_frac) / math.log(ratio))))
-    fracs = ratio ** (-np.arange(depth + 1, dtype=float))[::-1]
-    edges = np.concatenate([[0.0], fracs]) * r_max
-    if n_coarse > 1:
-        # split the outermost panel evenly for smooth bulk resolution
-        bulk = np.linspace(edges[-2], r_max, n_coarse + 1)
-        edges = np.concatenate([edges[:-2], bulk])
-    return edges
+def _graded_edges(depth, n_coarse=6):
+    """Edges on [0, 1]: halvings toward 0 down to 2^-depth, and the outer half
+    in ``n_coarse`` even panels."""
+    return np.concatenate([[0.0], 2.0 ** -np.arange(depth, 1, -1.0), np.linspace(0.5, 1.0, n_coarse + 1)])
 
 
-def _singular_depth_fraction(s_exponent, spec: QuadratureSpec):
-    """Innermost panel fraction so the leftover r^(s_exponent) mass is negligible."""
+def _end_rule_at_x(N, s, spec: QuadratureSpec):
+    """(alpha, depth): the weight exponent of a ray's end panel at x and the
+    number of halvings toward x that panel needs.
+
+    r^(N-1) G = (k/2) r^(2s-1) I(psi) with psi ~ r^-2, and I(psi) tends to
+    B(s, N/2 - s) plus powers of 1/psi, so for N > 2s the weight r^(2s-1)
+    is exact and the first term its rule misses is r^(N-1) =
+    r^(2s-1) r^(N-2s).  For N = 1 = 2s the kernel is -log(r)/pi plus a
+    smooth part and for N = 1 < 2s a smooth part plus c r^(2s-1); there the
+    end rule is Gauss-Legendre and the term is log r or r^(2s-1).  The
+    rule's error estimate |GJ16 - GJ8| on that term over [0, h] is its
+    value on [0, 1] times h^p; the depth brings it below the target.
+    """
+    if N > 2.0 * s:
+        alpha, p, term = 2.0 * s - 1.0, float(N), lambda t: t ** (N - 1.0)
+    elif N == 2.0 * s:
+        alpha, p, term = 0.0, 1.0, np.log
+    else:
+        alpha, p, term = 0.0, 2.0 * s, lambda t: t ** (2.0 * s - 1.0)
+    (u8, w8), (u16, w16) = _gj(8, alpha), _gj(16, alpha)
+    est = 0.5 * abs(w16 @ term(0.5 + 0.5 * u16) - w8 @ term(0.5 + 0.5 * u8))
     target = min(max(min(spec.rel_tol, spec.abs_tol) * 1e-2, 1e-13), 1e-4)
-    expo = max(s_exponent, 0.05)
-    frac = target ** (1.0 / expo)
-    return max(frac, 1e-40)
+    return alpha, max(1, math.ceil(math.log2(max(est / target, 1.0)) / p))
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +480,42 @@ def _checked(value, err, spec, what):
     return value
 
 
-def _ray_integral(params, spans, integrand, spec):
+def _ray_integral(params, spans, integrand, spec, exit_exponent=0.0):
     """int over directions w and r in [t_in(w), t_out(w)] of integrand(r, w) r^(N-1) dr dw.
 
     The polar-ray engine: ``spans(dirs)`` gives every direction's
-    (t_in, t_out) at once, a span from x (t_in = 0) gets radial panels
-    graded toward the |x-y|^(2s-N) singularity and any other span eight
-    uniform panels, and one ``_adaptive_panels`` call integrates all
-    (direction, panel) pairs of an angular level against one summed
-    tolerance.  Levels double from m = 8
-    up to m = 128; N = 1 runs one level, its two-point rule being exact.
-    Returns (value, error): the final level's summed panel error plus its
-    difference from the level before.
+    (t_in, t_out) at once.  A span from x (t_in = 0) gets panels halved
+    toward x, its first panel weighted by r^alpha (``_end_rule_at_x``: the
+    |x-y|^(2s-N) singularity becomes a rule weight, and the halvings go only
+    as deep as the rule's error on the next term needs), and any other span
+    eight uniform panels; every span's last panel carries the weight
+    (t_out - r)^exit_exponent.  One ``_adaptive_panels`` call integrates
+    all (direction, panel) pairs of an angular level against one summed
+    tolerance.  Levels double from m = 8 up to m = 128; N = 1 runs one
+    level, its two-point rule being exact.  Returns (value, error): the
+    final level's summed panel error plus its difference from the level
+    before.
     """
-    N, s = params.N, params.s
-    expo = 2.0 * s if N > 2.0 * s else 1.0  # the integrand behaves like r^(expo - 1)
-    graded = _graded_edges(_singular_depth_fraction(expo, spec), 1.0)
-    uniform = np.minimum(np.arange(len(graded)) / 8.0, 1.0)  # 8 panels, the rest zero-width
+    N = params.N
+    alpha, depth = _end_rule_at_x(N, params.s, spec)
+    graded = _graded_edges(depth)
+    size = max(len(graded), 9)  # both rows span [0, 1]; the padding is zero-width panels
+    graded = np.pad(graded, (0, size - len(graded)), constant_values=1.0)
+    uniform = np.minimum(np.arange(size) / 8.0, 1.0)
 
     def run_level(m):
         dirs, wts = _sphere_rule(N, m)
         t_in, t_out = spans(dirs)
-        fracs = np.where(t_in[:, None] > 0.0, uniform, graded)
+        at_x = t_in <= 0.0
+        fracs = np.where(at_x[:, None], graded, uniform)
         edges = t_in[:, None] + np.maximum(t_out - t_in, 0.0)[:, None] * fracs
-        return _adaptive_panels(lambda r, d: integrand(r, dirs[d]) * r ** (N - 1.0), edges, spec, wts)
+        return _adaptive_panels(
+            lambda r, d: integrand(r, dirs[d]) * r ** (N - 1.0),
+            edges,
+            spec,
+            wts,
+            ends=(np.where(at_x, alpha, 0.0), exit_exponent),
+        )
 
     return _angular_converge(run_level, spec, 8, 4 if N > 1 else 0)
 
@@ -451,34 +525,40 @@ def ball_green_integral(
 ):
     """int_{B_R} G_R(x, y) f(y) dy for x inside B_R.
 
-    Polar rays around x on the ray engine (``_ray_integral``): every
-    direction w of a level exits the sphere at r = -x.w + sqrt((x.w)^2 +
-    R^2 - |x|^2), its radial panels are graded toward the |x-y|^(2s-N)
-    singularity at x, and panel bisection resolves the (r_exit - r)^s
-    degeneracy at the sphere.  Returns a value whose error (the final
-    level's summed panel error plus the last angular level difference) is
-    within 100 x tolerance, or raises ``ToleranceNotMet`` carrying the
-    estimate and the error.
+    Polar rays around x on the ray engine (``_ray_integral``).  With
+    c = x.w and h = R^2 - |x|^2, the ray x + r w leaves the ball at the
+    root t_exit of r^2 + 2 c r - h, and R^2 - |x + r w|^2 = (t_exit - r)
+    (r - t_neg) in terms of both roots, so psi is formed without
+    cancellation.  The |x-y|^(2s-N) singularity at x is the weight of the
+    first panel of each ray; at the sphere I(psi) is psi^s times an
+    analytic function, so the last panel carries the weight
+    (t_exit - r)^s.  Returns a value whose error (the final level's summed
+    panel error plus the last angular level difference) is within
+    100 x tolerance, or raises ``ToleranceNotMet`` carrying the estimate
+    and the error.
     """
     spec = spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
-    x2 = float(np.dot(x, x))
-    if x2 >= R * R:
+    h = R * R - float(np.dot(x, x))
+    if h <= 0.0:
         raise ValueError("evaluation point must lie inside the ball")
 
+    def roots(c):
+        # t_exit and -t_neg of r^2 + 2 c r - h, each without cancellation
+        q = np.sqrt(c * c + h) + np.abs(c)
+        return np.where(c > 0.0, h / q, q), np.where(c > 0.0, q, h / q)
+
     def spans(dirs):
-        c = dirs @ x
-        return np.zeros(len(dirs)), np.sqrt(c * c + R * R - x2) - c
+        return np.zeros(len(dirs)), roots(dirs @ x)[0]
 
     def integrand(r, omega):
-        pts = x + r[:, None] * omega
-        y2 = np.sum(pts * pts, axis=-1)
-        live = (y2 < R * R) & (r > 0.0)
+        t_exit, t_back = roots(omega @ x)
+        live = (r < t_exit) & (r > 0.0)
         r2 = np.where(live, r * r, 1.0)
-        psi = np.where(live, (R * R - x2) * (R * R - y2) / (R * R * r2), 0.0)
-        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(pts)
+        psi = np.where(live, h * (t_exit - r) * (r + t_back) / (R * R * r2), 0.0)
+        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(x + r[:, None] * omega)
 
-    value, err = _ray_integral(params, spans, integrand, spec)
+    value, err = _ray_integral(params, spans, integrand, spec, exit_exponent=params.s)
     return _checked(value, err, spec, "ball Green integral")
 
 

@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _spec
 
 from .core import (
@@ -556,6 +555,8 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
 
 def check_dimension_reduction(seed=42):
     """Beta closed form = ratio of singular-integral constants = quadrature."""
+    from scipy import integrate as _integrate  # its only use; importing fraclap stays light
+
     t0 = time.perf_counter()
     worst = 0.0
     total = 0
@@ -772,8 +773,7 @@ _OPERATOR_CACHE = {}
 
 
 def _cached_operator(params, axes):
-    key = (params.N, params.s, tuple(float(a[0]) for a in axes), tuple(len(a) for a in axes),
-           tuple(float(a[-1]) for a in axes))
+    key = (params.N, params.s, tuple(tuple(map(float, a)) for a in axes))
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE[key] = PicardOperator(params, axes)
     return _OPERATOR_CACHE[key]

@@ -83,6 +83,16 @@ def test_package_import_leaves_cli_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # only verify.check_dimension_reduction needs scipy.integrate, and it imports it itself
+    probe = (
+        "import sys, fraclap, fraclap.core, fraclap.kernels, fraclap.quadrature, fraclap.solver, "
+        "fraclap.verify, fraclap.cli; print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
+
+
 def test_closed_pipe_exits_without_traceback():
     # the reader is gone before the first write, like `fraclap verify | head -n 0`
     cmd = [sys.executable, "-m", "fraclap.cli", "verify", "--check", "dimension-reduction",

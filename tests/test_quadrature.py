@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma
 
+from fraclap import quadrature
 from fraclap.core import FracParams, getoor_constant, poisson_constant_C
 from fraclap.kernels import riesz_constant
 from fraclap.quadrature import (
@@ -190,6 +192,17 @@ CLOSED_FORM_POINTS = [
 ]
 
 
+def _sweep_points():
+    # N in {1, 2, 3} x s in {0.25, 0.5, 0.75} x |x| in {0, 0.5, 0.9, 0.99}
+    unit = np.array([1.0, 2.0, -2.0]) / 3.0
+    for N in (1, 2, 3):
+        for s in (0.25, 0.5, 0.75):
+            for r in (0.0, 0.5, 0.9, 0.99):
+                x = r * unit[:N] / np.linalg.norm(unit[:N])
+                marks = [pytest.mark.slow] if N == 3 and r >= 0.9 else []
+                yield pytest.param(FracParams(N, s), list(x), marks=marks, id=f"sweep-N{N}-s{s:g}-r{r:g}")
+
+
 def _point_id(value):
     if isinstance(value, FracParams):
         return f"N{value.N}-s{value.s:g}"
@@ -256,7 +269,7 @@ class TestBallGreenIntegral:
         with pytest.raises(ValueError):
             ball_green_integral(P1, 1.0, ONE, np.array([1.5]))
 
-    @pytest.mark.parametrize("params, x", CLOSED_FORM_POINTS, ids=_point_id)
+    @pytest.mark.parametrize("params, x", CLOSED_FORM_POINTS + list(_sweep_points()), ids=_point_id)
     def test_closed_form(self, params, x):
         v = ball_green_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
         assert abs(v / ball_closed_form(params, x) - 1.0) <= 1e-7
@@ -284,6 +297,54 @@ class TestBallGreenIntegral:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6
+
+
+class TestEndRules:
+    EXPONENTS = (-0.5, 0.0, 0.25, 0.5, 0.75)
+
+    @staticmethod
+    def _moment(alpha, beta, k):
+        # int_{-1}^{1} (1+u)^alpha (1-u)^beta u^k du from u^k = sum_j C(k, j) (1+u)^j (-1)^(k-j)
+        with mpmath.workdps(50):
+            return float(mpmath.fsum(
+                mpmath.binomial(k, j) * (-1) ** (k - j) * mpmath.mpf(2) ** (alpha + beta + j + 1)
+                * mpmath.beta(alpha + j + 1, beta + 1)
+                for j in range(k + 1)
+            ))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("alpha", EXPONENTS)
+    @pytest.mark.parametrize("beta", EXPONENTS)
+    def test_weighted_moments(self, n, alpha, beta):
+        # the weight is divided out of the stored weights, so the rule sums the whole integrand
+        u, w = quadrature._gj(n, alpha, beta)
+        for k in range(2 * n):
+            got = float(w @ ((1.0 + u) ** alpha * (1.0 - u) ** beta * u**k))
+            assert abs(got - self._moment(alpha, beta, k)) <= 1e-13
+
+    def test_gj_left_keeps_the_weight(self):
+        u, w = quadrature._gj_left(16, 0.3)
+        assert float(np.sum(w)) == pytest.approx(2.0**0.7 / 0.7, rel=1e-14)
+
+    def test_both_ends_weighted_under_bisection(self):
+        # r^(-1/2) (1 - r)^(1/4) cos(20 r) on [0, 1]: one panel weighted at both
+        # ends, which GJ8 cannot resolve, so the ends pass to the children
+        def f(r):
+            return r**-0.5 * (1.0 - r) ** 0.25 * np.cos(20.0 * r)
+
+        calls = []
+
+        def fvec(r, d):
+            calls.append(len(r))
+            return f(r)
+
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        value, err = quadrature._adaptive_panels(fvec, np.array([0.0, 1.0]), spec, ends=(-0.5, 0.25))
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(lambda r: r**-0.5 * (1 - r) ** 0.25 * mpmath.cos(20 * r), [0, 0.25, 0.5, 0.75, 1]))
+        assert len(calls) > 1
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+        assert err <= spec.tolerance(value)
 
 
 class TestExteriorPoisson:
@@ -425,6 +486,27 @@ class TestHalfspaceIntegral:
             P2, ONE, np.array(x), QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10), box=(lo, hi), detail=True
         )
         assert res.error >= abs(res.value - ref)
+
+    # at s = 1/2 and N >= 2 the panel at x is one halving deep; N = 3 takes
+    # 3.6 s there and 10-14 s at s = 1/4, 3/4
+    @pytest.mark.parametrize(
+        "params", [FracParams(N, s) for N in (1, 2) for s in (0.25, 0.5, 0.75)] + [P3],
+        ids=lambda p: f"N{p.N}-s{p.s:g}",
+    )
+    def test_point_outside_the_box(self, params):
+        # x1 = 1.5 lies above the box y1 in [0, 1] but inside the boxes with
+        # y1 in [0, 2] and [1, 2], whose rays all start at x: their
+        # difference checks the rays that start on the box's face
+        N = params.N
+        x = np.array([1.5] + [0.0] * (N - 1))
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        below, whole, above = (
+            halfspace_green_integral(
+                params, ONE, x, spec, box=(np.array([lo1] + [-1.0] * (N - 1)), np.array([hi1] + [1.0] * (N - 1)))
+            )
+            for lo1, hi1 in ((0.0, 1.0), (0.0, 2.0), (1.0, 2.0))
+        )
+        assert below == pytest.approx(whole - above, rel=1e-6)
 
     def test_box_mass_positive(self):
         m = box_green_mass(P2, np.array([0.5, 0.0]), [0.0, -1.0], [1.0, 1.0])

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from fraclap import verify
+from fraclap.core import FracParams
 
 # Picard verdicts of the angular-sweep self-cells this rule replaced: the
 # corrected diagonal must leave every verdict and the pass state unchanged
@@ -138,3 +140,15 @@ def test_kernel_bounds_stays_red_on_its_sampled_sup():
     assert rep.measured["ratio_sup_N3_s0.5"] == pytest.approx(0.164937, rel=1e-5)
     assert rep.measured["ratio_sup_doubled_N3_s0.5"] == pytest.approx(0.173522, rel=1e-5)
     assert rep.tolerance == {"doubling_growth": 1.05}
+
+
+def test_cached_operator_keys_on_every_node():
+    # same endpoints and count, different interior nodes: two operators
+    params = FracParams(1, 0.5)
+    uniform = (np.linspace(0.1, 4.0, 16),)
+    geometric = (0.1 * 40.0 ** (np.arange(16) / 15.0),)
+    a = verify._cached_operator(params, uniform)
+    b = verify._cached_operator(params, geometric)
+    assert not np.array_equal(a.nodes, b.nodes)
+    np.testing.assert_allclose(b.nodes[:, 0], geometric[0])
+    assert verify._cached_operator(params, (np.linspace(0.1, 4.0, 16),)) is a
