@@ -10,7 +10,6 @@ from .core import (
     CriticalExponents,
     FracParams,
     Regime,
-    SpecialFunctionTable,
     critical_exponents,
     dimension_reduction_ratio,
     getoor_constant,

@@ -1,9 +1,18 @@
-"""Parameters, normalization constants and special-function plumbing.
+"""Parameters, normalization constants, the kernel integral and the Gauss rules.
 
 Everything here is a closed-form function of the dimension N and the
 fractional order s in (0,1).  The three kernel regimes (N above, equal to,
 or below 2s) are decided once at parameter construction and drive branch
-selection in the kernel modules.
+selection in the kernel modules.  The Gauss-Legendre and Gauss-Jacobi rule
+table (``_gl``, ``_gj``, ``_gj_left``) lives here so that ``kernels`` and
+``quadrature`` share it.
+
+``scipy.special`` is imported inside the functions that call it, so it
+loads on first use.  Importing it pulls in scipy's array-API layer
+(``numpy.f2py``, ``numpy.testing``), about 0.4 s of a 0.7 s import of
+fraclap and its submodules on a 2-vCPU host, and nothing needs it at
+import time.  The constants keep scipy's gamma and beta: ``math.gamma``
+differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 """
 from __future__ import annotations
 
@@ -12,12 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _spec
 
 __all__ = [
     "Regime",
     "FracParams",
-    "SpecialFunctionTable",
     "CriticalExponents",
     "normalization_a",
     "green_constant_k",
@@ -71,58 +78,9 @@ class FracParams:
         return f"(N={self.N}, s={self.s:g}, {self.regime.value})"
 
 
-class SpecialFunctionTable:
-    """Gamma/Beta evaluations plus the bump profile used for regularization.
-
-    Backed by scipy.special; kept as an explicit surface so the contract
-    (recurrence and Beta identities to 1e-12 relative) stays testable in
-    one place.
-    """
-
-    #: bump chi(r) = c * exp(-1/(1-(4r-3)^2)) supported on (1/2, 1)
-    BUMP_SUPPORT = (0.5, 1.0)
-    BUMP_CENTER = 0.75
-
-    def gamma(self, x):
-        return _spec.gamma(x)
-
-    def log_gamma(self, x):
-        return _spec.gammaln(x)
-
-    def beta(self, a, b):
-        return _spec.beta(a, b)
-
-    def bump(self, r):
-        """Unnormalized bump profile on (1/2, 1); zero elsewhere."""
-        r = np.asarray(r, dtype=float)
-        t = 4.0 * r - 3.0
-        inside = np.abs(t) < 1.0
-        denom = np.where(inside, 1.0 - t * t, 1.0)
-        out = np.where(inside, np.exp(-1.0 / denom), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def bump_normalization(self):
-        """Constant c with integral of c*bump over (1/2,1) equal to 1."""
-        return _bump_norm()
-
-
-_BUMP_NORM_CACHE = []
-
-
-def _bump_norm():
-    if not _BUMP_NORM_CACHE:
-        # C^infty integrand, flat at both endpoints: high-order GL converges fast
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        r = 0.75 + 0.25 * nodes
-        t = 4.0 * r - 3.0
-        vals = np.exp(-1.0 / (1.0 - t * t))
-        _BUMP_NORM_CACHE.append(1.0 / (0.25 * np.dot(weights, vals)))
-    return _BUMP_NORM_CACHE[0]
-
-
 def normalization_a(params: FracParams) -> float:
     """Constant in front of the singular integral defining (-Delta)^s."""
+    from scipy import special as _spec
     N, s = params.N, params.s
     return (
         s
@@ -142,6 +100,7 @@ def green_constant_k(params: FracParams) -> float:
     the singular-integral quadrature and the classical s -> 1 limit).  At
     s = 1/2 it equals pi^(-(N/2+1)) Gamma(N/2) sin(pi s).
     """
+    from scipy import special as _spec
     N, s = params.N, params.s
     return (
         2.0 * _spec.gamma(N / 2.0) / (4.0**s * math.pi ** (N / 2.0) * _spec.gamma(s) ** 2)
@@ -150,12 +109,14 @@ def green_constant_k(params: FracParams) -> float:
 
 def poisson_constant_C(params: FracParams) -> float:
     """Constant making the exterior integral of the ball Poisson kernel 1."""
+    from scipy import special as _spec
     N, s = params.N, params.s
     return _spec.gamma(N / 2.0) * math.sin(math.pi * s) * math.pi ** (-N / 2.0 - 1.0)
 
 
 def getoor_constant(params: FracParams) -> float:
     """Value of (-Delta)^s applied to (1-|x|^2)_+^s inside the unit ball."""
+    from scipy import special as _spec
     N, s = params.N, params.s
     return 4.0**s * _spec.gamma(1.0 + s) * _spec.gamma(N / 2.0 + s) / _spec.gamma(N / 2.0)
 
@@ -186,6 +147,7 @@ def incomplete_kernel_integral(params: FracParams, t):
       formula of the hypergeometric representation at large t (again with
       u = 1/(1+t) kept exact).
     """
+    from scipy import special as _spec
     N, s = params.N, params.s
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(np.isnan(t_arr)):
@@ -264,7 +226,53 @@ def dimension_reduction_ratio(params: FracParams) -> float:
     Equals the ratio of the singular-integral constants in dimensions N-1
     and N, and the full-line integral of (1+lambda^2)^(-N/2-s).
     """
+    from scipy import special as _spec
     N, s = params.N, params.s
     if N < 2:
         raise ValueError("dimension reduction needs N >= 2")
     return math.sqrt(math.pi) * _spec.gamma((N - 1.0) / 2.0 + s) / _spec.gamma(N / 2.0 + s)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules
+
+_GL_CACHE = {}
+_GJ_CACHE = {}
+
+
+def _gl(n):
+    if n not in _GL_CACHE:
+        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+    return _GL_CACHE[n]
+
+
+def _gj(n, alpha=0.0, beta=0.0):
+    """n-point rule on [-1, 1] for int (1+u)^alpha (1-u)^beta g(u) du, the weight
+    divided out of its weights: sum f(u_i) w_i integrates f itself.
+
+    Gauss-Jacobi nodes from ``scipy.special.roots_jacobi`` (Gauss-Legendre
+    when both exponents vanish).  The weights come from the closed form
+    C / ((1 - u^2) P_n'(u)^2): at n = 16 the moments of the weights
+    ``roots_jacobi`` returns are off by up to 1.2e-13, these by 4e-14.
+    """
+    key = (n, float(alpha), float(beta))
+    if key not in _GJ_CACHE:
+        if alpha == beta == 0.0:
+            _GJ_CACHE[key] = _gl(n)
+        else:
+            from scipy import special as _spec
+            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b
+            u = _spec.roots_jacobi(n, beta, alpha)[0]
+            dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
+            c = math.exp(
+                (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
+                + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)
+            )
+            _GJ_CACHE[key] = (u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp))
+    return _GJ_CACHE[key]
+
+
+def _gj_left(n, sigma):
+    """Nodes/weights for int_{-1}^{1} (1+u)^(-sigma) g(u) du (singular at -1)."""
+    u, w = _gj(n, -sigma)
+    return u, w * (1.0 + u) ** (-sigma)

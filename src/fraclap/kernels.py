@@ -12,14 +12,15 @@ on the diagonal inside the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import special as _spec
 
 from .core import (
     FracParams,
     Regime,
-    SpecialFunctionTable,
+    _gj,
+    _gl,
     green_constant_k,
     incomplete_kernel_integral,
     poisson_constant_C,
@@ -296,6 +297,7 @@ def riesz_constant(params: FracParams) -> float:
     Positive for N > 2s; negative for N = 1 < 2s, which produces the
     -C |x-y|^(2s-1) branch with C > 0.  Not used for N = 1 = 2s.
     """
+    from scipy import special as _spec
     N, s = params.N, params.s
     return _spec.gamma(N / 2.0 - s) / (4.0**s * np.pi ** (N / 2.0) * _spec.gamma(s))
 
@@ -318,14 +320,19 @@ def riesz_potential(params: FracParams, x, y):
 # regularized Poisson kernel
 
 
-_SF = SpecialFunctionTable()
-_GL64 = np.polynomial.legendre.leggauss(64)
+def _bump(r):
+    """Unnormalized bump exp(-1/(1-(4r-3)^2)) on (1/2, 1); zero elsewhere."""
+    t = 4.0 * np.asarray(r, dtype=float) - 3.0
+    inside = np.abs(t) < 1.0
+    return np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - t * t, 1.0)), 0.0)
 
 
-def _jacobi_nodes(n, s):
-    # weight (1-u)^(-s) on [-1, 1]: singular at the right endpoint
-    nodes, weights = _spec.roots_jacobi(n, -s, 0.0)
-    return nodes, weights
+@cache
+def _bump_norm():
+    """Constant c with integral of c*bump over (1/2,1) equal to 1."""
+    # C^infty integrand, flat at both endpoints: high-order GL converges fast
+    nodes, weights = _gl(200)
+    return 1.0 / (0.25 * np.dot(weights, _bump(0.75 + 0.25 * nodes)))
 
 
 def regularized_poisson(params: FracParams, eps: float, y):
@@ -345,28 +352,29 @@ def regularized_poisson(params: FracParams, eps: float, y):
     m = np.atleast_1d(m)
     s, N = params.s, params.N
     C = poisson_constant_C(params)
-    cnorm = _SF.bump_normalization
+    cnorm = _bump_norm()
     out = np.zeros_like(m)
 
     far = m >= 1.0
     if np.any(far):
-        nodes, weights = _GL64
+        nodes, weights = _gl(64)
         r = 0.75 + 0.25 * nodes  # (1/2, 1)
         mm = m[far][:, None]
         integrand = (
-            cnorm * _SF.bump(r)[None, :] * r[None, :] ** (2.0 * s) * (mm * mm - r[None, :] ** 2) ** (-s)
+            cnorm * _bump(r)[None, :] * r[None, :] ** (2.0 * s) * (mm * mm - r[None, :] ** 2) ** (-s)
         )
         out[far] = 0.25 * C * (integrand @ weights) * m[far] ** (-N)
 
     mid = (m > 0.5) & (m < 1.0)
     if np.any(mid):
-        nodes, weights = _jacobi_nodes(48, s)
-        for idx in np.nonzero(mid)[0]:
-            mi = m[idx]
-            half = 0.5 * (mi - 0.5)
-            r = 0.5 + half * (1.0 + nodes)  # (1/2, m)
-            smooth = cnorm * _SF.bump(r) * r ** (2.0 * s) * (mi + r) ** (-s)
-            out[idx] = half ** (1.0 - s) * C * np.dot(weights, smooth) * mi ** (-N)
+        # rule for the weight (1-u)^(-s), singular at r = m, with the weight multiplied back in
+        nodes, weights = _gj(48, 0.0, -s)
+        weights = weights * (1.0 - nodes) ** (-s)
+        mi = m[mid]
+        half = 0.5 * (mi - 0.5)
+        r = 0.5 + half[:, None] * (1.0 + nodes)  # (1/2, m)
+        smooth = cnorm * _bump(r) * r ** (2.0 * s) * (mi[:, None] + r) ** (-s)
+        out[mid] = half ** (1.0 - s) * C * (smooth @ weights) * mi ** (-N)
 
     out *= eps ** (-float(N))
     return float(out[0]) if scalar else out

@@ -8,7 +8,7 @@ callback gives the radial span of every direction at once, and
 array: a 16-point Gauss rule per panel checked against the 8-point one,
 values and errors scaled by the direction's weight, the worst panels
 bisected against one summed tolerance.  A ray's two end panels may carry a
-Gauss-Jacobi weight from the one rule table ``_gj``: (r - a)^(2s-1) for
+Gauss-Jacobi weight from the one rule table ``core._gj``: (r - a)^(2s-1) for
 the |x-y|^(2s-N) singularity at x, with halvings toward x only as deep as
 that rule's error on the next term needs, and (t_exit - r)^s where the ray
 leaves the ball, so neither end is resolved by bisection.  Levels double
@@ -40,10 +40,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _spec
 
 from .core import (
     FracParams,
+    _gj,
+    _gj_left,
+    _gl,
     green_constant_k,
     normalization_a,
     poisson_constant_C,
@@ -128,48 +130,7 @@ def constant_field(value: float, smoothness: str = "C2") -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules and panel engines
-
-_GL_CACHE = {}
-_GJ_CACHE = {}
-
-
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _gj(n, alpha=0.0, beta=0.0):
-    """n-point rule on [-1, 1] for int (1+u)^alpha (1-u)^beta g(u) du, the weight
-    divided out of its weights: sum f(u_i) w_i integrates f itself.
-
-    Gauss-Jacobi nodes from ``scipy.special.roots_jacobi`` (Gauss-Legendre
-    when both exponents vanish).  The weights come from the closed form
-    C / ((1 - u^2) P_n'(u)^2): at n = 16 the moments of the weights
-    ``roots_jacobi`` returns are off by up to 1.2e-13, these by 4e-14.
-    """
-    key = (n, float(alpha), float(beta))
-    if key not in _GJ_CACHE:
-        if alpha == beta == 0.0:
-            _GJ_CACHE[key] = _gl(n)
-        else:
-            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b
-            u = _spec.roots_jacobi(n, beta, alpha)[0]
-            dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
-            c = math.exp(
-                (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
-                + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)
-            )
-            _GJ_CACHE[key] = (u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp))
-    return _GJ_CACHE[key]
-
-
-def _gj_left(n, sigma):
-    """Nodes/weights for int_{-1}^{1} (1+u)^(-sigma) g(u) du (singular at -1)."""
-    u, w = _gj(n, -sigma)
-    return u, w * (1.0 + u) ** (-sigma)
-
+# panel engines
 
 def _panel_nodes(a, b, n):
     x, w = _gl(n)
@@ -307,6 +268,7 @@ def _end_rule_at_x(N, s, spec: QuadratureSpec):
 # sphere rules
 
 def sphere_surface(N):
+    from scipy import special as _spec
     return 2.0 * math.pi ** (N / 2.0) / _spec.gamma(N / 2.0)
 
 

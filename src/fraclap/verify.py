@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _spec
 
 from .core import (
     FracParams,
@@ -511,7 +510,11 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
     """Slab masses decrease with the slab width and sink below 1e-3 at 0.01.
 
     The decrease is a theorem; the 1e-3 threshold is asserted as stated
-    even though the measured mass at lam = 0.01 is ~7.6e-3.
+    even though the measured mass at lam = 0.01 is ~7.6e-3.  The check
+    stays red for a known reason: the mass at x = a lam scales exactly as
+    lam^(2s), and ``sup_ratio_0.01_to_1`` measures 0.01^(2s) to quadrature
+    accuracy.  Under that law the asserted 1e-3 would need a sup below 0.1
+    at lam = 1, where 0.76374 is measured (s = 1/2).
     """
     t0 = time.perf_counter()
     params = params or FracParams(2, 0.5)
@@ -546,6 +549,7 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
             "decreasing": float(decreasing),
             "sup_mass_at_0.01": sup_small,
             "sup_mass_at_1": float(sups[0]),
+            "sup_ratio_0.01_to_1": sup_small / float(sups[0]),
         },
         tolerance={"sup_mass_at_0.01": 1e-3},
         seed=seed,
@@ -669,46 +673,57 @@ def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, s
 
 
 def _kernel_bound_ratio(params, L, rng, n):
+    """Largest G(x, y) / bound over n seeded pairs with x1, y1 in (0, L].
+
+    G = (k/2) |x-y|^(2s-N) I(t) with t = 4 x1 y1 / |x-y|^2, and
+    (1+z)^(-N/2) <= min(1, z^(-N/2)) bounds I(t) by t^s/s for t <= 1 and by
+    1/s + int_1^t z^(s-1-N/2) dz (below t^s/s) beyond; by B(s, N/2-s) too
+    when N > 2s.  The bound is tight as t -> 0, so the ratio nears 1 there.
+    """
+    from scipy import special as _spec
     N, s = params.N, params.s
     x = rng.uniform(-3.0, 3.0, (n, N))
     y = rng.uniform(-3.0, 3.0, (n, N))
     x[:, 0] = rng.uniform(1e-3, L, n)
     y[:, 0] = rng.uniform(1e-3, L, n)
-    d = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    keep = d > 1e-9
-    x, y, d = x[keep], y[keep], d[keep]
+    d2 = np.sum((x - y) ** 2, axis=-1)
+    keep = d2 > 1e-18
+    x, y, d2 = x[keep], y[keep], d2[keep]
+    t = 4.0 * x[:, 0] * y[:, 0] / d2
+    e = s - N / 2.0
+    tail = np.log(t) if e == 0.0 else (t**e - 1.0) / e
+    bound = np.where(t > 1.0, 1.0 / s + tail, t**s / s)
+    if e < 0.0:
+        bound = np.minimum(bound, _spec.beta(s, -e))
     g = green_halfspace(params, x, y)
-    if N > 2.0 * s:
-        shape = np.minimum(d ** (2.0 * s - N), d ** (-float(N)))
-    elif params.s == 0.5 and N == 1:
-        shape = 1.0 + np.log(L / d)
-    else:
-        shape = np.ones_like(d)
-    return float(np.max(g / shape))
+    return float(np.max(g / (0.5 * green_constant_k(params) * d2**e * bound)))
 
 
 def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
-    """G is dominated by the regime bound shape; the fitted constant is stable."""
+    """G stays below its explicit bound (``_kernel_bound_ratio``) on every sample.
+
+    The bound is fixed before sampling, so a kernel too large anywhere on the
+    samples fails.  Negative control: the bound scaled by 0.99 must fail
+    somewhere, which shows the samples come within 1 % of it.
+    """
     t0 = time.perf_counter()
     sweep = param_list or [FracParams(3, 0.5), FracParams(1, 0.75), FracParams(1, 0.5)]
     measured = {}
-    passed = True
+    worst, control_missed = 0.0, 0
     for params in sweep:
         rng = rng_for(seed, f"kernel-bounds-{params.N}-{params.s}")
-        c1 = _kernel_bound_ratio(params, L, rng, samples)
-        c2 = _kernel_bound_ratio(params, L, rng, 2 * samples)
-        tag = f"N{params.N}_s{params.s:g}"
-        measured[f"ratio_sup_{tag}"] = c1
-        measured[f"ratio_sup_doubled_{tag}"] = c2
-        if not np.isfinite(c2) or c2 > 1.05 * max(c1, 1e-300):
-            passed = False
+        ratio = _kernel_bound_ratio(params, L, rng, samples)
+        measured[f"max_ratio_N{params.N}_s{params.s:g}"] = ratio
+        worst = max(worst, ratio)
+        control_missed += int(not ratio > 0.99)
+    measured["control_missed"] = float(control_missed)
     return Report(
         check_id="kernel-bounds",
         params={"L": L, "sweep": "(3,0.5) (1,0.75) (1,0.5)"},
         samples=3 * samples,
-        passed=passed,
+        passed=worst <= 1.0 and control_missed == 0,
         measured=measured,
-        tolerance={"doubling_growth": 1.05},
+        tolerance={"max_ratio": 1.0, "control_ratio": 0.99},
         seed=seed,
         wall_time=time.perf_counter() - t0,
     )
@@ -732,6 +747,7 @@ def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
     Ann. Math. 118, 1983): the ratio (-Delta)^s w / w^p is lam at every |x|.
     Negative control: at p +/- 0.25 the ratio must vary with |x|.
     """
+    from scipy import special as _spec
     t0 = time.perf_counter()
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
     spread = dev = 0.0

@@ -93,6 +93,21 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False False"
 
 
+def test_package_import_and_help_leave_scipy_special_unloaded():
+    # scipy.special (and scipy's array-API layer with it) loads at the first special-function call
+    probe = (
+        "import runpy, sys, fraclap, fraclap.core, fraclap.kernels, fraclap.quadrature, fraclap.solver, "
+        "fraclap.verify, fraclap.cli\n"
+        "sys.argv = ['fraclap', '--help']\n"
+        "try:\n    runpy.run_module('fraclap.cli', run_name='__main__')\nexcept SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('scipy.special' in sys.modules, 'scipy' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert "usage: fraclap" in out.stdout
+    assert out.stderr.strip().splitlines()[-1] == "False False"
+
+
 def test_closed_pipe_exits_without_traceback():
     # the reader is gone before the first write, like `fraclap verify | head -n 0`
     cmd = [sys.executable, "-m", "fraclap.cli", "verify", "--check", "dimension-reduction",

@@ -8,7 +8,6 @@ from fraclap.core import (
     CriticalExponents,
     FracParams,
     Regime,
-    SpecialFunctionTable,
     critical_exponents,
     dimension_reduction_ratio,
     getoor_constant,
@@ -17,6 +16,7 @@ from fraclap.core import (
     normalization_a,
     poisson_constant_C,
 )
+from fraclap.kernels import _bump, _bump_norm
 
 
 class TestFracParams:
@@ -46,30 +46,30 @@ class TestFracParams:
 
 
 class TestSpecialFunctions:
+    # the constants call scipy.special directly; these pin the identities they rely on
+
     def test_gamma_recurrence(self):
-        table = SpecialFunctionTable()
         xs = np.linspace(0.5, 49.0, 400)
-        lhs = table.gamma(xs + 1.0)
-        rhs = xs * table.gamma(xs)
+        lhs = sp.gamma(xs + 1.0)
+        rhs = xs * sp.gamma(xs)
         assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-12
 
     def test_beta_identity(self):
-        table = SpecialFunctionTable()
         rng = np.random.default_rng(7)
         a = rng.uniform(0.1, 20.0, 200)
         b = rng.uniform(0.1, 20.0, 200)
-        lhs = table.beta(a, b)
-        rhs = np.exp(table.log_gamma(a) + table.log_gamma(b) - table.log_gamma(a + b))
+        lhs = sp.beta(a, b)
+        rhs = np.exp(sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b))
         assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-12
 
     def test_bump_normalized(self):
-        table = SpecialFunctionTable()
+        # the bump behind kernels.regularized_poisson
         r = np.linspace(0.5, 1.0, 100001)
-        mass = np.trapezoid(table.bump_normalization * table.bump(r), r)
+        mass = np.trapezoid(_bump_norm() * _bump(r), r)
         assert abs(mass - 1.0) < 1e-6
-        assert table.bump(0.5) == 0.0
-        assert table.bump(1.0) == 0.0
-        assert table.bump(0.75) > 0.0
+        assert _bump(0.5) == 0.0
+        assert _bump(1.0) == 0.0
+        assert _bump(0.75) > 0.0
 
 
 class TestNormalizationA:

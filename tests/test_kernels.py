@@ -401,6 +401,16 @@ class TestRegularizedPoisson:
         with pytest.raises(ValueError):
             regularized_poisson(P2, 0.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("params", [P1, P2, FracParams(1, 0.75)])
+    def test_batch_matches_points(self, params):
+        # one array through the mid-range (1/2 < m < 1) and far branches, against one point per call
+        m = np.linspace(0.3, 2.0, 41)
+        y = np.zeros((m.size, params.N))
+        y[:, 0] = m
+        batch = regularized_poisson(params, 1.0, y)
+        single = np.array([regularized_poisson(params, 1.0, yi) for yi in y])
+        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+
 
 class TestReflectionInequalities:
     # strict kernel comparisons behind the moving-plane argument

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma
 
-from fraclap import quadrature
+from fraclap import core, quadrature
 from fraclap.core import FracParams, getoor_constant, poisson_constant_C
 from fraclap.kernels import riesz_constant
 from fraclap.quadrature import (
@@ -317,13 +317,13 @@ class TestEndRules:
     @pytest.mark.parametrize("beta", EXPONENTS)
     def test_weighted_moments(self, n, alpha, beta):
         # the weight is divided out of the stored weights, so the rule sums the whole integrand
-        u, w = quadrature._gj(n, alpha, beta)
+        u, w = core._gj(n, alpha, beta)
         for k in range(2 * n):
             got = float(w @ ((1.0 + u) ** alpha * (1.0 - u) ** beta * u**k))
             assert abs(got - self._moment(alpha, beta, k)) <= 1e-13
 
     def test_gj_left_keeps_the_weight(self):
-        u, w = quadrature._gj_left(16, 0.3)
+        u, w = core._gj_left(16, 0.3)
         assert float(np.sum(w)) == pytest.approx(2.0**0.7 / 0.7, rel=1e-14)
 
     def test_both_ends_weighted_under_bisection(self):
