@@ -1,37 +1,34 @@
 """Singular-integral quadrature: the pointwise fractional Laplacian, ball and
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
-The ball, half-space and strip integrals share one polar-ray engine,
-``_ray_integral``.  At each angular level of a sphere rule a geometry
-callback gives the radial span of every direction at once, and
-``_adaptive_panels`` integrates all (direction, radial panel) pairs in one
-array: a 16-point Gauss rule per panel checked against the 8-point one,
-values and errors scaled by the direction's weight, the worst panels
-bisected against one summed tolerance.  A ray's two end panels may carry a
-Gauss-Jacobi weight from the one rule table ``core._gj``: (r - a)^(2s-1) for
-the |x-y|^(2s-N) singularity at x, with halvings toward x only as deep as
-that rule's error on the next term needs, and (t_exit - r)^s where the ray
-leaves the ball, so neither end is resolved by bisection.  Levels double
-until two agree, and the error is the final level's summed panel error
-plus the last level difference.  ``ball_green_integral`` raises
-``ToleranceNotMet``, carrying the estimate and the error, when that error
-exceeds 100 x tolerance, as ``exterior_poisson_integral`` does with its
-fixed Gauss-Jacobi/Gauss-Legendre radial rule; ``halfspace_green_integral``
-reports it.  The exterior integral takes the peak of its kernel
-|x - rho w|^(-N) out of the sphere rule: the kernel's angular mass is known
-in closed form, so only the remainder g(rho w) - g(rho x/|x|) is summed
-over directions, and radial data leave nothing to sum.
-``frac_laplacian_point`` runs the same two pieces,
-``_adaptive_panels`` per level and ``_angular_converge`` across levels, on
-the symmetrized second difference over antipodal directions and geometric
-panels, with a Taylor stub at 0 and an exact-or-bounded tail; it adds the
-tail bound to the error and raises ``ToleranceNotMet`` likewise.
-``strip_mass`` is the box [0, lam] of the one-dimensional
-half-line for every N (the lateral integral of the half-space Green
-function is the half-line one), and ``box_green_mass`` integrates Duffy
-pyramids.  Every batched evaluation takes a bounded number of nodes at a
-time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must accept
-``(..., N)`` arrays.
+Two engines integrate the Green kernels.  The polar-ray engine
+``_ray_integral`` serves the ball integral and the strip mass, whose rays
+all start at x: at each angular level of a sphere rule ``_adaptive_panels``
+integrates all (direction, radial panel) pairs in one array, a 16-point
+Gauss rule per panel checked against the 8-point one, the worst panels
+bisected against one summed tolerance.  A ray's end panels carry
+Gauss-Jacobi weights from the one rule table ``core._gj``: (r - a)^(2s-1)
+for the |x-y|^(2s-N) singularity at x, and (t_exit - r)^beta where the ray
+leaves the domain (beta = s at the sphere and at y1 = 0).  Levels double
+until two agree; the error is the final level's panel error plus the last
+level difference.  The box engine ``_box_integral`` serves every
+half-space box (``box_green_mass``, ``halfspace_green_integral``): Duffy
+pyramids with their apex at the box point nearest x, tiled and bisected
+against GL(n)/GL(2n) estimates.  ``exterior_poisson_integral`` takes the
+peak of its kernel |x - rho w|^(-N) out of the sphere rule: the kernel's
+angular mass is known in closed form, so only g(rho w) - g(rho x/|x|) is
+summed over directions.  ``frac_laplacian_point`` runs
+``_adaptive_panels`` and ``_angular_converge`` on the symmetrized second
+difference, with a Taylor stub at 0 and an exact-or-bounded tail.
+``strip_mass`` is [0, lam] of the one-dimensional half-line for every N.
+
+Every integrator returns a value with an error within its contract or
+raises ``ToleranceNotMet`` carrying the estimate and the error: the ray,
+exterior and fractional-Laplacian integrals when the error exceeds
+100 x tolerance, the box engine when its summed estimate misses the
+tolerance after ``max_refinements`` passes.  Batched evaluations take a
+bounded number of nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).
+Field callables must accept ``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -85,7 +82,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_refinements: int = 30
-    tail_radius: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -171,8 +167,6 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
     rows = len(edges)
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     d = np.repeat(np.arange(rows), edges.shape[1] - 1)
-    live = b > a  # a direction that misses the domain has zero-width panels
-    a, b, d = a[live], b[live], d[live]
     # a panel's rule indexes (0, *alphas) at its left end and (0, *betas) at its right
     (alphas, ia), (betas, ib) = (
         np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
@@ -351,7 +345,7 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
 
         def tail_radius(target):
             r = (2.0 * u.bound / (target * (p + 2.0 * s))) ** (1.0 / (p + 2.0 * s))
-            return max(r, 10.0, spec.tail_radius or 0.0)
+            return max(r, 10.0)
 
         def tail_bound(r):
             return 2.0 * u.bound * r ** (-(p + 2.0 * s)) / (p + 2.0 * s)
@@ -442,41 +436,32 @@ def _checked(value, err, spec, what):
     return value
 
 
-def _ray_integral(params, spans, integrand, spec, exit_exponent=0.0):
-    """int over directions w and r in [t_in(w), t_out(w)] of integrand(r, w) r^(N-1) dr dw.
+def _ray_integral(params, exits, integrand, spec):
+    """int over directions w and r in [0, t_exit(w)] of integrand(r, w) r^(N-1) dr dw.
 
-    The polar-ray engine: ``spans(dirs)`` gives every direction's
-    (t_in, t_out) at once.  A span from x (t_in = 0) gets panels halved
-    toward x, its first panel weighted by r^alpha (``_end_rule_at_x``: the
-    |x-y|^(2s-N) singularity becomes a rule weight, and the halvings go only
-    as deep as the rule's error on the next term needs), and any other span
-    eight uniform panels; every span's last panel carries the weight
-    (t_out - r)^exit_exponent.  One ``_adaptive_panels`` call integrates
-    all (direction, panel) pairs of an angular level against one summed
-    tolerance.  Levels double from m = 8 up to m = 128; N = 1 runs one
-    level, its two-point rule being exact.  Returns (value, error): the
-    final level's summed panel error plus its difference from the level
-    before.
+    The polar-ray engine; every ray starts at x.  ``exits(dirs)`` gives each
+    direction's exit distance t_exit and the exponent beta (scalar or per
+    direction) of the integrand's (t_exit - r)^beta layer there.  Panels
+    are halved toward x, the first weighted by r^alpha (``_end_rule_at_x``)
+    and the last by (t_exit - r)^beta; one ``_adaptive_panels`` call takes
+    all (direction, panel) pairs of an angular level.  Levels double from
+    m = 8 to m = 128; N = 1 runs one level, its two-point rule being exact.
+    Returns (value, error): the final level's summed panel error plus its
+    difference from the level before.
     """
     N = params.N
     alpha, depth = _end_rule_at_x(N, params.s, spec)
     graded = _graded_edges(depth)
-    size = max(len(graded), 9)  # both rows span [0, 1]; the padding is zero-width panels
-    graded = np.pad(graded, (0, size - len(graded)), constant_values=1.0)
-    uniform = np.minimum(np.arange(size) / 8.0, 1.0)
 
     def run_level(m):
         dirs, wts = _sphere_rule(N, m)
-        t_in, t_out = spans(dirs)
-        at_x = t_in <= 0.0
-        fracs = np.where(at_x[:, None], graded, uniform)
-        edges = t_in[:, None] + np.maximum(t_out - t_in, 0.0)[:, None] * fracs
+        t_exit, beta = exits(dirs)
         return _adaptive_panels(
             lambda r, d: integrand(r, dirs[d]) * r ** (N - 1.0),
-            edges,
+            t_exit[:, None] * graded,
             spec,
             wts,
-            ends=(np.where(at_x, alpha, 0.0), exit_exponent),
+            ends=(alpha, beta),
         )
 
     return _angular_converge(run_level, spec, 8, 4 if N > 1 else 0)
@@ -510,8 +495,8 @@ def ball_green_integral(
         q = np.sqrt(c * c + h) + np.abs(c)
         return np.where(c > 0.0, h / q, q), np.where(c > 0.0, q, h / q)
 
-    def spans(dirs):
-        return np.zeros(len(dirs)), roots(dirs @ x)[0]
+    def exits(dirs):
+        return roots(dirs @ x)[0], params.s
 
     def integrand(r, omega):
         t_exit, t_back = roots(omega @ x)
@@ -520,7 +505,7 @@ def ball_green_integral(
         psi = np.where(live, h * (t_exit - r) * (r + t_back) / (R * R * r2), 0.0)
         return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(x + r[:, None] * omega)
 
-    value, err = _ray_integral(params, spans, integrand, spec, exit_exponent=params.s)
+    value, err = _ray_integral(params, exits, integrand, spec)
     return _checked(value, err, spec, "ball Green integral")
 
 
@@ -574,7 +559,7 @@ def exterior_poisson_integral(
         L = max(2.0 * R, g.support_radius)
         tail_bound = 0.0
     else:
-        L = max(4.0 * R, spec.tail_radius or 0.0)
+        L = 4.0 * R
 
         def bound_at(LL):
             geom = (1.0 - math.sqrt(x2) / LL) ** (-N) * (1.0 - (R / LL) ** 2) ** (-s)
@@ -684,24 +669,17 @@ def _halfspace_tail_bound(params, x, bound, p, L):
     """Bound on int over the half-space outside B_L of G(x,y) |f(y)| dy.
 
     Uses G <= (k/2s) (4 x1 y1)^s |x-y|^(-N) (the kernel integral is below
-    psi^s/s) with y1 <= |y| and |x-y| >= |y|/2 for |y| >= 2|x|.
+    psi^s/s) with y1 <= |y| and |x-y| >= |y|/2 for |y| >= L >= 2|x|.
     """
     N, s = params.N, params.s
     k = green_constant_k(params)
     if p <= s:
         raise ValueError("half-space tail needs decay exponent > s")
-    L = max(L, 2.0 * float(np.linalg.norm(x)) + 1e-9)
+    if L < 2.0 * float(np.linalg.norm(x)):
+        raise ValueError("half-space tail needs L >= 2|x|")
     x1 = max(float(np.asarray(x)[0]), 0.0)
     surface = 0.5 * sphere_surface(N)
-    return (
-        (k / (2.0 * s))
-        * (4.0 * x1) ** s
-        * bound
-        * (2.0**N)
-        * surface
-        * L ** (s - p)
-        / (p - s)
-    )
+    return (k / (2.0 * s)) * (4.0 * x1) ** s * bound * (2.0**N) * surface * L ** (s - p) / (p - s)
 
 
 _TILE_ORDER = {1: 8, 2: 6, 3: 4}  # GL(n) per tile axis, checked against GL(2n)
@@ -746,103 +724,124 @@ def _edges_about_foot(a, b, h):
     return np.array(sorted(edges))
 
 
-def _pyramid_tiles(x, lo, hi):
-    """Initial tiles of the pyramids with apex x over the faces of [lo, hi].
+def _pyramid_tiles(c, lo, hi, e, scale=None):
+    """Initial tiles of the pyramids with apex c over the faces of [lo, hi].
 
-    A tile is a box in (v, d) coordinates: v in [0, 1] is the mapped ray
-    parameter and d = p' - x' the lateral offset of the face point p from
-    the foot of the perpendicular.  Returns (a, b, h, dp1_face, dp1_lateral):
-    tile corners (T, N), the pyramid height, and the coefficients giving
-    p1 - x1 = dp1_face + dp1_lateral * d[0].
+    A tile is a box in (v, d) coordinates: v in [0, 1] maps to the ray
+    parameter u = v^(1/e), and d = p' - c' is the lateral offset of the face
+    point p from the foot of the perpendicular, graded from the foot at the
+    pyramid's height h.  With a ``scale`` the v axis is cut where u halves
+    from 1 down to scale / D, D the distance from c to the lateral panel's
+    nearest face point.  Returns (a, b, axis, offset): tile corners (T, N),
+    the face's axis k and its offset p_k - c_k (|.| = h).
     """
-    N = len(x)
+    N = len(c)
     parts = []
     for k in range(N):
         lateral = [j for j in range(N) if j != k]
         for face in (lo[k], hi[k]):
-            h = abs(face - x[k])
+            h = abs(face - c[k])
             if h == 0.0:
                 continue
             edges = [np.array([0.0, 1.0])]
-            edges += [_edges_about_foot(lo[j] - x[j], hi[j] - x[j], h) for j in lateral]
-            panel = np.meshgrid(*[np.arange(len(e) - 1) for e in edges], indexing="ij")
-            a = np.stack([e[i.ravel()] for e, i in zip(edges, panel)], -1)
-            b = np.stack([e[i.ravel() + 1] for e, i in zip(edges, panel)], -1)
-            ones = np.ones(len(a))
-            parts.append((a, b, h * ones, (face - x[k]) * ones * (k == 0), ones * (k != 0)))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+            edges += [_edges_about_foot(lo[j] - c[j], hi[j] - c[j], h) for j in lateral]
+            panel = np.meshgrid(*[np.arange(len(ed) - 1) for ed in edges], indexing="ij")
+            a = np.stack([ed[i.ravel()] for ed, i in zip(edges, panel)], -1)
+            b = np.stack([ed[i.ravel() + 1] for ed, i in zip(edges, panel)], -1)
+            if scale is not None:
+                near = np.hypot(h, np.linalg.norm(np.maximum(np.maximum(a[:, 1:], -b[:, 1:]), 0.0), axis=-1))
+                halvings = np.maximum(np.ceil(np.log2(near / scale)), 0.0).astype(int)
+                tile = np.repeat(np.arange(len(a)), halvings + 1)
+                top = np.concatenate([2.0 ** (-e * np.arange(n, -1.0, -1.0)) for n in halvings])
+                a, b = a[tile], b[tile]
+                a[:, 0] = np.where(np.r_[True, tile[1:] != tile[:-1]], 0.0, top * 2.0**-e)
+                b[:, 0] = top
+            parts.append((a, b, np.full(len(a), k), np.full(len(a), face - c[k])))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _tile_sums(params, x1, e, tiles):
+def _tile_sums(params, x, c, e, tiles, f=None):
     """GL(2n) value, |GL(2n) - GL(n)| estimate and split axis of each tile.
 
-    The split axis is the one whose marginal has the largest top two
-    Legendre coefficients.
+    The kernel takes the true x; the nodes are y = c + u P, P = p - c, and
+    with delta = c - x, |y - x|^2 = u^2 (h^2 + |d|^2) + |delta|^2 +
+    2 u delta.P, each term >= 0 as c is the box point nearest x.  ``f``,
+    if given, multiplies the kernel at y; without it (the mass, whose apex
+    is x) delta is 0 and only y1 is formed.  The split axis is the one whose
+    marginal has the largest top two Legendre coefficients.
     """
     N = params.N
     nodes, w_high, w_low, modes, m = _tile_rule(N)
-    a, b, h, dp1_face, dp1_lateral = tiles
+    a, b, axis, offset = tiles
+    h = np.abs(offset)
     half = 0.5 * (b - a)
     z = (0.5 * (a + b))[:, None, :] + half[:, None, :] * nodes
     u = z[..., 0] ** (1.0 / e)
     d = z[..., 1:]
-    dp1 = dp1_face[:, None] + (dp1_lateral[:, None] * d[..., 0] if N > 1 else 0.0)
-    y1 = x1 + u * dp1
     r2 = u * u * (h[:, None] ** 2 + np.sum(d * d, axis=-1))
+    if f is None:  # the mass, apex at x (box_green_mass): only y1 is needed
+        dp1 = np.where((axis == 0)[:, None], offset[:, None], d[..., 0]) if N > 1 else offset[:, None]
+        y1 = c[0] + u * dp1
+    else:  # P on the face axis is the offset, on the other axes d in order
+        face = np.broadcast_to(offset[:, None, None], d.shape[:-1] + (1,))
+        j = np.arange(N)
+        column = np.where(j == axis[:, None], 0, j + (j < axis[:, None]))
+        P = np.take_along_axis(np.concatenate([face, d], axis=-1), column[:, None, :], axis=-1)
+        delta = c - x
+        r2 = r2 + (delta @ delta + 2.0 * u * (P @ delta))
+        y = c + u[..., None] * P
+        y1 = y[..., 0]
     live = y1 > 0.0
-    psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
+    psi = np.where(live, 4.0 * x[0] * y1 / r2, 0.0)
     # dy = h u^(N-1) du dd and du = u^(1-e)/e dv
     jac = (h * np.prod(half, axis=-1) / e)[:, None] * u ** (N - e)
-    f = np.where(live, _green_from_psi(params, r2, psi), 0.0) * jac
-    high = f @ w_high
-    grid = (f[:, : m**N] * w_high[: m**N]).reshape((len(a),) + (m,) * N)
+    g = np.where(live, _green_from_psi(params, r2, psi), 0.0) * jac
+    if f is not None:
+        g = g * f(y)
+    high = g @ w_high
+    grid = (g[:, : m**N] * w_high[: m**N]).reshape((len(a),) + (m,) * N)
     tails = [
         np.sum(np.abs(np.sum(grid, axis=tuple(i + 1 for i in range(N) if i != j)) @ modes), axis=-1)
         for j in range(N)
     ]
-    return high, np.abs(high - f @ w_low), np.argmax(np.stack(tails, -1), axis=-1)
+    return high, np.abs(high - g @ w_low), np.argmax(np.stack(tails, -1), axis=-1)
 
 
-def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = None):
-    """int over the box [lo, hi] of G_halfspace(x, y) dy, x in the closed box.
+def _box_integral(params, x, lo, hi, spec, f=None):
+    """(value, error) of int over the box [lo, hi], lo1 >= 0, of G(x, y) f(y) dy.
 
-    Duffy pyramid rule (M. G. Duffy, SIAM J. Numer. Anal. 19, 1982): the box
-    splits into one pyramid per face with its apex at x, y = x + u (p - x)
-    for p on the face, and u = v^(1/e) with e = 2s when N > 2s (e = 1
-    otherwise) removes the u^(2s-1) apex singularity.  Each pyramid is
-    tiled in (v, face) coordinates, graded toward the foot of the
-    perpendicular from x; every tile carries a GL(n)/GL(2n) error estimate
-    and the worst tiles are bisected along their roughest axis.  All tiles
-    of a pass go through one kernel call (chunked above ``_TILE_CHUNK``
-    nodes).  Returns a value whose summed estimate meets ``spec``, or
-    raises ``ToleranceNotMet`` carrying the estimate.
+    Duffy pyramids (M. G. Duffy, SIAM J. Numer. Anal. 19, 1982) with apex
+    c, the box point nearest x: one per face not holding c, y = c + u (p - c)
+    for p on the face, and u = v^(1/e), e = 2s when N > 2s (else 1), removes
+    the u^(2s-1) singularity of an apex at x.  A density's length scale is
+    unknown, so its tiles are also graded toward c, down to the smallest
+    nonzero face height or |x - c|.  Tiles above their share of the
+    tolerance are bisected along their roughest axis, a pass in one kernel
+    call.  A density that jumps inside the box converges slowly.  Raises
+    ``ToleranceNotMet`` (estimate and error) if the summed estimate misses
+    ``spec`` after ``spec.max_refinements`` passes.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
-    x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
-    if not (x.shape == lo.shape == hi.shape == (params.N,)):
-        raise ValueError("x, lo and hi need shape (N,)")
-    if np.any(lo >= hi):
-        raise ValueError("box needs lo < hi in every coordinate")
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("apex x must lie in the closed box")
     N, s = params.N, params.s
     e = 2.0 * s if N > 2.0 * s else 1.0
+    c = np.clip(x, lo, hi)
+    lengths = np.append(np.abs(np.concatenate([lo - c, hi - c])), np.linalg.norm(c - x))
+    scale = None if f is None else float(np.min(lengths[lengths > 0.0]))
     chunk = max(1, _TILE_CHUNK // len(_tile_rule(N)[0]))
 
     def evaluate(tiles):
         parts = [
-            _tile_sums(params, x[0], e, tuple(t[i : i + chunk] for t in tiles))
+            _tile_sums(params, x, c, e, tuple(t[i : i + chunk] for t in tiles), f)
             for i in range(0, len(tiles[0]), chunk)
         ]
-        return [np.concatenate(c) for c in zip(*parts)]
+        return [np.concatenate(p) for p in zip(*parts)]
 
-    tiles = _pyramid_tiles(x, lo, hi)
+    tiles = _pyramid_tiles(c, lo, hi, e, scale)
     vals, errs, axis = evaluate(tiles)
     for level in range(spec.max_refinements + 1):
         total, err = float(np.sum(vals)), float(np.sum(errs))
         tol = spec.tolerance(total)
         if err <= tol:
-            return total
+            return total, err
         if level == spec.max_refinements:
             break
         # bisect every tile above its share of the tolerance, along its roughest axis
@@ -855,33 +854,32 @@ def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = 
             np.concatenate([t[split], t[split]]) for t in tiles[2:]
         )
         new = evaluate(children)
-        tiles = tuple(np.concatenate([t[~split], c]) for t, c in zip(tiles, children))
+        tiles = tuple(np.concatenate([t[~split], child]) for t, child in zip(tiles, children))
         vals, errs, axis = (np.concatenate([old[~split], n]) for old, n in zip((vals, errs, axis), new))
     raise ToleranceNotMet(
-        f"box Green mass stalled at error {err:.3e} after {spec.max_refinements} refinements",
+        f"box integral stalled at error {err:.3e} after {spec.max_refinements} refinements",
         estimate=total,
         error=err,
     )
 
 
-def _halfspace_box_integral(params, f, x, lo, hi, spec):
-    """(value, error) of int over the box [lo, hi], lo1 >= 0, of G(x, y) f(y) dy."""
+def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = None):
+    """int over the box [lo, hi] of G_halfspace(x, y) dy, x in the closed box.
 
-    def spans(dirs):
-        t_lo, t_hi = (lo - x) / dirs, (hi - x) / dirs
-        return (
-            np.maximum(np.max(np.minimum(t_lo, t_hi), axis=1), 0.0),
-            np.min(np.maximum(t_lo, t_hi), axis=1),
-        )
-
-    def integrand(r, omega):
-        pts = x + r[:, None] * omega
-        live = (pts[:, 0] > 0.0) & (r > 0.0)
-        r2 = np.where(live, r * r, 1.0)
-        psi = np.where(live, 4.0 * x[0] * pts[:, 0] / r2, 0.0)
-        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(pts)
-
-    return _ray_integral(params, spans, integrand, spec)
+    The box engine (``_box_integral``) with its apex at x and no density;
+    raises ``ToleranceNotMet`` carrying the estimate and the error, and
+    ``ValueError`` unless x, lo, hi have shape (N,), lo < hi and x is in
+    the closed box.
+    """
+    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+    x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
+    if not (x.shape == lo.shape == hi.shape == (params.N,)):
+        raise ValueError("x, lo and hi need shape (N,)")
+    if np.any(lo >= hi):
+        raise ValueError("box needs lo < hi in every coordinate")
+    if np.any(x < lo) or np.any(x > hi):
+        raise ValueError("apex x must lie in the closed box")
+    return _box_integral(params, x, lo, hi, spec)[0]
 
 
 def halfspace_green_integral(
@@ -894,51 +892,41 @@ def halfspace_green_integral(
 ):
     """int over the half-space of G(x,y) f(y) dy, truncated to a box.
 
-    f must be nonnegative with either compact support or a decay tag; the
-    dropped tail is bracketed by the explicit kernel bound and reported in
-    the detailed result (tail_rigorous marks that the bound, not an
-    estimate, was used).  The box runs on the polar-ray engine
-    (``_ray_integral``) with vectorised box spans (t_in, t_out).  Its
-    error (final level panel error plus last angular level difference) is
-    reported as the detailed result's ``error`` but not enforced: the ray
-    integral kinks where rays pass a box corner and peaks toward a long
-    lateral side, so the angular sweep converges slowly and the value can
-    miss by far more than the requested tolerance.  Only a radial stall
-    raises ``ToleranceNotMet``.
+    Over ``box`` if given, else over the support of f or, for a decay tag,
+    a box holding |y| < L with the tail beyond bounded by the explicit
+    kernel bound.  ``detail=True`` returns the tile error, that tail bound
+    and ``tail_rigorous``: the dropped region lies in |y| >= L, so the
+    bound covers it.  x may lie outside the box; the box engine
+    (``_box_integral``) raises ``ToleranceNotMet``, carrying the estimate
+    and the error, when its error misses ``spec``.  Integrate a density
+    that jumps inside the box over the pieces where it is smooth.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
+    N, p = params.N, f.decay_exponent
+    decays = f.support_radius is None and f.bound is not None and p > params.s
+    tail, rigorous = 0.0, True
     if box is not None:
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-        tail = 0.0
-        rigorous = False
-        if f.support_radius is None and f.decay_exponent > params.s and f.bound is not None:
-            tail = _halfspace_tail_bound(
-                params, x, f.bound, f.decay_exponent, float(np.min(hi - lo)) * 0.5
-            )
-            rigorous = True
-    elif f.support_radius is not None:
-        S = float(f.support_radius)
-        lo = np.array([0.0] + [-S] * (params.N - 1))
-        hi = np.array([S] * 1 + [S] * (params.N - 1))
-        tail = 0.0
-        rigorous = True
+        lo, hi = (np.array(v, dtype=float) for v in box)
+        # the tail bound covers |y| >= L: rigorous if the box holds that half-ball
+        L = max(0.5 * float(np.min(hi - lo)), 2.0 * float(np.linalg.norm(x)) + 1e-9)
+        rigorous = decays and bool(lo[0] <= 0.0 and np.all(hi >= L) and np.all(lo[1:] <= -L))
+        if decays:
+            tail = _halfspace_tail_bound(params, x, f.bound, p, L)
     else:
-        if f.bound is None or f.decay_exponent <= params.s:
-            raise ValueError(
-                "half-space integral needs a support radius or decay exponent > s"
-            )
-        L = max(4.0, spec.tail_radius or 0.0, 4.0 * float(np.linalg.norm(x)))
-        while _halfspace_tail_bound(params, x, f.bound, f.decay_exponent, L) > 0.25 * spec.abs_tol and L < 1e12:
-            L *= 2.0
-        tail = _halfspace_tail_bound(params, x, f.bound, f.decay_exponent, L)
-        lo = np.array([0.0] + [-L] * (params.N - 1))
-        hi = np.array([L] * 1 + [L] * (params.N - 1))
-        rigorous = True
-
-    lo = lo.copy()
+        if f.support_radius is not None:
+            L = float(f.support_radius)
+        elif decays:
+            L = max(4.0, 4.0 * float(np.linalg.norm(x)))
+            while (tail := _halfspace_tail_bound(params, x, f.bound, p, L)) > 0.25 * spec.abs_tol and L < 1e12:
+                L *= 2.0
+        else:
+            raise ValueError("half-space integral needs a support radius or decay exponent > s")
+        lo, hi = np.array([0.0] + [-L] * (N - 1)), np.full(N, L)
     lo[0] = max(lo[0], 0.0)
-    value, err = _halfspace_box_integral(params, f, x, lo, hi, spec)
+    if np.any(lo >= hi):
+        raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
+    value, err = _box_integral(params, x, lo, hi, spec, f)
     if detail:
         return BoxIntegral(value=value, error=err, tail_bound=tail, tail_rigorous=rigorous)
     return value
@@ -955,19 +943,33 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
 
         int over R^(N-1) of G_N((x1, x'), (y1, y')) dy' = G_1(x1, y1),
 
-    with G_1 the half-line Green function of ``FracParams(1, s)``.  The
-    half-space is invariant under tangential translations, so the lateral
-    integral of G_N(x, .) is the Green function of the half-space problem
-    restricted to functions of x1 alone, on which the symbol |xi|^(2s)
-    acts as the one-dimensional |xi1|^(2s).  The slab is therefore the box
-    [0, lam] of the one-dimensional half-line, on the polar-ray engine.
-    ``x`` must have shape (N,).
+    with G_1 the half-line Green function of ``FracParams(1, s)``: the
+    half-space is invariant under tangential translations, and on functions
+    of x1 alone the symbol |xi|^(2s) acts as the one-dimensional
+    |xi1|^(2s).  So the slab is [0, lam] of the half-line: two rays from x1
+    on the ray engine, the one toward y1 = 0 ending in the weight y1^s
+    (G_1 is y1^s times an analytic function there).  ``x`` must have shape
+    (N,).  Raises ``ToleranceNotMet`` as ``ball_green_integral`` does.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
     x = np.asarray(x, dtype=float)
     if x.shape != (params.N,):
         raise ValueError("x needs shape (N,)")
-    if not (0.0 < x[0] < lam):
+    x1 = float(x[0])
+    if not (0.0 < x1 < lam):
         raise ValueError("strip_mass needs 0 < x1 < lam")
     line = FracParams(1, params.s)
-    return _halfspace_box_integral(line, constant_field(1.0), x[:1], np.zeros(1), np.array([lam]), spec)[0]
+
+    def exits(dirs):
+        up = dirs[:, 0] > 0.0
+        return np.where(up, lam - x1, x1), np.where(up, 0.0, params.s)
+
+    def integrand(r, omega):
+        y1 = x1 + r * omega[:, 0]
+        live = (y1 > 0.0) & (r > 0.0)
+        r2 = np.where(live, r * r, 1.0)
+        psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
+        return np.where(live, _green_from_psi(line, r2, psi), 0.0)
+
+    value, err = _ray_integral(line, exits, integrand, spec)
+    return _checked(value, err, spec, "strip mass")

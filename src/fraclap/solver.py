@@ -13,7 +13,6 @@ lateral axes; no M x M matrix is held.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,20 +141,6 @@ class GridFunction:
         lo = np.array([a[0] for a in self.axes])
         hi = np.array([a[-1] for a in self.axes])
         return lo, hi
-
-    def as_field(self) -> ScalarField:
-        lo, hi = self.hull()
-        radius = float(np.max(np.abs(np.concatenate([lo, hi])))) * math.sqrt(self.ndim)
-        bound = self.sup_norm()
-        if self.exterior_rule == "provided-field":
-            radius = None
-            bound = None
-        return ScalarField(
-            func=lambda pts: self.eval(pts),
-            smoothness="grid-sampled",
-            support_radius=radius,
-            bound=bound,
-        )
 
 
 @dataclass
@@ -296,8 +281,11 @@ def solve_halfspace_linear(
     grid,
     spec: QuadratureSpec | None = None,
     box=None,
+    node_errors: dict | None = None,
 ):
-    """u(x) = half-space Green integral of f at every grid node."""
+    """u(x) = half-space Green integral of f at every grid node; a node whose
+    integral misses its tolerance keeps the estimate and lands in
+    ``node_errors`` (index -> (value, error))."""
     spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
     axes = tuple(np.asarray(a, dtype=float) for a in grid)
     shape = tuple(len(a) for a in axes)
@@ -307,7 +295,12 @@ def solve_halfspace_linear(
     for i, x in enumerate(pts):
         if x[0] <= 0.0:
             continue
-        vals[i] = halfspace_green_integral(params, f, x, spec, box=box)
+        try:
+            vals[i] = halfspace_green_integral(params, f, x, spec, box=box)
+        except ToleranceNotMet as exc:
+            vals[i] = exc.estimate
+            if node_errors is not None:
+                node_errors[np.unravel_index(i, shape)] = (exc.estimate, exc.error)
     return GridFunction(
         domain=HalfSpace(), axes=axes, values=vals.reshape(shape), exterior_rule="zero"
     )

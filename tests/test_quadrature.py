@@ -441,23 +441,33 @@ class TestHalfspaceIntegral:
         )
         assert halfspace_green_integral(P2, zero, np.array([0.5, 0.0])) == 0.0
 
+    INDICATOR = ScalarField(
+        func=lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0),
+        smoothness="continuous",
+        support_radius=3.0,
+        bound=1.0,
+    )
+
     def test_positive_and_increasing_below_box_support(self):
         # source in a box above the evaluation points: moving up both
-        # shrinks |x-y| and grows 4 x1 y1, so the value strictly increases
-        f = ScalarField(
-            func=lambda p: np.where(
-                (p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0
-            ),
-            smoothness="continuous",
-            support_radius=3.0,
-            bound=1.0,
-        )
+        # shrinks |x-y| and grows 4 x1 y1, so the value strictly increases;
+        # the indicator's own box gives the integral over its support
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
         vals = [
-            halfspace_green_integral(P2, f, np.array([x1, 0.0]), spec) for x1 in (0.2, 0.5, 0.8)
+            halfspace_green_integral(P2, self.INDICATOR, np.array([x1, 0.0]), spec, box=([1.0, -1.0], [2.0, 1.0]))
+            for x1 in (0.2, 0.5, 0.8)
         ]
         assert vals[0] > 0.0
         assert vals[2] > vals[1] > vals[0]
+
+    def test_jump_inside_the_box_raises_with_estimate(self):
+        # over the support box [0, 3] x [-3, 3] the indicator jumps inside,
+        # which no tile rule resolves to 1e-6 in four passes
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=4)
+        with pytest.raises(ToleranceNotMet) as err:
+            halfspace_green_integral(P2, self.INDICATOR, np.array([0.2, 0.0]), spec)
+        assert err.value.estimate > 0.0
+        assert err.value.error > spec.tolerance(err.value.estimate)
 
     def test_detail_reports_tail(self):
         f = ScalarField(
@@ -478,25 +488,44 @@ class TestHalfspaceIntegral:
         with pytest.raises(ValueError):
             halfspace_green_integral(P2, f, np.array([0.5, 0.0]))
 
+    GAUSSIAN = ScalarField(
+        func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0
+    )
+
+    def test_tail_is_rigorous_only_when_the_box_holds_its_half_ball(self):
+        # the bound covers |y| >= max(min(hi - lo)/2, 2|x|)
+        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
+        x = np.array([1.5, 0.0])
+        whole = halfspace_green_integral(P2, self.GAUSSIAN, x, spec)
+        off = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([1.0, -1.0], [2.0, 1.0]), detail=True)
+        # the box misses the mass near the origin, far more than the bound
+        assert whole - off.value > 5.0 * off.tail_bound
+        assert not off.tail_rigorous
+        held = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([0.0, -4.0], [4.0, 4.0]), detail=True)
+        assert held.tail_rigorous
+        assert whole - held.value <= held.tail_bound + held.error + 1e-9
+        # the bound itself refuses a radius below 2|x|
+        with pytest.raises(ValueError):
+            quadrature._halfspace_tail_bound(P2, x, 1.0, 4.0, 2.9)
+
     def test_whole_box_reports_its_angular_error(self):
-        # the reported error must cover the miss against the
-        # nested-quadrature mass of TestBoxGreenMass
+        # the value must meet the nested-quadrature mass of TestBoxGreenMass,
+        # and the reported error cover its miss
         x, lo, hi, ref = TestBoxGreenMass.REFERENCES[3]
         res = halfspace_green_integral(
             P2, ONE, np.array(x), QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10), box=(lo, hi), detail=True
         )
+        assert abs(res.value / ref - 1.0) <= 1e-7
         assert res.error >= abs(res.value - ref)
 
-    # at s = 1/2 and N >= 2 the panel at x is one halving deep; N = 3 takes
-    # 3.6 s there and 10-14 s at s = 1/4, 3/4
     @pytest.mark.parametrize(
-        "params", [FracParams(N, s) for N in (1, 2) for s in (0.25, 0.5, 0.75)] + [P3],
+        "params", [FracParams(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.75)],
         ids=lambda p: f"N{p.N}-s{p.s:g}",
     )
     def test_point_outside_the_box(self, params):
         # x1 = 1.5 lies above the box y1 in [0, 1] but inside the boxes with
-        # y1 in [0, 2] and [1, 2], whose rays all start at x: their
-        # difference checks the rays that start on the box's face
+        # y1 in [0, 2] and [1, 2]: their difference checks the pyramids
+        # whose apex is the box point nearest x
         N = params.N
         x = np.array([1.5] + [0.0] * (N - 1))
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
@@ -507,6 +536,17 @@ class TestHalfspaceIntegral:
             for lo1, hi1 in ((0.0, 1.0), (0.0, 2.0), (1.0, 2.0))
         )
         assert below == pytest.approx(whole - above, rel=1e-6)
+
+    @pytest.mark.parametrize("params", [FracParams(2, 0.25), P2], ids=lambda p: f"N{p.N}-s{p.s:g}")
+    def test_point_just_outside_a_lateral_face(self, params):
+        # x2 = 1.001 is 1e-3 outside the face y2 = 1 of [0, 1] x [-1, 1]
+        x = np.array([0.5, 1.001])
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        outside, whole, beside = (
+            halfspace_green_integral(params, ONE, x, spec, box=([0.0, lo2], [1.0, hi2]))
+            for lo2, hi2 in ((-1.0, 1.0), (-1.0, 1.5), (1.0, 1.5))
+        )
+        assert outside == pytest.approx(whole - beside, rel=1e-6)
 
     def test_box_mass_positive(self):
         m = box_green_mass(P2, np.array([0.5, 0.0]), [0.0, -1.0], [1.0, 1.0])
@@ -592,7 +632,50 @@ class TestStripMass:
         check()
 
 
+TINY = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
+BUMP = ScalarField(func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0)
+HALF_PLANE = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0)
+# every public integrator: a call under a spec, and an independent reference value
+CONTRACT_CASES = {
+    "ball_green_integral": (
+        lambda spec: ball_green_integral(P2, 1.0, ONE, np.array([0.3, 0.1]), spec),
+        ball_closed_form(P2, [0.3, 0.1]),
+    ),
+    "exterior_poisson_integral": (
+        lambda spec: exterior_poisson_integral(P2, 1.0, HALF_PLANE, np.array([0.3, 0.05]), spec),
+        0.5219222853247635,  # nested scipy.integrate.quad in polar coordinates, epsrel 1e-13
+    ),
+    "frac_laplacian_point": (
+        lambda spec: frac_laplacian_point(P2, BUMP, np.zeros(2), spec),
+        2.0 * gamma(1.5),  # (-Delta)^(1/2) exp(-|x|^2) at 0
+    ),
+    "halfspace_green_integral": (
+        lambda spec: halfspace_green_integral(P2, ONE, np.array([0.05, -3.85]), spec, box=([0.05, -3.95], [3.95, 3.95])),
+        0.27791192714160856,  # TestBoxGreenMass.REFERENCES[3]
+    ),
+    "box_green_mass": (
+        lambda spec: box_green_mass(P2, np.array([1.05, -3.85]), [1.0, -3.9], [1.1, -3.8], spec),
+        0.05562742739603865,  # TestBoxGreenMass.REFERENCES[0]
+    ),
+    "strip_mass": (
+        lambda spec: strip_mass(P2, 1.0, np.array([0.5, 0.1]), spec),
+        0.7307080842481433,  # TestStripMass.HALF_LINE_REFERENCES[0.5][1]
+    ),
+}
+
+
 class TestToleranceHandling:
+    @pytest.mark.parametrize("name", list(CONTRACT_CASES))
+    def test_error_contract(self, name):
+        # with a tiny budget every integrator raises ToleranceNotMet with its
+        # best estimate and an error that covers the estimate's miss
+        call, ref = CONTRACT_CASES[name]
+        with pytest.raises(ToleranceNotMet) as err:
+            call(TINY)
+        estimate, error = err.value.estimate, err.value.error
+        assert estimate is not None and error is not None
+        assert abs(estimate - ref) <= error + 1e-12 * abs(ref)
+
     def test_impossible_budget_raises(self):
         wild = ScalarField(
             func=lambda p: np.cos(40.0 * p[..., 0]) / np.sqrt(np.abs(p[..., 0]) + 1e-14),
