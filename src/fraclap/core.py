@@ -261,9 +261,11 @@ def _gj(n, alpha=0.0, beta=0.0):
             _GJ_CACHE[key] = _gl(n)
         else:
             from scipy import special as _spec
-            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b
-            u = _spec.roots_jacobi(n, beta, alpha)[0]
-            dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
+            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b; at a + b = -1
+            # roots_jacobi divides by zero in a branch its np.where discards
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = _spec.roots_jacobi(n, beta, alpha)[0]
+                dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
             c = math.exp(
                 (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
                 + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)

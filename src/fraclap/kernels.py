@@ -160,9 +160,8 @@ def _raise_if_diagonal(live, d2):
 def green_ball(params: FracParams, R: float, x, y):
     """Green function of the ball B_R; zero if either point leaves the closed ball.
 
-    For N = 1 = 2s the explicit logarithmic formula is used (rescaled from
-    the unit ball); otherwise the kernel-integral form with
-    psi = (R^2-|x|^2)(R^2-|y|^2)/(R^2 |x-y|^2).
+    The kernel-integral form with psi = (R^2-|x|^2)(R^2-|y|^2)/(R^2 |x-y|^2)
+    (for N = 1 = 2s, ``_green_from_psi``'s log form).
     """
     x, y = _as_points(params, x, y)
     x2 = np.sum(x * x, axis=-1)
@@ -170,15 +169,6 @@ def green_ball(params: FracParams, R: float, x, y):
     d2 = _dist2(x, y)
     live = (x2 < R * R) & (y2 < R * R)
     _raise_if_diagonal(live, d2)
-    if params.regime is Regime.N_EQ_2S:
-        # G_R(x,y) = G_1(x/R, y/R), no radius prefactor since 2s = N
-        xt = x[..., 0] / R
-        yt = y[..., 0] / R
-        prod = np.where(live, (1.0 - xt * xt) * (1.0 - yt * yt), 1.0)
-        dist = np.where(live, np.abs(xt - yt), 1.0)
-        arg = (1.0 - xt * yt + np.sqrt(np.maximum(prod, 0.0))) / dist
-        out = np.where(live, np.log(np.maximum(arg, 1.0)) / np.pi, 0.0)
-        return float(out) if out.ndim == 0 else out
     d2safe = np.where(live, d2, 1.0)
     psi = np.where(live, (R * R - x2) * (R * R - y2) / (R * R * d2safe), 0.0)
     out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
@@ -235,12 +225,7 @@ def h_function(params: FracParams, r, t):
         raise ValueError("H(r,t) requires r > 0")
     if np.any(t < 0.0):
         raise ValueError("H(r,t) requires t >= 0")
-    s, N = params.s, params.N
-    if params.regime is Regime.N_EQ_2S:
-        out = np.arcsinh(np.sqrt(t / r)) / np.pi
-    else:
-        k = green_constant_k(params)
-        out = 0.5 * k * r ** (s - N / 2.0) * incomplete_kernel_integral(params, t / r)
+    out = _green_from_psi(params, r, t / r)
     return float(out) if np.ndim(out) == 0 else out
 
 

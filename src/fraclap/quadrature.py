@@ -1,34 +1,38 @@
 """Singular-integral quadrature: the pointwise fractional Laplacian, ball and
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
-Two engines integrate the Green kernels.  The polar-ray engine
-``_ray_integral`` serves the ball integral and the strip mass, whose rays
-all start at x: at each angular level of a sphere rule ``_adaptive_panels``
-integrates all (direction, radial panel) pairs in one array, a 16-point
-Gauss rule per panel checked against the 8-point one, the worst panels
-bisected against one summed tolerance.  A ray's end panels carry
-Gauss-Jacobi weights from the one rule table ``core._gj``: (r - a)^(2s-1)
-for the |x-y|^(2s-N) singularity at x, and (t_exit - r)^beta where the ray
-leaves the domain (beta = s at the sphere and at y1 = 0).  Levels double
-until two agree; the error is the final level's panel error plus the last
-level difference.  The box engine ``_box_integral`` serves every
-half-space box (``box_green_mass``, ``halfspace_green_integral``): Duffy
-pyramids with their apex at the box point nearest x, tiled and bisected
-against GL(n)/GL(2n) estimates.  ``exterior_poisson_integral`` takes the
-peak of its kernel |x - rho w|^(-N) out of the sphere rule: the kernel's
-angular mass is known in closed form, so only g(rho w) - g(rho x/|x|) is
-summed over directions.  ``frac_laplacian_point`` runs
-``_adaptive_panels`` and ``_angular_converge`` on the symmetrized second
-difference, with a Taylor stub at 0 and an exact-or-bounded tail.
+One radial engine, ``_adaptive_panels``, integrates every ray family: at
+each angular level of a sphere rule it takes all (direction, radial panel)
+pairs in one array, a 16-point Gauss rule per panel checked against the
+8-point one, the worst panels bisected against one summed tolerance.  A
+row's end panels carry Gauss-Jacobi weights from the one rule table
+``core._gj``.  The polar-ray integrals (``_ray_integral``: the ball
+integral and the strip mass) start every ray at x, with the weight
+(r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and (t_exit - r)^beta
+where the ray leaves the domain (beta = s at the sphere and at y1 = 0).
+``exterior_poisson_integral`` maps rho in [R, inf) to sigma = 1 - (R/rho)^2
+in [0, 1) with the weights sigma^(-s) and (1 - sigma)^(s-1), so the whole
+exterior is integrated without a truncation radius; its row 0 is the peak
+of the kernel |x - rho w|^(-N), whose angular mass is known in closed
+form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions.
+``frac_laplacian_point`` runs the engine on the symmetrized second
+difference, with a Taylor stub at 0 and an exact-or-bounded tail.  Levels
+double until two agree (``_angular_converge``); the error is the final
+level's panel error plus the last level difference.  The box engine
+``_box_integral`` serves every half-space box (``box_green_mass``,
+``halfspace_green_integral``): Duffy pyramids with their apex at the box
+point nearest x, tiled and bisected against GL(n)/GL(2n) estimates.
 ``strip_mass`` is [0, lam] of the one-dimensional half-line for every N.
 
 Every integrator returns a value with an error within its contract or
-raises ``ToleranceNotMet`` carrying the estimate and the error: the ray,
-exterior and fractional-Laplacian integrals when the error exceeds
-100 x tolerance, the box engine when its summed estimate misses the
-tolerance after ``max_refinements`` passes.  Batched evaluations take a
-bounded number of nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).
-Field callables must accept ``(..., N)`` arrays.
+raises ``ToleranceNotMet`` carrying the estimate and the error.  The panel
+engine never raises; ``_checked`` is its one raise site, for the ray,
+exterior and fractional-Laplacian integrals (and ``verify``'s reductions)
+when the error exceeds 100 x tolerance.  The box engine raises when its
+summed estimate misses the tolerance after ``max_refinements`` passes.
+Batched evaluations take a bounded number of nodes at a time
+(``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must accept ``(..., N)``
+arrays.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ import numpy as np
 from .core import (
     FracParams,
     _gj,
-    _gj_left,
     _gl,
     green_constant_k,
     normalization_a,
@@ -128,17 +131,6 @@ def constant_field(value: float, smoothness: str = "C2") -> ScalarField:
 # ---------------------------------------------------------------------------
 # panel engines
 
-def _panel_nodes(a, b, n):
-    x, w = _gl(n)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[..., None] + half[..., None] * x
-    weights = half[..., None] * w
-    return nodes, weights
-
-
 _RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule; bounds its arrays
 
 
@@ -158,9 +150,9 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
     direction's weight, and the panels above a quarter of the mean error
     are bisected until the summed error meets the spec; a bisected end
     panel passes its weight to the child that holds that end, and the
-    other child is a Gauss-Legendre panel.  Returns (value, error); raises
-    ``ToleranceNotMet`` if the error is still above 100 x tolerance after
-    ``spec.max_refinements`` passes.
+    other child is a Gauss-Legendre panel.  Returns (value, error) once
+    the error meets the spec or after ``spec.max_refinements`` passes; it
+    never raises, and the caller's ``_checked`` judges the error.
     """
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     weights = np.asarray(weights, dtype=float)
@@ -197,10 +189,9 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
 
     vals, errs = _eval(a, b, d, rule)
     for _ in range(spec.max_refinements):
-        total = float(np.sum(vals))
-        err = float(np.sum(errs))
+        total, err = float(np.sum(vals)), float(np.sum(errs))
         if err <= spec.tolerance(total):
-            return total, err
+            break
         # bisect every panel holding more than its share of the error
         split = errs >= max(0.25 * err / len(a), 1e-300)
         if not np.any(split):
@@ -218,13 +209,7 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
         a, b, d, rule = (np.concatenate([old[~split], new]) for old, new in zip((a, b, d, rule), children))
         vals = np.concatenate([vals[~split], nv])
         errs = np.concatenate([errs[~split], ne])
-    total = float(np.sum(vals))
-    err = float(np.sum(errs))
-    if err <= 100.0 * spec.tolerance(total):
-        return total, err
-    raise ToleranceNotMet(
-        f"adaptive quadrature stalled at error {err:.3e}", estimate=total, error=err
-    )
+    return float(np.sum(vals)), float(np.sum(errs))
 
 
 def _graded_edges(depth, n_coarse=6):
@@ -324,8 +309,8 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     Raises ``ValueError`` for a field not tagged C2, or one with neither a
     support radius nor a decay exponent and bound.  Raises
     ``ToleranceNotMet``, carrying the estimate and the error, when the
-    panels stall or when the error (the final level's panel error plus the
-    last level difference plus the tail bound) exceeds 100 x tolerance.
+    error (the final level's panel error plus the last level difference
+    plus the tail bound) exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
     if u.smoothness != "C2":
@@ -373,14 +358,10 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
         c2 = (f1 - f2) / (0.75 * r0**2)
         c1 = f1 - c2 * r0**2
         stub = c1 * r0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * r0 ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-        outer = float(wts @ stub) + shell * tail
-        try:
-            mid, err = _adaptive_panels(
-                lambda r, d: d2(r, d) * r ** (-1.0 - 2.0 * s), np.tile(edges, (len(dirs), 1)), spec, wts
-            )
-        except ToleranceNotMet as exc:
-            raise ToleranceNotMet(str(exc), estimate=outer + exc.estimate, error=exc.error) from exc
-        return outer + mid, err
+        mid, err = _adaptive_panels(
+            lambda r, d: d2(r, d) * r ** (-1.0 - 2.0 * s), np.tile(edges, (len(dirs), 1)), spec, wts
+        )
+        return float(wts @ stub) + shell * tail + mid, err
 
     def levels(r_far):
         return _angular_converge(lambda m: run_level(m, r_far), spec, 4 if N == 2 else 2, 5 if N > 1 else 0)
@@ -412,10 +393,13 @@ def getoor_field(params: FracParams) -> ScalarField:
 
 def _angular_converge(run_level, spec, start, max_doublings):
     """Run ``run_level(m) -> (value, error)`` at doubling angular resolutions
-    until two levels agree to 10 x tolerance.
+    until two levels agree to 10 x tolerance, or a doubled level's own
+    error exceeds 100 x tolerance (its panels stalled; a finer level would
+    not mend that).
 
     Returns the last value and its error: the last level's own error plus
-    its difference from the level before.
+    its difference from the level before.  Never raises; the caller's
+    ``_checked`` does.
     """
     value, err = run_level(start)
     diff = 0.0
@@ -424,14 +408,18 @@ def _angular_converge(run_level, spec, start, max_doublings):
         prev = value
         value, err = run_level(start)
         diff = abs(value - prev)
-        if diff <= 10.0 * spec.tolerance(value):
+        if diff <= 10.0 * spec.tolerance(value) or err > 100.0 * spec.tolerance(value):
             break
     return value, err + diff
 
 
 def _checked(value, err, spec, what):
-    """``value``, unless ``err`` exceeds 100 x tolerance: then ``ToleranceNotMet``."""
-    if err > 100.0 * spec.tolerance(value) + 1e-9:
+    """``value``, unless ``err`` exceeds 100 x tolerance: then ``ToleranceNotMet``.
+
+    The one raise site of the panel integrals (ray, exterior, fractional
+    Laplacian and the ``verify`` reductions).
+    """
+    if err > 100.0 * spec.tolerance(value):
         raise ToleranceNotMet(f"{what} error {err:.2e} exceeds tolerance", estimate=value, error=err)
     return value
 
@@ -518,27 +506,31 @@ def exterior_poisson_integral(
 ):
     """int_{|y|>R} Poisson_R(x, y) g(y) dy for x inside B_R.
 
-    One fixed radial rule serves every direction of an angular level: a
-    Gauss-Jacobi panel on [R, R + d] with the (rho-R)^(-s) factor taken as
-    the weight (it factors exactly out of (rho^2-R^2)^(-s)), geometric
-    Gauss-Legendre panels out to a truncation radius, and a kernel-bound
-    tail below tolerance.  At each radial node the kernel's angular mass is
-    exact (the normalisation of the Poisson kernel, for every N):
+    The radius maps to sigma = 1 - (R/rho)^2 in [0, 1), which takes the
+    whole exterior with no truncation radius:
+
+        rho^(N-1) (rho^2 - R^2)^(-s) drho = (R^(N-2s)/2) sigma^(-s) (1 - sigma)^(s-1-N/2) dsigma.
+
+    The kernel's angular mass is exact (the normalisation of the Poisson
+    kernel, for every N):
 
         int over S^(N-1) of |x - rho w|^(-N) dw = |S^(N-1)| rho^(2-N) / (rho^2 - |x|^2),
 
-    so the node takes g(rho x^) times that mass, x^ = x/|x| (e_1 at x = 0),
-    and the sphere rule integrates only |x - rho w|^(-N) (g(rho w) -
-    g(rho x^)).  The kernel peaks toward x^ with width about R - |x|, which
-    a uniform rule resolves only at high levels; the remainder vanishes
-    there.  For radial data it vanishes everywhere, and the levels differ
-    only through the radial rule, which grows with m; for constant and
-    1/(1 + |y|^2) data at N = 1, 2, 3, up to |x| = 0.99 R, the first two
-    levels already agree and the rule stops at m = 32.  The directions
-    are evaluated together, at most ``_RAY_CHUNK`` nodes at a time, and a
-    chunk whose remainder is exactly zero skips the kernel.  The
-    error (last angular level difference plus the tail bound) above
-    100 x tolerance raises ``ToleranceNotMet`` carrying the estimate.
+    so row 0 of one ``_adaptive_panels`` call integrates g(rho x^) times
+    that mass, x^ = x/|x| (e_1 at x = 0), and the rows of a sphere rule
+    integrate only |x - rho w|^(-N) (g(rho w) - g(rho x^)); a chunk whose
+    remainder is exactly zero (radial data) skips the kernel.  Both decay
+    like rho^(-N) = R^(-N) (1 - sigma)^(N/2), so every row is
+    sigma^(-s) (1 - sigma)^(s-1) times a function smooth at both ends for
+    data smooth in 1/|y|^2 at infinity, and both ends are Gauss-Jacobi
+    weights.  Data that is not (a jump, slow or oscillating decay) makes
+    the panels bisect or the call raise; it is never truncated.  The sigma
+    edges halve from 1/2 down to 2 (R - |x|)/R, the kernel's boundary layer
+    R - |x| (sigma ~ 2 (rho - R)/R there).  Angular levels double from
+    m = 16 (``_angular_converge``); N = 1 runs one level, its two
+    directions being exact.  Raises ``ValueError`` for data without a
+    ``bound`` and ``ToleranceNotMet``, carrying the estimate and the error,
+    when the error exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
@@ -548,79 +540,35 @@ def exterior_poisson_integral(
         raise ValueError("evaluation point must lie inside the ball")
     if g.bound is None:
         raise ValueError("exterior data needs a bound (weighted integrability tag)")
-    C = poisson_constant_C(params)
-    pref = C * (R * R - x2) ** s
-    p = max(g.decay_exponent, 0.0)
-    surface = sphere_surface(N)
     axis = x / math.sqrt(x2) if x2 > 0.0 else np.eye(N)[0]
-
-    # truncation radius: remaining tail below tolerance
-    if g.support_radius is not None:
-        L = max(2.0 * R, g.support_radius)
-        tail_bound = 0.0
-    else:
-        L = 4.0 * R
-
-        def bound_at(LL):
-            geom = (1.0 - math.sqrt(x2) / LL) ** (-N) * (1.0 - (R / LL) ** 2) ** (-s)
-            return (
-                pref
-                * g.bound
-                * surface
-                * geom
-                * (1.0 + LL) ** (-p)
-                * LL ** (-2.0 * s)
-                / (2.0 * s + p)
-            )
-
-        while bound_at(L) > 0.25 * spec.abs_tol and L < 1e30:
-            L *= 2.0
-        tail_bound = bound_at(L)
-
-    # near-boundary evaluation points need the (rho - R) boundary layer at
-    # the scale of their distance to the sphere
-    layer = max(R - math.sqrt(x2), 1e-12 * R)
+    layer = max(2.0 * (1.0 - math.sqrt(x2) / R), 1e-12)
+    halvings = max(0, math.ceil(math.log2(0.5 / layer)))
+    edges = np.concatenate([[0.0], layer * 2.0 ** np.arange(halvings), [0.5, 0.75, 1.0]])
+    # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
+    # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
+    # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
+    scale = 0.5 * poisson_constant_C(params) * (1.0 - x2 / (R * R)) ** s
+    peak = sphere_surface(N) * R * R
 
     def run_level(m):
-        dirs, wts = _sphere_rule(N, m, antipodal=False)
-        n_j = min(16 + m, 96)
-        n_gl = min(8 + m // 4, 24)
-        u_j, w_j = _gj_left(n_j, s)
-        # Jacobi panel [R, R + d]: rho = R + (d/2)(1+u), weight (rho-R)^(-s)
-        d0 = min(layer, R)
-        rho_j = R + 0.5 * d0 * (1.0 + u_j)
+        dirs, wts = _sphere_rule(N, m)
+        rows = np.concatenate([axis[None, :], dirs])
 
-        # geometrically growing panels [R + d, 2R], then [2R, L]
-        inner_edges = [R + d0]
-        while inner_edges[-1] < 2.0 * R:
-            inner_edges.append(min(R + 2.0 * (inner_edges[-1] - R), 2.0 * R))
-        n_pan = max(3, int(math.ceil(math.log2(L / (2.0 * R)))) + 1)
-        outer = 2.0 * R * (L / (2.0 * R)) ** (np.linspace(0.0, 1.0, n_pan + 1))
-        edges = np.unique(np.concatenate([inner_edges, outer]))
-        gl_nodes, gl_wts = _panel_nodes(edges[:-1], edges[1:], n_gl)
-        rho_g = gl_nodes.ravel()
+        def integrand(sigma, d):
+            t = np.sqrt(1.0 - sigma)  # R / rho
+            g_axis = np.asarray(g(axis * (R / t)[:, None]), dtype=float)
+            out = np.where(d == 0, peak * g_axis / (R * R - x2 + x2 * sigma), 0.0)
+            rest = np.asarray(g(rows[d] * (R / t)[:, None]), dtype=float) - g_axis
+            if np.any(rest[d > 0]):  # a zero remainder (radial data) adds exactly 0.0
+                kernel = np.sum((rows[d] - x * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
+                out = np.where(d == 0, out, kernel * rest)
+            return sigma**-s * (1.0 - sigma) ** (s - 1.0) * out
 
-        # one radial rule for every direction, (rho^2 - R^2)^(-s) rho^(N-1) in its weights
-        rho = np.concatenate([rho_j, rho_g])
-        w_rho = np.concatenate([
-            (0.5 * d0) ** (1.0 - s) * w_j * (rho_j + R) ** (-s),
-            gl_wts.ravel() * (rho_g * rho_g - R * R) ** (-s),
-        ]) * rho ** (N - 1.0)
-        # the peak g(rho x^) times the kernel's exact angular mass, then the
-        # sphere rule on the remainder |x - rho w|^(-N) (g(rho w) - g(rho x^))
-        g_axis = np.asarray(g(rho[:, None] * axis), dtype=float)
-        total = float(w_rho @ (g_axis * surface * rho ** (2.0 - N) / (rho * rho - x2)))
-        step = max(1, _RAY_CHUNK // len(rho))
-        for i in range(0, len(dirs), step):
-            pts = rho[:, None] * dirs[i : i + step, None, :]
-            rest = np.asarray(g(pts), dtype=float) - g_axis
-            if np.any(rest):  # a zero remainder (radial data) adds exactly 0.0
-                kernel = np.sum((x - pts) ** 2, axis=-1) ** (-N / 2.0)
-                total += float(wts[i : i + step] @ ((kernel * rest) @ w_rho))
-        return pref * total, 0.0  # the fixed radial rule has no error estimate of its own
+        weights = scale * np.concatenate([[1.0], wts])
+        return _adaptive_panels(integrand, np.tile(edges, (len(rows), 1)), spec, weights, ends=(-s, s - 1.0))
 
-    value, err = _angular_converge(run_level, spec, 16, 6)
-    return _checked(value, err + tail_bound, spec, "exterior integral")
+    value, err = _angular_converge(run_level, spec, 16, 6 if N > 1 else 0)
+    return _checked(value, err, spec, "exterior integral")
 
 
 def poisson_extension_field(

@@ -137,11 +137,6 @@ class GridFunction:
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
 
-    def hull(self):
-        lo = np.array([a[0] for a in self.axes])
-        hi = np.array([a[-1] for a in self.axes])
-        return lo, hi
-
 
 @dataclass
 class SolveReport:
@@ -449,13 +444,13 @@ def picard_semilinear(
     params: FracParams,
     f: Nonlinearity,
     u0: GridFunction,
-    box=None,
     max_iter: int = 200,
     spec: QuadratureSpec | None = None,
     operator: PicardOperator | None = None,
     seed: int | None = None,
 ):
-    """Iterate u_{k+1}(x) = int_box G(x,y) f(u_k(y)) dy on u0's grid.
+    """Iterate u_{k+1}(x) = int_box G(x,y) f(u_k(y)) dy on u0's grid, the box
+    being the grid hull.
 
     Stops when the residual drops below 1e-6 (1 + sup u_k) (converged;
     "converged-to-zero" when the final sup is below 1e-6), the sup norm
@@ -467,10 +462,6 @@ def picard_semilinear(
     if not (f.nonnegative and f.nondecreasing):
         raise ValueError("Picard iteration needs a nonnegative nondecreasing nonlinearity")
     f.validate(max(u0.sup_norm() * 2.0, 1.0))
-    if box is not None:
-        lo, hi = u0.hull()
-        if not (np.allclose(box[0], lo) and np.allclose(box[1], hi)):
-            raise ValueError("box must coincide with the grid hull of u0")
     op = operator or PicardOperator(params, u0.axes, spec)
     u = u0.values.copy()
     sup_norms = []

@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import (
     FracParams,
+    _gj_left,
+    _gl,
     critical_exponents,
     dimension_reduction_ratio,
     green_constant_k,
@@ -35,8 +37,7 @@ from .quadrature import (
     QuadratureSpec,
     ScalarField,
     _adaptive_panels,
-    _gj_left,
-    _panel_nodes,
+    _checked,
     _sphere_rule,
     ball_green_integral,
     constant_field,
@@ -367,6 +368,13 @@ def check_boundary_estimate(param_list=None, seed=42):
     )
 
 
+def _panel_nodes(a, b, n):
+    """GL(n) nodes and weights on the panels [a, b] (arrays of panel ends)."""
+    x, w = _gl(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
 def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = None):
     """T(x1) = int over the half-space minus B_1^+ of |y-x|^(-N) (|y|^2-2y1)^(-s) dy
     for x = (x1, 0, ..., 0); reduced to (y1, lateral radius) coordinates."""
@@ -378,7 +386,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
             return np.abs(y - x1) ** (-1.0) * ((y - 1.0) ** 2 - 1.0) ** (-s)
 
         edges = 2.0 + np.concatenate([[0.0], np.logspace(-10, 0, 28), 2.0 ** np.arange(1.0, 40.0)])
-        val, _ = _adaptive_panels(lambda y, d: f(y), edges, spec)
+        val = _checked(*_adaptive_panels(lambda y, d: f(y), edges, spec), spec, "decay integral")
         tailc = f(np.array([edges[-1]]))[0] * edges[-1] ** (1.0 + 2.0 * s)
         return val + tailc * edges[-1] ** (-2.0 * s) / (2.0 * s)
 
@@ -457,7 +465,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
         [2.0],
         2.0 * 2.0 ** np.arange(0.0, 11.0),
     ]))
-    val, _ = _adaptive_panels(lambda y1, d: inner(y1), edges, spec)
+    val = _checked(*_adaptive_panels(lambda y1, d: inner(y1), edges, spec), spec, "decay integral")
     y_far = edges[-1]
     c_far = inner(np.array([y_far]))[0] * y_far ** (1.0 + 2.0 * s)
     tail = c_far * y_far ** (-2.0 * s) / (2.0 * s)
@@ -629,8 +637,7 @@ def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
             sphere_avg += w * np.asarray(u(pts), dtype=float)
         return gamma * m ** (N - 1.0) * sphere_avg
 
-    val, _ = _adaptive_panels(lambda m, d: radial_integrand(m), edges, spec)
-    return val
+    return _checked(*_adaptive_panels(lambda m, d: radial_integrand(m), edges, spec), spec, "mean-value convolution")
 
 
 def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, seed=42):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -301,6 +302,9 @@ class TestBallGreenIntegral:
 
 class TestEndRules:
     EXPONENTS = (-0.5, 0.0, 0.25, 0.5, 0.75)
+    # (beta, alpha): every pair of EXPONENTS, and the exterior integral's
+    # sigma^(-s) (1 - sigma)^(s-1), whose alpha + beta = -1 (s = 1/2 is a pair above)
+    PAIRS = list(itertools.product(EXPONENTS, repeat=2)) + [(s - 1.0, -s) for s in (0.25, 0.75)]
 
     @staticmethod
     def _moment(alpha, beta, k):
@@ -313,8 +317,7 @@ class TestEndRules:
             ))
 
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("alpha", EXPONENTS)
-    @pytest.mark.parametrize("beta", EXPONENTS)
+    @pytest.mark.parametrize("beta, alpha", PAIRS)
     def test_weighted_moments(self, n, alpha, beta):
         # the weight is divided out of the stored weights, so the rule sums the whole integrand
         u, w = core._gj(n, alpha, beta)
@@ -358,7 +361,23 @@ class TestExteriorPoisson:
             (FracParams(1, 0.75), [-0.4]),
         ]:
             v = exterior_poisson_integral(params, 1.0, ONE, np.array(x), spec)
-            assert v == pytest.approx(1.0, abs=1e-8), (params, x)
+            assert v == pytest.approx(1.0, abs=1e-13), (params, x)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_ring_data(self, N):
+        # g = 1{|y| < 1.5} jumps along the ray; at x = 0 and s = 1/2 the
+        # integral is (2/pi) acos(R/1.5); a value off by more than the
+        # tolerance must come with a ToleranceNotMet whose error covers it
+        ring = ScalarField(
+            func=lambda p: np.where(np.sum(p * p, axis=-1) < 2.25, 1.0, 0.0), smoothness="continuous", bound=1.0
+        )
+        ref = 2.0 / math.pi * math.acos(2.0 / 3.0)
+        try:
+            v = exterior_poisson_integral(FracParams(N, 0.5), 1.0, ring, np.zeros(N))
+        except ToleranceNotMet as err:
+            assert abs(err.estimate - ref) <= err.error
+        else:
+            assert v == pytest.approx(ref, rel=1e-8)
 
     def test_zero_data(self):
         assert exterior_poisson_integral(P2, 1.0, ZERO, np.array([0.1, 0.0])) == 0.0
