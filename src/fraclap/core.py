@@ -4,7 +4,7 @@ Everything here is a closed-form function of the dimension N and the
 fractional order s in (0,1).  The three kernel regimes (N above, equal to,
 or below 2s) are decided once at parameter construction and drive branch
 selection in the kernel modules.  The Gauss-Legendre and Gauss-Jacobi rule
-table (``_gl``, ``_gj``, ``_gj_left``) lives here so that ``kernels`` and
+table (``_gl``, ``_gj``) lives here so that ``kernels`` and
 ``quadrature`` share it.
 
 ``scipy.special`` is imported inside the functions that call it, so it
@@ -200,16 +200,9 @@ class CriticalExponents:
     halfspace: float | None
     fullspace: float | None
 
-    @staticmethod
-    def _subcritical(q: float, bound: float | None) -> bool:
-        return True if bound is None else q < bound
-
     def halfspace_subcritical(self, q: float) -> bool:
         """True when q > 1 falls in the half-space nonexistence range."""
-        return q > 1.0 and self._subcritical(q, self.halfspace)
-
-    def fullspace_subcritical(self, q: float) -> bool:
-        return q > 0.0 and self._subcritical(q, self.fullspace)
+        return q > 1.0 and (self.halfspace is None or q < self.halfspace)
 
 
 def critical_exponents(params: FracParams) -> CriticalExponents:
@@ -273,8 +266,3 @@ def _gj(n, alpha=0.0, beta=0.0):
             _GJ_CACHE[key] = (u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp))
     return _GJ_CACHE[key]
 
-
-def _gj_left(n, sigma):
-    """Nodes/weights for int_{-1}^{1} (1+u)^(-sigma) g(u) du (singular at -1)."""
-    u, w = _gj(n, -sigma)
-    return u, w * (1.0 + u) ** (-sigma)

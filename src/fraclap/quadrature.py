@@ -68,7 +68,7 @@ __all__ = [
     "strip_mass",
 ]
 
-_SMOOTHNESS = ("C2", "continuous", "grid-sampled")
+_SMOOTHNESS = ("C2", "continuous")
 
 
 class ToleranceNotMet(ArithmeticError):

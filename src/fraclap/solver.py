@@ -144,8 +144,6 @@ class SolveReport:
     sup_norms: list
     residual: float
     verdict: str
-    truncation: tuple | None = None
-    seed: int | None = None
 
     VERDICTS = ("converged-to-zero", "converged-nonzero", "diverged", "budget-exhausted")
 
@@ -165,7 +163,6 @@ class Nonlinearity:
     nondecreasing: bool = True
     lipschitz_const: float | None = None
     zero_derivative_at_zero: bool = False
-    name: str = "custom"
 
     def __call__(self, t):
         return self.func(np.asarray(t, dtype=float))
@@ -180,7 +177,6 @@ class Nonlinearity:
             nondecreasing=True,
             lipschitz_const=None,
             zero_derivative_at_zero=q > 1.0,
-            name=f"power({q:g})",
         )
 
     @classmethod
@@ -191,7 +187,6 @@ class Nonlinearity:
             nondecreasing=True,
             lipschitz_const=0.0,
             zero_derivative_at_zero=True,
-            name="zero",
         )
 
     def lipschitz_on(self, M: float, samples: int = 513):
@@ -447,7 +442,6 @@ def picard_semilinear(
     max_iter: int = 200,
     spec: QuadratureSpec | None = None,
     operator: PicardOperator | None = None,
-    seed: int | None = None,
 ):
     """Iterate u_{k+1}(x) = int_box G(x,y) f(u_k(y)) dy on u0's grid, the box
     being the grid hull.
@@ -487,8 +481,6 @@ def picard_semilinear(
         sup_norms=sup_norms,
         residual=residual,
         verdict=verdict,
-        truncation=tuple(map(tuple, op.box)),
-        seed=seed,
     )
     return gf, report
 

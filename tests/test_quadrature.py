@@ -325,10 +325,6 @@ class TestEndRules:
             got = float(w @ ((1.0 + u) ** alpha * (1.0 - u) ** beta * u**k))
             assert abs(got - self._moment(alpha, beta, k)) <= 1e-13
 
-    def test_gj_left_keeps_the_weight(self):
-        u, w = core._gj_left(16, 0.3)
-        assert float(np.sum(w)) == pytest.approx(2.0**0.7 / 0.7, rel=1e-14)
-
     def test_both_ends_weighted_under_bisection(self):
         # r^(-1/2) (1 - r)^(1/4) cos(20 r) on [0, 1]: one panel weighted at both
         # ends, which GJ8 cannot resolve, so the ends pass to the children

@@ -3,6 +3,7 @@ import pytest
 
 from fraclap import verify
 from fraclap.core import FracParams
+from fraclap.quadrature import QuadratureSpec, ToleranceNotMet
 
 # Picard verdicts of the angular-sweep self-cells this rule replaced: the
 # corrected diagonal must leave every verdict and the pass state unchanged
@@ -117,7 +118,6 @@ def test_reflection_inequalities_pass_without_violations():
     )
 
 
-@pytest.mark.slow
 def test_decay_regimes_pass_with_seed_slopes():
     rep = verify.run_check("decay-regimes")
     assert rep.passed
@@ -125,6 +125,55 @@ def test_decay_regimes_pass_with_seed_slopes():
         {"slope_s0.25": -0.0020849, "log_ratio_drift_s0.5": 0.051075, "slope_s0.75": -0.50204},
         abs=1e-6,
     )
+
+
+def _decay_reference_n1(x1, s):
+    """T(x1) at N = 1: int_{y > 2} (y - x1)^(-1) ((y - 1)^2 - 1)^(-s) dy, by mpmath
+    with y = 2 + v^(1/(1-s)), which makes the integrand smooth at y = 2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        s, x1 = mp.mpf(s), mp.mpf(x1)
+
+        def f(v):
+            y = 2 + v ** (1 / (1 - s))
+            return y**-s / ((y - x1) * (1 - s))
+
+        return float(mp.quad(f, [0, 1, mp.inf]))
+
+
+# T(1/4) by nested quad in polar coordinates about e1 (no reduction to the cap)
+DECAY_FROZEN = {
+    (2, 0.25): 8.132760332524, (2, 0.5): 7.775238462761, (2, 0.75): 17.19320717922,
+    (3, 0.25): 18.32542634827, (3, 0.5): 18.47924984772, (3, 0.75): 39.77082928823,
+}
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("x1", [0.25, 2.0**-16])
+def test_decay_integral_matches_mpmath_on_the_line(x1, s):
+    ref = _decay_reference_n1(x1, s)
+    assert verify.decay_integral(FracParams(1, s), x1) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("N, s", sorted(DECAY_FROZEN))
+def test_decay_integral_matches_polar_references(N, s):
+    assert verify.decay_integral(FracParams(N, s), 0.25) == pytest.approx(DECAY_FROZEN[N, s], rel=1e-8)
+
+
+def test_decay_integral_rejects_unsupported_input():
+    with pytest.raises(ValueError):
+        verify.decay_integral(FracParams(4, 0.5), 0.25)
+    # x outside B_1(e1) puts the kernel's singularity inside the domain
+    with pytest.raises(ValueError):
+        verify.decay_integral(FracParams(2, 0.5), 2.5)
+
+
+def test_decay_integral_error_covers_its_miss_when_it_raises():
+    # one pass leaves N = 2 about 4e-4 off; N = 1 and 3 are exact to reference precision by then
+    spec = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
+    with pytest.raises(ToleranceNotMet) as err:
+        verify.decay_integral(FracParams(2, 0.5), 0.25, spec)
+    assert err.value.error >= abs(err.value.estimate - DECAY_FROZEN[(2, 0.5)])
 
 
 @pytest.mark.slow
