@@ -2,14 +2,19 @@
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
 One radial engine, ``_adaptive_panels``, integrates every ray family: at
-each angular level of a sphere rule it takes all (direction, radial panel)
-pairs in one array, a 16-point Gauss rule per panel checked against the
-8-point one, the worst panels bisected against one summed tolerance.  A
-row's end panels carry Gauss-Jacobi weights from the one rule table
-``core._gj``.  The polar-ray integrals (``_ray_integral``: the ball
-integral and the strip mass) start every ray at x, with the weight
-(r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and (t_exit - r)^beta
-where the ray leaves the domain (beta = s at the sphere and at y1 = 0).
+each angular level of a sphere rule it takes all (point, direction, radial
+panel) triples of a block of evaluation points in one array, a 16-point
+Gauss rule per panel checked against the 8-point one.  Every point has its
+own tolerance (``spec.tolerance`` of its own value) and its own
+refinement: its worst panels are bisected only while its own summed error
+exceeds that tolerance, and its sums run over its own panels in the order
+a call for it alone would hold them, so a point's value and error do not
+depend on the points batched with it.  A row's end panels carry
+Gauss-Jacobi weights from the one rule table ``core._gj``.  The polar-ray
+integrals (``_ray_integral``: the ball integral and the strip mass) start
+every ray at x, with the weight (r - a)^(2s-1) for the |x-y|^(2s-N)
+singularity there and (t_exit - r)^beta where the ray leaves the domain
+(beta = s at the sphere and at y1 = 0).
 ``exterior_poisson_integral`` maps rho in [R, inf) to sigma = 1 - (R/rho)^2
 in [0, 1) with the weights sigma^(-s) and (1 - sigma)^(s-1), so the whole
 exterior is integrated without a truncation radius; its row 0 is the peak
@@ -17,8 +22,11 @@ of the kernel |x - rho w|^(-N), whose angular mass is known in closed
 form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions.
 ``frac_laplacian_point`` runs the engine on the symmetrized second
 difference, with a Taylor stub at 0 and an exact-or-bounded tail.  Levels
-double until two agree (``_angular_converge``); the error is the final
-level's panel error plus the last level difference.  The box engine
+double until two agree (``_angular_converge``), point by point: a point
+that converges, or whose level error stalls above 100 x tolerance, retires
+while the others go on, and a level runs its live points in blocks of
+about ``_RAY_CHUNK`` panels.  A point's error is its final level's panel
+error plus its last level difference.  The box engine
 ``_box_integral`` serves every half-space box (``box_green_mass``,
 ``halfspace_green_integral``): Duffy pyramids with their apex at the box
 point nearest x, tiled and bisected against GL(n)/GL(2n) estimates.
@@ -28,11 +36,17 @@ Every integrator returns a value with an error within its contract or
 raises ``ToleranceNotMet`` carrying the estimate and the error.  The panel
 engine never raises; ``_checked`` is its one raise site, for the ray,
 exterior and fractional-Laplacian integrals (and ``verify``'s reductions)
-when the error exceeds 100 x tolerance.  The box engine raises when its
-summed estimate misses the tolerance after ``max_refinements`` passes.
-Batched evaluations take a bounded number of nodes at a time
-(``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must accept ``(..., N)``
-arrays.
+when the error exceeds 100 x tolerance.  The batch error contract: the
+ball and exterior integrals have private batch forms
+(``_ball_green_batch``, ``_exterior_poisson_batch``) that return arrays of
+values and errors and raise for no missed tolerance; the public functions
+are their one-point calls through ``_checked``, ``solve_ball_dirichlet``
+flags the nodes ``_misses`` marks, and ``poisson_extension_field`` raises
+what the one-point call of its first such point would.  The box engine
+raises when its summed estimate misses the tolerance after
+``max_refinements`` passes.  Batched evaluations take a bounded number of
+nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must
+accept ``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -93,7 +107,7 @@ class QuadratureSpec:
             raise ValueError("max_refinements must be >= 1")
 
     def tolerance(self, scale=1.0):
-        return max(self.abs_tol, self.rel_tol * abs(scale))
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(scale))
 
 
 @dataclass(frozen=True)
@@ -131,40 +145,57 @@ def constant_field(value: float, smoothness: str = "C2") -> ScalarField:
 # ---------------------------------------------------------------------------
 # panel engines
 
-_RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule; bounds its arrays
+_RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule, initial panels per block of points
 
 
-def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), n_low=8, n_high=16):
-    """Adaptive Gauss panels on one or more rays.
+def _adaptive_panels(
+    fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), point=None, n_low=8, n_high=16
+):
+    """Adaptive Gauss panels on rays, for one or more evaluation points.
 
-    ``edges`` holds one row of panel edges per ray direction (a 1-D array
-    is one direction) and ``weights`` the directions' angular weights;
+    ``edges`` holds one row of panel edges per ray (a 1-D array is one
+    ray); rows of different lengths come as flat panels ``(a, b, row)``,
+    each row's panels adjacent and in order.  ``weights`` are the rows'
+    angular weights and ``point`` the index of each row's evaluation point
+    (all rows one point by default).
     ``fvec(r, d)`` evaluates the integrand at radial nodes ``r`` on the
-    directions with indices ``d`` (1-D arrays of at most ``_RAY_CHUNK``
-    nodes).  ``ends = (alpha, beta)``, scalars or one value per row, are
-    the integrand's endpoint exponents: a row's first panel [a, b]
-    integrates with the Gauss-Jacobi rule for the weight (r - a)^alpha and
-    its last with the one for (b - r)^beta, the weight divided out
-    (``_gj``), so every panel is a plain sum of f(r_i) w_i.  Each panel's
-    n_high-point value and |n_high - n_low| error are scaled by its
-    direction's weight, and the panels above a quarter of the mean error
-    are bisected until the summed error meets the spec; a bisected end
-    panel passes its weight to the child that holds that end, and the
-    other child is a Gauss-Legendre panel.  Returns (value, error) once
-    the error meets the spec or after ``spec.max_refinements`` passes; it
-    never raises, and the caller's ``_checked`` judges the error.
+    rows with indices ``d`` (1-D arrays of at most ``_RAY_CHUNK`` nodes,
+    mixing points).  ``ends = (alpha, beta)``, scalars or one value per
+    row, are the integrand's endpoint exponents: a row's first panel
+    [a, b] integrates with the Gauss-Jacobi rule for the weight
+    (r - a)^alpha and its last with the one for (b - r)^beta, the weight
+    divided out (``_gj``), so every panel is a plain sum of f(r_i) w_i.
+    Each panel's n_high-point value and |n_high - n_low| error are scaled
+    by its row's weight.  Every point p has its own tolerance
+    ``spec.tolerance(value_p)``: while its summed error err_p exceeds it,
+    a pass bisects the point's panels at or above 0.25 err_p / n_p (n_p
+    panels; the worst one always qualifies), and a point that meets it
+    keeps its panels.  A bisected end panel passes its weight to the
+    child that holds that end, and the other child is a Gauss-Legendre
+    panel.  A point's panels keep their order whatever the other points
+    do, so its value and decisions are those of a call for it alone.
+    Returns arrays (values, errors), one entry per point, once every point
+    meets its tolerance or after ``spec.max_refinements`` passes; it never
+    raises, and the caller's ``_checked`` judges each error.
     """
-    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    if isinstance(edges, tuple):
+        a, b, d = edges
+    else:
+        edges = np.atleast_2d(np.asarray(edges, dtype=float))
+        a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        d = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
+    rows = int(d[-1]) + 1
+    new_row = d[1:] != d[:-1]
+    first, last = np.concatenate(([True], new_row)), np.concatenate((new_row, [True]))
     weights = np.asarray(weights, dtype=float)
-    rows = len(edges)
-    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    d = np.repeat(np.arange(rows), edges.shape[1] - 1)
+    point = np.zeros(rows, dtype=int) if point is None else np.asarray(point)
+    n_points = int(point.max()) + 1
     # a panel's rule indexes (0, *alphas) at its left end and (0, *betas) at its right
     (alphas, ia), (betas, ib) = (
         np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
     )
     nb = len(betas) + 1
-    rule = np.where(a == edges[d, 0], ia[d] + 1, 0) * nb + np.where(b == edges[d, -1], ib[d] + 1, 0)
+    rule = np.where(first, ia[d] + 1, 0) * nb + np.where(last, ib[d] + 1, 0)
     low, high = (
         [_gj(n, ka, kb) for ka in (0.0, *alphas) for kb in (0.0, *betas)] for n in (n_low, n_high)
     )
@@ -178,24 +209,41 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
         for i in range(0, len(a_arr), step):
             pa, pb, pd, pr = (v[i : i + step] for v in (a_arr, b_arr, d_arr, r_arr))
             half = 0.5 * (pb - pa)
-            nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * u[pr]
+            # np.take: row gathers of small 2-D tables, much faster than fancy indexing
+            nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * np.take(u, pr, axis=0)
             f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
-            vl = np.sum(f[:, :n_low] * w_low[pr], axis=-1)
-            vh = np.sum(f[:, n_low:] * w_high[pr], axis=-1)
+            vl = np.sum(f[:, :n_low] * np.take(w_low, pr, axis=0), axis=-1)
+            vh = np.sum(f[:, n_low:] * np.take(w_high, pr, axis=0), axis=-1)
             w = weights[pd] * half
             vals.append(vh * w)
             errs.append(np.abs(vh - vl) * w)
         return np.concatenate(vals), np.concatenate(errs)
 
-    vals, errs = _eval(a, b, d, rule)
-    for _ in range(spec.max_refinements):
-        total, err = float(np.sum(vals)), float(np.sum(errs))
-        if err <= spec.tolerance(total):
+    def grouped(panels):
+        # by point; the stable sort keeps each point's panels in the order a call for it alone holds them
+        if n_points == 1:
+            return panels
+        order = np.argsort(point[panels[2]], kind="stable")
+        return tuple(v[order] for v in panels)
+
+    panels = grouped((a, b, d, rule, *_eval(a, b, d, rule)))
+    total, err = np.zeros(n_points), np.zeros(n_points)
+    changed = range(n_points)
+    for k in range(spec.max_refinements + 1):
+        # each point's np.sum over its own panels, as in a call for it alone; only split points change
+        bounds = np.searchsorted(point[panels[2]], np.arange(n_points + 1))
+        ends_at = bounds.tolist()
+        for p in changed:
+            i, j = ends_at[p], ends_at[p + 1]
+            total[p], err[p] = panels[4][i:j].sum(), panels[5][i:j].sum()
+        live = ~(err <= spec.tolerance(total))
+        if k == spec.max_refinements or not np.any(live):
             break
-        # bisect every panel holding more than its share of the error
-        split = errs >= max(0.25 * err / len(a), 1e-300)
-        if not np.any(split):
-            split = errs == errs.max()
+        # bisect every panel holding more than its share of its point's error
+        count = np.diff(bounds)
+        share = np.where(live, np.maximum(0.25 * err / count, 1e-300), np.inf)
+        a, b, d, rule, vals, errs = panels
+        split = errs >= np.repeat(share, count)
         sa, sb, sd, sr = a[split], b[split], d[split], rule[split]
         smid = 0.5 * (sa + sb)
         # the left child keeps the left end's weight, the right child the right end's
@@ -205,11 +253,10 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
             np.concatenate([sd, sd]),
             np.concatenate([sr - sr % nb, sr % nb]),
         )
-        nv, ne = _eval(*children)
-        a, b, d, rule = (np.concatenate([old[~split], new]) for old, new in zip((a, b, d, rule), children))
-        vals = np.concatenate([vals[~split], nv])
-        errs = np.concatenate([errs[~split], ne])
-    return float(np.sum(vals)), float(np.sum(errs))
+        children += _eval(*children)
+        panels = grouped(tuple(np.concatenate([old[~split], new]) for old, new in zip(panels, children)))
+        changed = np.flatnonzero(live).tolist()
+    return total, err
 
 
 def _graded_edges(depth, n_coarse=6):
@@ -364,7 +411,11 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
         return float(wts @ stub) + shell * tail + mid, err
 
     def levels(r_far):
-        return _angular_converge(lambda m: run_level(m, r_far), spec, 4 if N == 2 else 2, 5 if N > 1 else 0)
+        # one point, so each level is one block of one call
+        value, err = _angular_converge(
+            lambda m: (1, lambda _: run_level(m, r_far)), spec, 4 if N == 2 else 2, 5 if N > 1 else 0
+        )
+        return float(value[0]), float(err[0])
 
     value, err = levels(r_far)
     if shell * tail_err > 0.1 * spec.tolerance(value):
@@ -391,68 +442,137 @@ def getoor_field(params: FracParams) -> ScalarField:
 # polar-ray engine and the ball Green integral
 
 
-def _angular_converge(run_level, spec, start, max_doublings):
-    """Run ``run_level(m) -> (value, error)`` at doubling angular resolutions
-    until two levels agree to 10 x tolerance, or a doubled level's own
-    error exceeds 100 x tolerance (its panels stalled; a finer level would
-    not mend that).
+def _angular_converge(level, spec, start, max_doublings, n_points=1):
+    """Run the points 0 .. n_points-1 at doubling angular resolutions m.
 
-    Returns the last value and its error: the last level's own error plus
-    its difference from the level before.  Never raises; the caller's
-    ``_checked`` does.
+    ``level(m)`` sets up a level and returns (panels, run): the number of
+    initial panels per point and ``run(pts) -> (values, errors)`` for the
+    points with indices ``pts``.  Each point runs its own level sequence:
+    it retires once two of its levels agree to 10 x its tolerance, or once
+    a doubled level's own error exceeds 100 x its tolerance (its panels
+    stalled; a finer level would not mend that), and the points still live
+    go on to the next level.  A level takes its live points in blocks of
+    about ``_RAY_CHUNK`` panels, at least one point per block, so the
+    engine's state is bounded whatever the number of points.
+
+    Returns arrays (values, errors), one entry per point: the point's last
+    value and its error, the last level's own error plus its difference
+    from the level before.  Never raises: a one-point caller hands its
+    value to ``_checked``, and a batch caller marks the points ``_misses``
+    finds (the ones ``_checked`` would raise for).
     """
-    value, err = run_level(start)
-    diff = 0.0
-    for _ in range(max_doublings):
-        start *= 2
-        prev = value
-        value, err = run_level(start)
-        diff = abs(value - prev)
-        if diff <= 10.0 * spec.tolerance(value) or err > 100.0 * spec.tolerance(value):
+    value, err, diff = np.zeros(n_points), np.zeros(n_points), np.zeros(n_points)
+    live = np.arange(n_points)
+    for k in range(max_doublings + 1):
+        if not len(live):
             break
+        panels, run = level(start * 2**k)
+        block = max(1, _RAY_CHUNK // panels)
+        parts = [run(live[i : i + block]) for i in range(0, len(live), block)]
+        new, new_err = (np.concatenate(part) for part in zip(*parts))
+        if k:
+            diff[live] = np.abs(new - value[live])
+            tol = spec.tolerance(new)
+            done = (diff[live] <= 10.0 * tol) | (new_err > 100.0 * tol)
+        value[live], err[live] = new, new_err
+        if k:
+            live = live[~done]
     return value, err + diff
+
+
+def _misses(value, err, spec):
+    """Where ``err`` exceeds 100 x tolerance: the values ``_checked`` raises for."""
+    return err > 100.0 * spec.tolerance(value)
 
 
 def _checked(value, err, spec, what):
     """``value``, unless ``err`` exceeds 100 x tolerance: then ``ToleranceNotMet``.
 
     The one raise site of the panel integrals (ray, exterior, fractional
-    Laplacian and the ``verify`` reductions).
+    Laplacian and the ``verify`` reductions); batch forms return arrays of
+    values and errors, and their one-point callers come here.
     """
-    if err > 100.0 * spec.tolerance(value):
+    value, err = float(value), float(err)
+    if _misses(value, err, spec):
         raise ToleranceNotMet(f"{what} error {err:.2e} exceeds tolerance", estimate=value, error=err)
     return value
 
 
-def _ray_integral(params, exits, integrand, spec):
-    """int over directions w and r in [0, t_exit(w)] of integrand(r, w) r^(N-1) dr dw.
+def _ray_integral(params, rays, spec, n_points=1):
+    """int over directions w and r in [0, t_exit(w)] of integrand(r, w) r^(N-1) dr dw,
+    for each of ``n_points`` points.
 
-    The polar-ray engine; every ray starts at x.  ``exits(dirs)`` gives each
-    direction's exit distance t_exit and the exponent beta (scalar or per
-    direction) of the integrand's (t_exit - r)^beta layer there.  Panels
-    are halved toward x, the first weighted by r^alpha (``_end_rule_at_x``)
-    and the last by (t_exit - r)^beta; one ``_adaptive_panels`` call takes
-    all (direction, panel) pairs of an angular level.  Levels double from
-    m = 8 to m = 128; N = 1 runs one level, its two-point rule being exact.
-    Returns (value, error): the final level's summed panel error plus its
-    difference from the level before.
+    The polar-ray engine; every ray starts at its point.  ``rays(dirs,
+    pts)`` sets up the rays of the points with indices ``pts`` along the
+    directions ``dirs``: it returns each ray's exit distance t_exit, shape
+    (len(pts), len(dirs)), the exponent beta (scalar or of that shape) of
+    the integrand's (t_exit - r)^beta layer there, and ``integrand(r, d)``,
+    which evaluates at nodes r on the rays with flat indices
+    d = i len(dirs) + j (point pts[i], direction dirs[j]).  Panels are
+    halved toward the point, the first weighted by r^alpha
+    (``_end_rule_at_x``) and the last by (t_exit - r)^beta; one
+    ``_adaptive_panels`` call takes all (point, direction, panel) triples
+    of an angular level and a block of points.  Levels double from m = 8 to
+    m = 128; N = 1 runs one level, its two-point rule being exact.  Returns
+    arrays (values, errors): each point's final level's summed panel error
+    plus its difference from the level before.
     """
     N = params.N
     alpha, depth = _end_rule_at_x(N, params.s, spec)
     graded = _graded_edges(depth)
 
-    def run_level(m):
+    def level(m):
         dirs, wts = _sphere_rule(N, m)
-        t_exit, beta = exits(dirs)
-        return _adaptive_panels(
-            lambda r, d: integrand(r, dirs[d]) * r ** (N - 1.0),
-            t_exit[:, None] * graded,
-            spec,
-            wts,
-            ends=(alpha, beta),
-        )
 
-    return _angular_converge(run_level, spec, 8, 4 if N > 1 else 0)
+        def run(pts):
+            t_exit, beta, integrand = rays(dirs, pts)
+            return _adaptive_panels(
+                lambda r, d: integrand(r, d) * r ** (N - 1.0),
+                (t_exit[..., None] * graded).reshape(-1, len(graded)),
+                spec,
+                np.tile(wts, len(pts)),
+                ends=(alpha, np.ravel(beta)),
+                point=np.repeat(np.arange(len(pts)), len(dirs)),
+            )
+
+        return len(dirs) * (len(graded) - 1), run
+
+    return _angular_converge(level, spec, 8, 4 if N > 1 else 0, n_points)
+
+
+def _inside(params, R, xs):
+    """Points (n, N) and their squared norms; ``ValueError`` unless all lie inside B_R."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, params.N)
+    x2 = np.sum(xs * xs, axis=-1)
+    if np.any(x2 >= R * R):
+        raise ValueError("evaluation point must lie inside the ball")
+    return xs, x2
+
+
+def _ball_green_batch(params, R, f, xs, spec):
+    """(values, errors) of ``ball_green_integral`` at every point of ``xs`` (n, N)."""
+    xs, x2 = _inside(params, R, xs)
+    h = R * R - x2
+
+    def rays(dirs, pts):
+        # t_exit and -t_neg of r^2 + 2 c r - h, c = x.w, each without cancellation
+        c, hp = np.sum(xs[pts][:, None, :] * dirs, axis=-1), h[pts][:, None]
+        q = np.sqrt(c * c + hp) + np.abs(c)
+        t_exit, t_back = np.where(c > 0.0, hp / q, q), np.where(c > 0.0, q, hp / q)
+        x = np.repeat(xs[pts], len(dirs), axis=0)
+        omega = np.tile(dirs, (len(pts), 1))
+        hr, te, tb = np.repeat(h[pts], len(dirs)), t_exit.ravel(), t_back.ravel()
+
+        def integrand(r, d):
+            live = (r < te[d]) & (r > 0.0)
+            r2 = np.where(live, r * r, 1.0)
+            psi = np.where(live, hr[d] * (te[d] - r) * (r + tb[d]) / (R * R * r2), 0.0)
+            y = np.take(x, d, axis=0) + r[:, None] * np.take(omega, d, axis=0)
+            return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(y)
+
+        return t_exit, params.s, integrand
+
+    return _ray_integral(params, rays, spec, len(xs))
 
 
 def ball_green_integral(
@@ -473,32 +593,82 @@ def ball_green_integral(
     and the error.
     """
     spec = spec or QuadratureSpec()
-    x = np.asarray(x, dtype=float)
-    h = R * R - float(np.dot(x, x))
-    if h <= 0.0:
-        raise ValueError("evaluation point must lie inside the ball")
-
-    def roots(c):
-        # t_exit and -t_neg of r^2 + 2 c r - h, each without cancellation
-        q = np.sqrt(c * c + h) + np.abs(c)
-        return np.where(c > 0.0, h / q, q), np.where(c > 0.0, q, h / q)
-
-    def exits(dirs):
-        return roots(dirs @ x)[0], params.s
-
-    def integrand(r, omega):
-        t_exit, t_back = roots(omega @ x)
-        live = (r < t_exit) & (r > 0.0)
-        r2 = np.where(live, r * r, 1.0)
-        psi = np.where(live, h * (t_exit - r) * (r + t_back) / (R * R * r2), 0.0)
-        return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(x + r[:, None] * omega)
-
-    value, err = _ray_integral(params, exits, integrand, spec)
-    return _checked(value, err, spec, "ball Green integral")
+    value, err = _ball_green_batch(params, R, f, x, spec)
+    return _checked(value[0], err[0], spec, "ball Green integral")
 
 
 # ---------------------------------------------------------------------------
 # exterior Poisson integral
+
+
+def _exterior_poisson_batch(params, R, g, xs, spec):
+    """(values, errors) of ``exterior_poisson_integral`` at every point of ``xs`` (n, N).
+
+    A point's rows are its axis row and the directions of the level.  Its
+    sigma edges depend on its distance to the sphere, so the rows of a
+    block go to the engine as flat panels, read from one table of every
+    point's edges.
+    """
+    xs, x2 = _inside(params, R, xs)
+    if g.bound is None:
+        raise ValueError("exterior data needs a bound (weighted integrability tag)")
+    N, s = params.N, params.s
+    norm = np.sqrt(x2)
+    axis = np.tile(np.eye(N)[0], (len(xs), 1))
+    off = x2 > 0.0
+    axis[off] = xs[off] / norm[off, None]
+    # edges[p]: 0, then layer * 2^j for j < halvings, then 1/2, 3/4, 1 (halvings + 3 panels)
+    layer = np.maximum(2.0 * (1.0 - norm / R), 1e-12)
+    halvings = np.maximum(np.ceil(np.log2(0.5 / layer)), 0.0).astype(int)
+    i, h = np.arange(halvings.max(initial=0) + 4), halvings[:, None]
+    edges = np.where(i <= h, layer[:, None] * 2.0 ** (i - 1), np.array([0.5, 0.75, 1.0])[np.clip(i - h - 1, 0, 2)])
+    edges[:, 0] = 0.0
+    # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
+    # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
+    # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
+    scale = 0.5 * poisson_constant_C(params) * (1.0 - x2 / (R * R)) ** s
+    peak = sphere_surface(N) * R * R
+
+    def level(m):
+        dirs, wts = _sphere_rule(N, m)
+        n = len(dirs) + 1
+
+        def run(pts):
+            # per row: its direction (the axis on row 0 of a point), its point's axis, x and |x|^2
+            rows = np.concatenate([axis[pts][:, None, :], np.broadcast_to(dirs, (len(pts),) + dirs.shape)], axis=1)
+            rows = rows.reshape(-1, N)
+            row_axis, row_x, row_x2 = (np.repeat(v[pts], n, axis=0) for v in (axis, xs, x2))
+            first = np.arange(len(rows)) % n == 0
+            # flat panels: row d holds panel j = 0 .. halvings + 2 of its point's edges
+            per_row = np.repeat(halvings[pts] + 3, n)
+            d = np.repeat(np.arange(len(rows)), per_row)
+            j = np.arange(len(d)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+            at = np.repeat(pts, n * (halvings[pts] + 3)) * edges.shape[1] + j
+            panels = (np.take(edges, at), np.take(edges, at + 1), d)
+
+            def integrand(sigma, d):
+                t = np.sqrt(1.0 - sigma)  # R / rho
+                on_axis, x2d, w = first[d], row_x2[d], np.take(rows, d, axis=0)
+                g_axis = np.asarray(g(np.take(row_axis, d, axis=0) * (R / t)[:, None]), dtype=float)
+                out = np.where(on_axis, peak * g_axis / (R * R - x2d + x2d * sigma), 0.0)
+                rest = np.asarray(g(w * (R / t)[:, None]), dtype=float) - g_axis
+                if np.any(rest[~on_axis]):  # a zero remainder (radial data) adds exactly 0.0
+                    kernel = np.sum((w - np.take(row_x, d, axis=0) * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
+                    out = np.where(on_axis, out, kernel * rest)
+                return sigma**-s * (1.0 - sigma) ** (s - 1.0) * out
+
+            return _adaptive_panels(
+                integrand,
+                panels,
+                spec,
+                (scale[pts][:, None] * np.concatenate([[1.0], wts])).ravel(),
+                ends=(-s, s - 1.0),
+                point=np.repeat(np.arange(len(pts)), n),
+            )
+
+        return n * (halvings.max(initial=0) + 3), run
+
+    return _angular_converge(level, spec, 16, 6 if N > 1 else 0, len(xs))
 
 
 def exterior_poisson_integral(
@@ -533,42 +703,8 @@ def exterior_poisson_integral(
     when the error exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec()
-    x = np.asarray(x, dtype=float)
-    N, s = params.N, params.s
-    x2 = float(np.dot(x, x))
-    if x2 >= R * R:
-        raise ValueError("evaluation point must lie inside the ball")
-    if g.bound is None:
-        raise ValueError("exterior data needs a bound (weighted integrability tag)")
-    axis = x / math.sqrt(x2) if x2 > 0.0 else np.eye(N)[0]
-    layer = max(2.0 * (1.0 - math.sqrt(x2) / R), 1e-12)
-    halvings = max(0, math.ceil(math.log2(0.5 / layer)))
-    edges = np.concatenate([[0.0], layer * 2.0 ** np.arange(halvings), [0.5, 0.75, 1.0]])
-    # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
-    # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
-    # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
-    scale = 0.5 * poisson_constant_C(params) * (1.0 - x2 / (R * R)) ** s
-    peak = sphere_surface(N) * R * R
-
-    def run_level(m):
-        dirs, wts = _sphere_rule(N, m)
-        rows = np.concatenate([axis[None, :], dirs])
-
-        def integrand(sigma, d):
-            t = np.sqrt(1.0 - sigma)  # R / rho
-            g_axis = np.asarray(g(axis * (R / t)[:, None]), dtype=float)
-            out = np.where(d == 0, peak * g_axis / (R * R - x2 + x2 * sigma), 0.0)
-            rest = np.asarray(g(rows[d] * (R / t)[:, None]), dtype=float) - g_axis
-            if np.any(rest[d > 0]):  # a zero remainder (radial data) adds exactly 0.0
-                kernel = np.sum((rows[d] - x * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
-                out = np.where(d == 0, out, kernel * rest)
-            return sigma**-s * (1.0 - sigma) ** (s - 1.0) * out
-
-        weights = scale * np.concatenate([[1.0], wts])
-        return _adaptive_panels(integrand, np.tile(edges, (len(rows), 1)), spec, weights, ends=(-s, s - 1.0))
-
-    value, err = _angular_converge(run_level, spec, 16, 6 if N > 1 else 0)
-    return _checked(value, err, spec, "exterior integral")
+    value, err = _exterior_poisson_batch(params, R, g, x, spec)
+    return _checked(value[0], err[0], spec, "exterior integral")
 
 
 def poisson_extension_field(
@@ -576,20 +712,28 @@ def poisson_extension_field(
 ) -> ScalarField:
     """The s-harmonic extension of exterior data g into B_R, as a field.
 
-    Inside the ball the value is the exterior Poisson integral of g;
-    outside it is g itself.  The field is C-infinity inside.
+    Inside the ball the value is the exterior Poisson integral of g, from
+    one batched evaluation over the inside points of a call; outside it is
+    g itself, from one call of g.  A point whose integral misses its
+    tolerance raises ``ToleranceNotMet`` as ``exterior_poisson_integral``
+    would there (the first such point of the call).  The field is
+    C-infinity inside.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
 
     def func(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, params.N)
+        inside = np.sum(flat * flat, axis=-1) < R * R
         out = np.empty(len(flat))
-        for i, x in enumerate(flat):
-            if float(np.dot(x, x)) >= R * R:
-                out[i] = float(np.asarray(g(x)))
-            else:
-                out[i] = exterior_poisson_integral(params, R, g, x, spec)
+        if not np.all(inside):
+            out[~inside] = g(flat[~inside])
+        if np.any(inside):
+            value, err = _exterior_poisson_batch(params, R, g, flat[inside], spec)
+            missed = np.flatnonzero(_misses(value, err, spec))
+            if len(missed):
+                _checked(value[missed[0]], err[missed[0]], spec, "exterior integral")
+            out[inside] = value
         return out.reshape(pts.shape[:-1])
 
     return ScalarField(
@@ -908,16 +1052,17 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
         raise ValueError("strip_mass needs 0 < x1 < lam")
     line = FracParams(1, params.s)
 
-    def exits(dirs):
+    def rays(dirs, _):
         up = dirs[:, 0] > 0.0
-        return np.where(up, lam - x1, x1), np.where(up, 0.0, params.s)
 
-    def integrand(r, omega):
-        y1 = x1 + r * omega[:, 0]
-        live = (y1 > 0.0) & (r > 0.0)
-        r2 = np.where(live, r * r, 1.0)
-        psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
-        return np.where(live, _green_from_psi(line, r2, psi), 0.0)
+        def integrand(r, d):
+            y1 = x1 + r * dirs[d, 0]
+            live = (y1 > 0.0) & (r > 0.0)
+            r2 = np.where(live, r * r, 1.0)
+            psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
+            return np.where(live, _green_from_psi(line, r2, psi), 0.0)
 
-    value, err = _ray_integral(line, exits, integrand, spec)
-    return _checked(value, err, spec, "strip mass")
+        return np.where(up, lam - x1, x1)[None], np.where(up, 0.0, params.s)[None], integrand
+
+    value, err = _ray_integral(line, rays, spec)
+    return _checked(value[0], err[0], spec, "strip mass")

@@ -419,7 +419,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
     d = 1.0 - abs(1.0 - x1)
     edges = _graded_edges(max(2, math.ceil(-math.log2(0.5 * d * d))), n_coarse=1)
     value, err = _adaptive_panels(integrand, edges, spec, ends=(-s, 2.0 * s - 1.0))
-    return _checked(value, err, spec, "decay integral")
+    return _checked(value[0], err[0], spec, "decay integral")
 
 
 def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42):
@@ -592,13 +592,15 @@ def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
         gamma = regularized_poisson(
             params, 1.0, np.stack([m] + [np.zeros_like(m)] * (N - 1), axis=-1)
         )
+        # u at every (m, direction) point in one call; the sum keeps the directions' order
+        values = np.asarray(u(x - eps * m[:, None, None] * dirs), dtype=float)
         sphere_avg = np.zeros_like(m)
-        for omega, w in zip(dirs, wts):
-            pts = x[None, :] - eps * m[:, None] * omega[None, :]
-            sphere_avg += w * np.asarray(u(pts), dtype=float)
+        for j, w in enumerate(wts):
+            sphere_avg += w * values[:, j]
         return gamma * m ** (N - 1.0) * sphere_avg
 
-    return _checked(*_adaptive_panels(lambda m, d: radial_integrand(m), edges, spec), spec, "mean-value convolution")
+    value, err = _adaptive_panels(lambda m, d: radial_integrand(m), edges, spec)
+    return _checked(value[0], err[0], spec, "mean-value convolution")
 
 
 def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, seed=42):

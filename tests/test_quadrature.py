@@ -27,6 +27,7 @@ from fraclap.quadrature import (
     poisson_extension_field,
     strip_mass,
 )
+from fraclap.solver import solve_ball_dirichlet
 
 P1 = FracParams(1, 0.5)
 P2 = FracParams(2, 0.5)
@@ -299,6 +300,23 @@ class TestBallGreenIntegral:
             tracemalloc.stop()
         assert peak < 2.5e6
 
+    @pytest.mark.slow
+    def test_batched_grid_solve_bounds_memory(self):
+        # solve_ball_dirichlet takes all interior nodes in one batch per
+        # integral, but the engine runs them in blocks of about _RAY_CHUNK
+        # panels, so its peak stays below one bound, 2.5 MB, as the grid
+        # grows from 97 to 1477 interior nodes
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        solve_ball_dirichlet(P2, 1.0, ONE, ONE, (np.linspace(-0.5, 0.5, 3),) * 2, spec)  # rule tables
+        for n in (11, 41):
+            tracemalloc.start()
+            try:
+                solve_ball_dirichlet(P2, 1.0, ONE, ONE, (np.linspace(-0.9, 0.9, n),) * 2, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5e6, n
+
 
 class TestEndRules:
     EXPONENTS = (-0.5, 0.0, 0.25, 0.5, 0.75)
@@ -432,6 +450,21 @@ class TestExteriorPoisson:
         g = ScalarField(func=lambda p: np.ones(p.shape[:-1]), smoothness="continuous")
         with pytest.raises(ValueError):
             exterior_poisson_integral(P1, 1.0, g, np.array([0.0]))
+
+    def test_extension_raises_as_the_first_failing_point(self):
+        # the half-plane data misses the extension's tolerance at (0.3, 0.2)
+        # and (0.0, 0.5), not at (0.9, 0.0); (1.5, 0.3) copies g
+        half2 = ScalarField(
+            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
+        )
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+        u = poisson_extension_field(P2, 1.0, half2, spec)
+        with pytest.raises(ToleranceNotMet) as batch:
+            u(np.array([[0.9, 0.0], [1.5, 0.3], [0.3, 0.2], [0.0, 0.5]]))
+        with pytest.raises(ToleranceNotMet) as alone:
+            exterior_poisson_integral(P2, 1.0, half2, np.array([0.3, 0.2]), spec)
+        assert str(batch.value) == str(alone.value)
+        assert (batch.value.estimate, batch.value.error) == (alone.value.estimate, alone.value.error)
 
     def test_harmonic_extension_is_s_harmonic(self):
         # the Poisson extension of smooth decaying data has vanishing

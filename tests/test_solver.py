@@ -5,7 +5,16 @@ from scipy import integrate
 from fraclap import solver
 from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace
-from fraclap.quadrature import QuadratureSpec, ScalarField, box_green_mass, constant_field, strip_mass
+from fraclap.quadrature import (
+    QuadratureSpec,
+    ScalarField,
+    ToleranceNotMet,
+    ball_green_integral,
+    box_green_mass,
+    constant_field,
+    exterior_poisson_integral,
+    strip_mass,
+)
 from fraclap.solver import (
     GridFunction,
     MonotonicityProfile,
@@ -115,19 +124,76 @@ class TestBallSolve:
     def test_flagged_node_keeps_every_term(self):
         # the ball integral of the half-plane indicator raises at (0.3, 0.05);
         # the node must still hold the exterior term (1 for g == 1) plus the
-        # ball estimate, and report their combined error; the other nodes
-        # lie outside the ball
+        # ball estimate, and report their combined error.  Its neighbours
+        # (0.3, 0.6) and (0.3, 0.8) share its batch but meet their
+        # tolerance: they are not flagged and keep their one-point values;
+        # the other nodes lie outside the ball
         half_plane = ScalarField(
             func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
         )
         node_errors = {}
-        grid = ([0.3, 1.5], [0.05, 1.5])
+        grid = ([0.3, 1.5], [0.05, 0.6, 0.8, 1.5])
         gf = solve_ball_dirichlet(P2, 1.0, half_plane, ONE, grid, node_errors=node_errors)
         estimate, error = node_errors[(0, 0)]
         assert gf.values[0, 0] == estimate
         assert estimate == pytest.approx(1.0 + 0.3579293, abs=1e-5)
         assert error > 0.0
         assert list(node_errors) == [(0, 0)]
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        x = np.array([0.3, 0.05])
+        with pytest.raises(ToleranceNotMet) as missed:
+            ball_green_integral(P2, 1.0, half_plane, x, spec)
+        assert estimate == pytest.approx(exterior_poisson_integral(P2, 1.0, ONE, x, spec) + missed.value.estimate, rel=1e-12)
+        assert error == missed.value.error
+        for j in (1, 2):
+            x = np.array([0.3, grid[1][j]])
+            alone = exterior_poisson_integral(P2, 1.0, ONE, x, spec) + ball_green_integral(P2, 1.0, half_plane, x, spec)
+            assert gf.values[0, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "N, s, grid",
+        [
+            (1, 0.5, ([-0.98, -0.4, 0.0, 0.55, 0.97, 1.2],)),
+            (1, 0.75, ([-0.99, -0.3, 0.2, 0.97],)),
+            (2, 0.25, ([0.0, 0.5, 0.97], [-0.2, 0.0])),
+            (2, 0.5, ([-0.6, 0.0, 0.99], [0.0, 0.4])),
+            (3, 0.5, ([0.0, 0.97], [0.0, 0.5], [0.0, 0.5])),
+        ],
+        ids=["N1-s0.5", "N1-s0.75", "N2-s0.25", "N2-s0.5", "N3-s0.5"],
+    )
+    def test_grid_matches_one_point_calls(self, N, s, grid):
+        # one batched evaluation per integral gives every node the value of
+        # its own one-point calls, and flags exactly the nodes where one of
+        # them raises; each grid has a node with |x| >= 0.97.  The data are
+        # not radial, except g at N = 3 (the direction remainder there costs
+        # seconds per node)
+        params = FracParams(N, s)
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        c = 0.5 * np.eye(N)[0] if N < 3 else np.zeros(N)
+        f = ScalarField(func=lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1], smoothness="C2", bound=2.0)
+        g = ScalarField(
+            func=lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1)),
+            smoothness="C2",
+            decay_exponent=2.0,
+            bound=1.0,
+        )
+        node_errors = {}
+        gf = solve_ball_dirichlet(params, 1.0, f, g, grid, spec, node_errors=node_errors)
+        raised = set()
+        for index in np.ndindex(gf.values.shape):
+            x = np.array([axis[i] for axis, i in zip(grid, index)])
+            if x @ x >= 1.0:
+                assert gf.values[index] == g(x)
+                continue
+            alone = 0.0
+            for integral, data in ((exterior_poisson_integral, g), (ball_green_integral, f)):
+                try:
+                    alone += integral(params, 1.0, data, x, spec)
+                except ToleranceNotMet as exc:
+                    alone += exc.estimate
+                    raised.add(index)
+            assert gf.values[index] == pytest.approx(alone, rel=1e-12, abs=0.0), x
+        assert set(node_errors) == raised
 
 
 class TestHalfspaceLinear:

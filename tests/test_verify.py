@@ -176,7 +176,6 @@ def test_decay_integral_error_covers_its_miss_when_it_raises():
     assert err.value.error >= abs(err.value.estimate - DECAY_FROZEN[(2, 0.5)])
 
 
-@pytest.mark.slow
 def test_harmonicity_meanvalue_passes():
     rep = verify.run_check("harmonicity-meanvalue")
     assert rep.passed
