@@ -64,21 +64,10 @@ class Ball:
         if not self.radius > 0.0:
             raise ValueError("ball radius must be positive")
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x * x, axis=-1) < self.radius**2
-
 
 @dataclass(frozen=True)
 class HalfSpace:
     """Open half-space x1 > 0."""
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] > 0.0
-
-
-Domain = Ball | HalfSpace
 
 
 def shifted_center(N: int, R: float):

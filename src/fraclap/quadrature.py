@@ -749,14 +749,6 @@ def poisson_extension_field(
 # half-space Green integral over a truncated box
 
 
-@dataclass(frozen=True)
-class BoxIntegral:
-    value: float
-    error: float
-    tail_bound: float
-    tail_rigorous: bool
-
-
 def _halfspace_tail_bound(params, x, bound, p, L):
     """Bound on int over the half-space outside B_L of G(x,y) |f(y)| dy.
 
@@ -980,15 +972,13 @@ def halfspace_green_integral(
     x,
     spec: QuadratureSpec | None = None,
     box=None,
-    detail: bool = False,
 ):
     """int over the half-space of G(x,y) f(y) dy, truncated to a box.
 
     Over ``box`` if given, else over the support of f or, for a decay tag,
-    a box holding |y| < L with the tail beyond bounded by the explicit
-    kernel bound.  ``detail=True`` returns the tile error, that tail bound
-    and ``tail_rigorous``: the dropped region lies in |y| >= L, so the
-    bound covers it.  x may lie outside the box; the box engine
+    a box holding |y| < L, L doubled until the explicit kernel bound on the
+    tail beyond |y| >= L is below a quarter of ``spec.abs_tol``.  x may lie
+    outside the box; the box engine
     (``_box_integral``) raises ``ToleranceNotMet``, carrying the estimate
     and the error, when its error misses ``spec``.  Integrate a density
     that jumps inside the box over the pieces where it is smooth.
@@ -996,21 +986,14 @@ def halfspace_green_integral(
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
     N, p = params.N, f.decay_exponent
-    decays = f.support_radius is None and f.bound is not None and p > params.s
-    tail, rigorous = 0.0, True
     if box is not None:
         lo, hi = (np.array(v, dtype=float) for v in box)
-        # the tail bound covers |y| >= L: rigorous if the box holds that half-ball
-        L = max(0.5 * float(np.min(hi - lo)), 2.0 * float(np.linalg.norm(x)) + 1e-9)
-        rigorous = decays and bool(lo[0] <= 0.0 and np.all(hi >= L) and np.all(lo[1:] <= -L))
-        if decays:
-            tail = _halfspace_tail_bound(params, x, f.bound, p, L)
     else:
         if f.support_radius is not None:
             L = float(f.support_radius)
-        elif decays:
+        elif f.bound is not None and p > params.s:
             L = max(4.0, 4.0 * float(np.linalg.norm(x)))
-            while (tail := _halfspace_tail_bound(params, x, f.bound, p, L)) > 0.25 * spec.abs_tol and L < 1e12:
+            while _halfspace_tail_bound(params, x, f.bound, p, L) > 0.25 * spec.abs_tol and L < 1e12:
                 L *= 2.0
         else:
             raise ValueError("half-space integral needs a support radius or decay exponent > s")
@@ -1018,10 +1001,7 @@ def halfspace_green_integral(
     lo[0] = max(lo[0], 0.0)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
-    value, err = _box_integral(params, x, lo, hi, spec, f)
-    if detail:
-        return BoxIntegral(value=value, error=err, tail_bound=tail, tail_rigorous=rigorous)
-    return value
+    return _box_integral(params, x, lo, hi, spec, f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Dirichlet solvers via Green representation, the semilinear Picard
-iterator on the half-space, moving-plane diagnostics, and the interior
-Hoelder check.
+"""The Dirichlet solver on a ball via Green representation, the semilinear
+Picard iterator on the half-space, and moving-plane diagnostics.
 
 The Picard operator is a locally corrected Nystroem discretization: cell
 midpoint weights away from the kernel diagonal plus the Duffy-pyramid Green
@@ -13,25 +12,23 @@ lateral axes; no M x M matrix is held.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FracParams
-from .kernels import Ball, Domain, HalfSpace, _green_from_psi, reflect_point
+from .kernels import Ball, HalfSpace, _green_from_psi, reflect_point
 # ball_green_integral and exterior_poisson_integral are not called here, but stay
 # names of this module: bench/fraclap_bench patches them on it to trace and lap
 from .quadrature import (  # noqa: F401
     QuadratureSpec,
     ScalarField,
-    ToleranceNotMet,
     _ball_green_batch,
     _exterior_poisson_batch,
     _misses,
     ball_green_integral,
     box_green_mass,
     exterior_poisson_integral,
-    halfspace_green_integral,
     strip_mass,
 )
 
@@ -41,15 +38,12 @@ __all__ = [
     "Nonlinearity",
     "PicardOperator",
     "MovingPlaneReport",
-    "HolderCheck",
     "MonotonicityProfile",
     "solve_ball_dirichlet",
-    "solve_halfspace_linear",
     "picard_semilinear",
     "moving_plane_check",
     "lambda0_estimate",
     "monotonicity_profile",
-    "holder_estimate_check",
 ]
 
 
@@ -57,15 +51,13 @@ __all__ = [
 class GridFunction:
     """Scalar field sampled on a tensor grid, multilinearly interpolated.
 
-    Outside the grid hull the exterior rule applies: "zero" returns 0
-    (matching zero complementary data and box truncation), while
-    "provided-field" delegates to the stored exterior data.
+    Outside the grid hull it returns ``exterior_field`` where one is
+    stored, else 0 (matching zero complementary data and box truncation).
     """
 
-    domain: Domain
+    domain: Ball | HalfSpace
     axes: tuple
     values: np.ndarray
-    exterior_rule: str = "zero"
     exterior_field: ScalarField | None = None
 
     def __post_init__(self):
@@ -79,10 +71,6 @@ class GridFunction:
             raise ValueError("values shape does not match grid axes")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        if self.exterior_rule not in ("zero", "provided-field"):
-            raise ValueError(f"unknown exterior rule {self.exterior_rule!r}")
-        if self.exterior_rule == "provided-field" and self.exterior_field is None:
-            raise ValueError("provided-field rule needs an exterior field")
 
     @property
     def ndim(self):
@@ -123,9 +111,9 @@ class GridFunction:
     def eval(self, pts, extrapolation: str = "rule"):
         """Evaluate at points (..., N).
 
-        extrapolation="rule": exterior rule outside the hull.
+        extrapolation="rule": the exterior field (or 0) outside the hull.
         extrapolation="clamp": clamp coordinates to the hull (used for
-        reflected points that leave the truncation box); callers flag it.
+        reflected points that leave the truncation box).
         """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 1
@@ -134,7 +122,7 @@ class GridFunction:
         if extrapolation != "clamp":
             inside = self._inside_hull(pts)
             out = np.where(inside, out, 0.0)
-            if self.exterior_rule == "provided-field" and np.any(~inside):
+            if self.exterior_field is not None and np.any(~inside):
                 out = np.where(inside, out, np.asarray(self.exterior_field(pts), dtype=float))
         return float(out[0]) if scalar else out
 
@@ -145,7 +133,6 @@ class GridFunction:
 @dataclass
 class SolveReport:
     iterations: int
-    sup_norms: list
     residual: float
     verdict: str
 
@@ -154,8 +141,6 @@ class SolveReport:
     def __post_init__(self):
         if self.verdict not in self.VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if len(self.sup_norms) != self.iterations:
-            raise ValueError("sup_norms length must equal iteration count")
 
 
 @dataclass(frozen=True)
@@ -166,7 +151,6 @@ class Nonlinearity:
     nonnegative: bool = True
     nondecreasing: bool = True
     lipschitz_const: float | None = None
-    zero_derivative_at_zero: bool = False
 
     def __call__(self, t):
         return self.func(np.asarray(t, dtype=float))
@@ -180,7 +164,6 @@ class Nonlinearity:
             nonnegative=True,
             nondecreasing=True,
             lipschitz_const=None,
-            zero_derivative_at_zero=q > 1.0,
         )
 
     @classmethod
@@ -190,18 +173,7 @@ class Nonlinearity:
             nonnegative=True,
             nondecreasing=True,
             lipschitz_const=0.0,
-            zero_derivative_at_zero=True,
         )
-
-    def lipschitz_on(self, M: float, samples: int = 513):
-        """Measured Lipschitz constant on [0, M] (falls back to the tag)."""
-        ts = np.linspace(0.0, max(M, 1e-12), samples)
-        fs = self(ts)
-        slopes = np.abs(np.diff(fs) / np.diff(ts))
-        measured = float(np.max(slopes))
-        if self.lipschitz_const is not None:
-            return max(self.lipschitz_const, measured)
-        return measured
 
     def validate(self, M: float, samples: int = 257):
         ts = np.linspace(0.0, max(M, 1e-12), samples)
@@ -264,39 +236,7 @@ def solve_ball_dirichlet(
         domain=Ball(R),
         axes=axes,
         values=flat.reshape(shape),
-        exterior_rule="provided-field",
         exterior_field=g,
-    )
-
-
-def solve_halfspace_linear(
-    params: FracParams,
-    f: ScalarField,
-    grid,
-    spec: QuadratureSpec | None = None,
-    box=None,
-    node_errors: dict | None = None,
-):
-    """u(x) = half-space Green integral of f at every grid node; a node whose
-    integral misses its tolerance keeps the estimate and lands in
-    ``node_errors`` (index -> (value, error))."""
-    spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
-    axes = tuple(np.asarray(a, dtype=float) for a in grid)
-    shape = tuple(len(a) for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.zeros(len(pts))
-    for i, x in enumerate(pts):
-        if x[0] <= 0.0:
-            continue
-        try:
-            vals[i] = halfspace_green_integral(params, f, x, spec, box=box)
-        except ToleranceNotMet as exc:
-            vals[i] = exc.estimate
-            if node_errors is not None:
-                node_errors[np.unravel_index(i, shape)] = (exc.estimate, exc.error)
-    return GridFunction(
-        domain=HalfSpace(), axes=axes, values=vals.reshape(shape), exterior_rule="zero"
     )
 
 
@@ -462,7 +402,6 @@ def picard_semilinear(
     f.validate(max(u0.sup_norm() * 2.0, 1.0))
     op = operator or PicardOperator(params, u0.axes, spec)
     u = u0.values.copy()
-    sup_norms = []
     residual = np.inf
     verdict = "budget-exhausted"
     iterations = 0
@@ -471,7 +410,6 @@ def picard_semilinear(
         residual = float(np.max(np.abs(new - u)))
         u = new
         sup = float(np.max(np.abs(u)))
-        sup_norms.append(sup)
         iterations += 1
         if sup > 1e3:
             verdict = "diverged"
@@ -479,14 +417,8 @@ def picard_semilinear(
         if residual < 1e-6 * (1.0 + sup):
             verdict = "converged-to-zero" if sup < 1e-6 else "converged-nonzero"
             break
-    gf = GridFunction(domain=HalfSpace(), axes=u0.axes, values=u, exterior_rule="zero")
-    report = SolveReport(
-        iterations=iterations,
-        sup_norms=sup_norms,
-        residual=residual,
-        verdict=verdict,
-    )
-    return gf, report
+    gf = GridFunction(domain=HalfSpace(), axes=u0.axes, values=u)
+    return gf, SolveReport(iterations=iterations, residual=residual, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +430,6 @@ class MovingPlaneReport:
     lam: float
     tol: float
     violations: list
-    used_extrapolation: bool
 
     @property
     def passed(self):
@@ -509,7 +440,7 @@ def moving_plane_check(u: GridFunction, lam: float, tol: float | None = None):
     """List grid nodes x in the slab {0 < x1 < lam} with u(x) > u(x^lam) + tol.
 
     Reflected points beyond the grid hull (but still in the half-space)
-    are evaluated by clamped interpolation and flagged in the report.
+    are evaluated by clamped interpolation.
     """
     axes = u.axes
     if lam <= axes[0][0] or lam >= axes[0][-1]:
@@ -522,17 +453,13 @@ def moving_plane_check(u: GridFunction, lam: float, tol: float | None = None):
     slab_nodes = nodes[in_slab]
     slab_vals = vals[in_slab]
     reflected = reflect_point(slab_nodes, lam)
-    beyond = reflected[:, 0] > axes[0][-1]
-    used_extrapolation = bool(np.any(beyond))
     refl_vals = u.eval(reflected, extrapolation="clamp")
     deficit = slab_vals - refl_vals
     bad = deficit > tol
     violations = [
         (tuple(slab_nodes[i]), float(deficit[i])) for i in np.nonzero(bad)[0]
     ]
-    return MovingPlaneReport(
-        lam=lam, tol=tol, violations=violations, used_extrapolation=used_extrapolation
-    )
+    return MovingPlaneReport(lam=lam, tol=tol, violations=violations)
 
 
 @dataclass
@@ -591,48 +518,3 @@ def lambda0_estimate(
     xs[:, 0] = _vdc_sequence(n_samples)
     sup = max(strip_mass(params, 2.0, x, spec) for x in xs)
     return (0.9 / (c_lip * sup)) ** (1.0 / (2.0 * params.s))
-
-
-# ---------------------------------------------------------------------------
-# interior Hoelder check
-
-
-@dataclass
-class HolderCheck:
-    quotient: float
-    bound_ratio: float
-    alpha: float
-    r: float
-
-
-def holder_estimate_check(
-    params: FracParams,
-    u: GridFunction,
-    f: ScalarField,
-    r: float,
-    alpha: float,
-    ball_radius: float = 1.0,
-) -> HolderCheck:
-    """Max difference quotient |u(x)-u(y)|/|x-y|^alpha over node pairs in B_r,
-    normalized by sup|u| on B_r plus sup|f| on B_1."""
-    if not (0.0 < alpha < min(1.0, 2.0 * params.s)):
-        raise ValueError("alpha must lie in (0, min(1, 2s))")
-    if not (0.0 < r < ball_radius):
-        raise ValueError("inner radius must lie in (0, ball_radius)")
-    nodes = u.nodes()
-    vals = u.values.reshape(-1)
-    inside = np.sum(nodes * nodes, axis=-1) < r * r
-    pts = nodes[inside]
-    uv = vals[inside]
-    if len(pts) < 2:
-        raise ValueError("grid has fewer than two nodes inside B_r")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(len(pts), k=1)
-    quotient = float(np.max(np.abs(uv[:, None] - uv[None, :])[iu] / dist[iu] ** alpha))
-    sup_u = float(np.max(np.abs(uv)))
-    ball_nodes = nodes[np.sum(nodes * nodes, axis=-1) < ball_radius**2]
-    sup_f = float(np.max(np.abs(np.asarray(f(ball_nodes), dtype=float)))) if len(ball_nodes) else 0.0
-    denom = sup_u + sup_f
-    ratio = quotient / denom if denom > 0.0 else 0.0
-    return HolderCheck(quotient=quotient, bound_ratio=ratio, alpha=alpha, r=r)

@@ -76,7 +76,7 @@ class Report:
     measured: dict
     tolerance: dict
     seed: int
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # stamped by run_check
     window: dict = field(default_factory=dict)
 
     def to_text(self, strict: bool = True) -> str:
@@ -129,7 +129,6 @@ def _loglog_slope(xs, ys):
 
 def check_poisson_normalization(param_list=None, sample_count=12, seed=42):
     """Exterior integral of the ball Poisson kernel equals 1 for every x."""
-    t0 = time.perf_counter()
     params_sweep = param_list or [
         FracParams(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.75)
     ]
@@ -158,13 +157,11 @@ def check_poisson_normalization(param_list=None, sample_count=12, seed=42):
         measured={"max_abs_error": worst},
         tolerance={"max_abs_error": 1e-6},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
 def check_green_limit(params=None, k_max=20, n_pairs=10, seed=42):
     """Shifted-ball Green functions increase to the half-space kernel."""
-    t0 = time.perf_counter()
     params = params or FracParams(2, 0.5)
     rng = rng_for(seed, "green-limit")
     r0 = 2.0
@@ -202,7 +199,6 @@ def check_green_limit(params=None, k_max=20, n_pairs=10, seed=42):
         measured={"min_monotone_step": min_step, "final_gap": worst_gap, "psi_gap": psi_gap},
         tolerance={"min_monotone_step": -1e-15, "final_gap": 1e-6, "psi_gap": 1e-9},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -218,7 +214,6 @@ def _reflection_samples(params, rng, n):
 
 def check_reflection_inequalities(param_list=None, pair_samples=10_000, seed=42):
     """Strict kernel comparisons across the plane x1 = lambda."""
-    t0 = time.perf_counter()
     sweep = param_list or [
         FracParams(1, 0.5),
         FracParams(2, 0.5),
@@ -277,13 +272,11 @@ def check_reflection_inequalities(param_list=None, pair_samples=10_000, seed=42)
         },
         tolerance={"violations": 0.0, "margin": 1e-14},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
 def check_h_monotonicity(param_list=None, grid_size=30, seed=42):
     """Signs of the H(r,t) partials on a log grid."""
-    t0 = time.perf_counter()
     sweep = param_list or [
         FracParams(1, 0.5),
         FracParams(2, 0.5),
@@ -313,7 +306,6 @@ def check_h_monotonicity(param_list=None, grid_size=30, seed=42):
         measured={"sign_violations": float(bad)},
         tolerance={"sign_violations": 0.0},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -330,7 +322,6 @@ def _boundary_slope(params, d_values, spec=None):
 
 def check_boundary_estimate(param_list=None, seed=42):
     """Fitted decay exponent of ball solutions near the sphere."""
-    t0 = time.perf_counter()
     sweep = param_list or [
         FracParams(2, 0.3),
         FracParams(2, 0.5),
@@ -362,7 +353,6 @@ def check_boundary_estimate(param_list=None, seed=42):
         measured=measured,
         tolerance={"slope_min": "s-0.05 (2s<=N), s-0.55 (N=1<2s)"},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
         window={"d_min": 1e-3, "d_max": 1e-1, "points": len(d_values)},
     )
 
@@ -435,7 +425,6 @@ def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42)
     slope must be within 0.05 of 0 and of 1 - 2s, and T/log(1/x1^2) must
     drift by at most 10 % over the last three.
     """
-    t0 = time.perf_counter()
     measured = {}
     passed = True
     samples = 0
@@ -470,7 +459,6 @@ def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42)
         measured=measured,
         tolerance={"slope_abs": 0.05, "log_ratio_drift": 0.10},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
         window={"fit_points": 4},
     )
 
@@ -485,7 +473,6 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
     accuracy.  Under that law the asserted 1e-3 would need a sup below 0.1
     at lam = 1, where 0.76374 is measured (s = 1/2).
     """
-    t0 = time.perf_counter()
     params = params or FracParams(2, 0.5)
     lam_ladder = lam_ladder or [2.0 ** (-k) for k in range(0, 8)]
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
@@ -522,7 +509,6 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
         },
         tolerance={"sup_mass_at_0.01": 1e-3},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -530,7 +516,6 @@ def check_dimension_reduction(seed=42):
     """Beta closed form = ratio of singular-integral constants = quadrature."""
     from scipy import integrate as _integrate  # its only use; importing fraclap stays light
 
-    t0 = time.perf_counter()
     worst = 0.0
     total = 0
     for N in range(2, 6):
@@ -559,7 +544,6 @@ def check_dimension_reduction(seed=42):
         measured={"max_rel_mismatch": worst},
         tolerance={"max_rel_mismatch": 1e-10},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -605,7 +589,6 @@ def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
 
 def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, seed=42):
     """s-harmonic functions reproduce themselves under the regularized kernel."""
-    t0 = time.perf_counter()
     params = params or FracParams(1, 0.5)
     rng = rng_for(seed, "harmonicity-meanvalue")
     g = ScalarField(
@@ -638,7 +621,6 @@ def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, s
         measured=measured,
         tolerance={"max_error": 1e-4},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -676,7 +658,6 @@ def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
     samples fails.  Negative control: the bound scaled by 0.99 must fail
     somewhere, which shows the samples come within 1 % of it.
     """
-    t0 = time.perf_counter()
     sweep = param_list or [FracParams(3, 0.5), FracParams(1, 0.75), FracParams(1, 0.5)]
     measured = {}
     worst, control_missed = 0.0, 0
@@ -695,7 +676,6 @@ def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
         measured=measured,
         tolerance={"max_ratio": 1.0, "control_ratio": 0.99},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -718,7 +698,6 @@ def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
     Negative control: at p +/- 0.25 the ratio must vary with |x|.
     """
     from scipy import special as _spec
-    t0 = time.perf_counter()
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
     spread = dev = 0.0
     control = np.inf
@@ -751,7 +730,6 @@ def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
         measured={"max_ratio_spread": spread, "max_rel_dev_from_lambda": dev, "min_control_spread": control},
         tolerance={"max_ratio_spread": 1e-5, "max_rel_dev_from_lambda": 1e-5, "min_control_spread": 1e-2},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -783,7 +761,6 @@ def default_halfspace_axes(params: FracParams):
 
 def experiment_liouville(param_q_list=None, u0_level=0.01, max_iter=200, seed=42):
     """Picard verdicts for subcritical powers collapse to zero."""
-    t0 = time.perf_counter()
     runs = param_q_list or [
         (FracParams(2, 0.5), (1.5, 2.0, 3.0)),
         (FracParams(3, 0.5), (2.0,)),
@@ -818,14 +795,12 @@ def experiment_liouville(param_q_list=None, u0_level=0.01, max_iter=200, seed=42
         measured=measured,
         tolerance={"verdict": "converged-to-zero for subcritical q"},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
 def experiment_monotonicity(params=None, q=2.0, lam_grid=10, seed=42):
     """Converged Picard iterates are nondecreasing in x1 and pass the
     moving-plane comparison; a synthetic non-monotone field must fail."""
-    t0 = time.perf_counter()
     params = params or FracParams(2, 0.5)
     axes = default_halfspace_axes(params)
     op = _cached_operator(params, axes)
@@ -867,7 +842,6 @@ def experiment_monotonicity(params=None, q=2.0, lam_grid=10, seed=42):
         measured=measured,
         tolerance={"min_slope": -1e-6, "plane_violations": 0.0},
         seed=seed,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -890,9 +864,13 @@ CHECK_IDS = tuple(_RUNNERS)
 
 
 def run_check(check_id: str, seed: int = 42) -> Report:
+    """Run one check and stamp its Report's ``wall_time``."""
     if check_id not in _RUNNERS:
         raise KeyError(f"unknown check id {check_id!r}")
-    return _RUNNERS[check_id](seed=seed)
+    t0 = time.perf_counter()
+    report = _RUNNERS[check_id](seed=seed)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 def run_all(seed: int = 42, check_ids=None):

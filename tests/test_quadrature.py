@@ -517,20 +517,6 @@ class TestHalfspaceIntegral:
         assert err.value.estimate > 0.0
         assert err.value.error > spec.tolerance(err.value.estimate)
 
-    def test_detail_reports_tail(self):
-        f = ScalarField(
-            func=lambda p: np.exp(-np.sum(p * p, axis=-1)),
-            smoothness="C2",
-            decay_exponent=4.0,
-            bound=1.0,
-        )
-        res = halfspace_green_integral(
-            P2, f, np.array([0.5, 0.0]), QuadratureSpec(rel_tol=1e-6, abs_tol=1e-7), detail=True
-        )
-        assert res.value > 0.0
-        assert res.tail_rigorous
-        assert res.tail_bound <= 0.25 * 1e-7
-
     def test_missing_descriptor_rejected(self):
         f = ScalarField(func=lambda p: np.ones(p.shape[:-1]), smoothness="continuous", bound=1.0)
         with pytest.raises(ValueError):
@@ -541,17 +527,18 @@ class TestHalfspaceIntegral:
     )
 
     def test_tail_is_rigorous_only_when_the_box_holds_its_half_ball(self):
-        # the bound covers |y| >= max(min(hi - lo)/2, 2|x|)
+        # the bound covers |y| >= L for L >= 2|x|
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
         x = np.array([1.5, 0.0])
+        L = 2.0 * np.linalg.norm(x) + 1e-9
+        tail = quadrature._halfspace_tail_bound(P2, x, self.GAUSSIAN.bound, self.GAUSSIAN.decay_exponent, L)
         whole = halfspace_green_integral(P2, self.GAUSSIAN, x, spec)
-        off = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([1.0, -1.0], [2.0, 1.0]), detail=True)
-        # the box misses the mass near the origin, far more than the bound
-        assert whole - off.value > 5.0 * off.tail_bound
-        assert not off.tail_rigorous
-        held = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([0.0, -4.0], [4.0, 4.0]), detail=True)
-        assert held.tail_rigorous
-        assert whole - held.value <= held.tail_bound + held.error + 1e-9
+        # a box that misses the mass near the origin misses far more than the bound
+        off = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([1.0, -1.0], [2.0, 1.0]))
+        assert whole - off > 5.0 * tail
+        # a box that holds the half-ball |y| < L misses at most the bound
+        held, err = quadrature._box_integral(P2, x, np.array([0.0, -4.0]), np.array([4.0, 4.0]), spec, self.GAUSSIAN)
+        assert whole - held <= tail + err + 1e-9
         # the bound itself refuses a radius below 2|x|
         with pytest.raises(ValueError):
             quadrature._halfspace_tail_bound(P2, x, 1.0, 4.0, 2.9)
@@ -560,11 +547,11 @@ class TestHalfspaceIntegral:
         # the value must meet the nested-quadrature mass of TestBoxGreenMass,
         # and the reported error cover its miss
         x, lo, hi, ref = TestBoxGreenMass.REFERENCES[3]
-        res = halfspace_green_integral(
-            P2, ONE, np.array(x), QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10), box=(lo, hi), detail=True
+        value, error = quadrature._box_integral(
+            P2, np.array(x), np.array(lo), np.array(hi), QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10), ONE
         )
-        assert abs(res.value / ref - 1.0) <= 1e-7
-        assert res.error >= abs(res.value - ref)
+        assert abs(value / ref - 1.0) <= 1e-7
+        assert error >= abs(value - ref)
 
     @pytest.mark.parametrize(
         "params", [FracParams(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.75)],
