@@ -76,7 +76,7 @@ def _verify(args) -> int:
         elif writer:
             writer.writerows(report.csv_rows())
         else:
-            sys.stdout.write(report.to_text(strict=False))
+            sys.stdout.write(report.to_text())
     if args.format == "json":
         json.dump(objects, sys.stdout, indent=1, default=_numpy_scalar)
         sys.stdout.write("\n")

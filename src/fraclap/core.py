@@ -121,12 +121,12 @@ def getoor_constant(params: FracParams) -> float:
     return 4.0**s * _spec.gamma(1.0 + s) * _spec.gamma(N / 2.0 + s) / _spec.gamma(N / 2.0)
 
 
-def _hyp2f1_1u_series(c, u, kmax=220):
-    """2F1(1, 1/2; c; u) by its power series; u must satisfy |u| <= 0.5."""
+def _hyp2f1_1u_series(c, u):
+    """2F1(1, 1/2; c; u) by its power series, at most 220 terms; u must satisfy |u| <= 0.5."""
     u = np.asarray(u, dtype=float)
     term = np.ones_like(u)
     total = np.ones_like(u)
-    for k in range(kmax):
+    for k in range(220):
         term = term * ((0.5 + k) / (c + k)) * u
         total = total + term
         if np.all(np.abs(term) <= 1e-17 * np.abs(total)):

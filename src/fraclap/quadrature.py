@@ -133,11 +133,11 @@ class ScalarField:
         return self.func(np.asarray(pts, dtype=float))
 
 
-def constant_field(value: float, smoothness: str = "C2") -> ScalarField:
+def constant_field(value: float) -> ScalarField:
     value = float(value)
     return ScalarField(
         func=lambda pts: np.full(np.asarray(pts).shape[:-1], value),
-        smoothness=smoothness,
+        smoothness="C2",
         bound=abs(value),
     )
 
@@ -148,9 +148,7 @@ def constant_field(value: float, smoothness: str = "C2") -> ScalarField:
 _RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule, initial panels per block of points
 
 
-def _adaptive_panels(
-    fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), point=None, n_low=8, n_high=16
-):
+def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), point=None):
     """Adaptive Gauss panels on rays, for one or more evaluation points.
 
     ``edges`` holds one row of panel edges per ray (a 1-D array is one
@@ -165,7 +163,7 @@ def _adaptive_panels(
     [a, b] integrates with the Gauss-Jacobi rule for the weight
     (r - a)^alpha and its last with the one for (b - r)^beta, the weight
     divided out (``_gj``), so every panel is a plain sum of f(r_i) w_i.
-    Each panel's n_high-point value and |n_high - n_low| error are scaled
+    Each panel's 16-point value and |16-point - 8-point| error are scaled
     by its row's weight.  Every point p has its own tolerance
     ``spec.tolerance(value_p)``: while its summed error err_p exceeds it,
     a pass bisects the point's panels at or above 0.25 err_p / n_p (n_p
@@ -196,6 +194,7 @@ def _adaptive_panels(
     )
     nb = len(betas) + 1
     rule = np.where(first, ia[d] + 1, 0) * nb + np.where(last, ib[d] + 1, 0)
+    n_low, n_high = 8, 16
     low, high = (
         [_gj(n, ka, kb) for ka in (0.0, *alphas) for kb in (0.0, *betas)] for n in (n_low, n_high)
     )

@@ -145,11 +145,11 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Source nonlinearity t -> f(t) with the tags the iteration relies on."""
+    """Source nonlinearity t -> f(t).  The iteration needs f nonnegative and
+    nondecreasing on [0, M], which ``validate`` samples, and an optional
+    declared Lipschitz constant is checked against the sampled slopes."""
 
     func: object
-    nonnegative: bool = True
-    nondecreasing: bool = True
     lipschitz_const: float | None = None
 
     def __call__(self, t):
@@ -159,31 +159,19 @@ class Nonlinearity:
     def power(cls, q: float):
         if q < 1.0:
             raise ValueError("power nonlinearity needs q >= 1")
-        return cls(
-            func=lambda t: np.maximum(t, 0.0) ** q,
-            nonnegative=True,
-            nondecreasing=True,
-            lipschitz_const=None,
-        )
+        return cls(func=lambda t: np.maximum(t, 0.0) ** q)
 
     @classmethod
     def zero(cls):
-        return cls(
-            func=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            nonnegative=True,
-            nondecreasing=True,
-            lipschitz_const=0.0,
-        )
+        return cls(func=lambda t: np.zeros_like(np.asarray(t, dtype=float)), lipschitz_const=0.0)
 
-    def validate(self, M: float, samples: int = 257):
-        ts = np.linspace(0.0, max(M, 1e-12), samples)
+    def validate(self, M: float):
+        ts = np.linspace(0.0, max(M, 1e-12), 257)
         fs = self(ts)
-        if self.nonnegative and np.any(fs < 0.0):
-            raise ValueError("nonlinearity tagged nonnegative but takes negative values")
-        if fs[0] < 0.0:
-            raise ValueError("nonlinearity must satisfy f(0) >= 0")
-        if self.nondecreasing and np.any(np.diff(fs) < -1e-12 * (1.0 + np.max(np.abs(fs)))):
-            raise ValueError("nonlinearity tagged nondecreasing but decreases on [0, M]")
+        if np.any(fs < 0.0):
+            raise ValueError("nonlinearity takes negative values on [0, M]")
+        if np.any(np.diff(fs) < -1e-12 * (1.0 + np.max(np.abs(fs)))):
+            raise ValueError("nonlinearity decreases on [0, M]")
         if self.lipschitz_const is not None:
             slopes = np.abs(np.diff(fs) / np.diff(ts))
             if np.max(slopes) > self.lipschitz_const * (1.0 + 1e-9) + 1e-12:
@@ -286,7 +274,7 @@ class PicardOperator:
     coefficient is nonnegative, so the operator is monotone nodewise.
     """
 
-    def __init__(self, params: FracParams, axes, spec: QuadratureSpec | None = None):
+    def __init__(self, params: FracParams, axes):
         self.params = params
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         if len(self.axes) != params.N:
@@ -296,7 +284,6 @@ class PicardOperator:
         for k, a in enumerate(self.axes[1:], start=1):
             if not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-12, atol=0):
                 raise ValueError(f"lateral axis {k} must be uniformly spaced")
-        spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
         mesh = np.meshgrid(*self.axes, indexing="ij")
         self.shape = tuple(len(a) for a in self.axes)
         self.nodes = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -306,7 +293,7 @@ class PicardOperator:
         wmesh = np.meshgrid(*axis_w, indexing="ij")
         self.weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=0), axis=0)
         self._table, self._table_hat = self._build_matrix()
-        self.diag_mass = self._build_diagonal(spec)
+        self.diag_mass = self._build_diagonal()
         lo = np.array([a[0] for a in self.axes])
         hi = np.array([a[-1] for a in self.axes])
         self.box = (lo, hi)
@@ -339,7 +326,8 @@ class PicardOperator:
                                  axes=tuple(range(len(lateral))))
         return table, np.ascontiguousarray(table_hat)
 
-    def _build_diagonal(self, spec):
+    def _build_diagonal(self):
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
         bounds = [_cell_bounds(a) for a in self.axes]
         lo = np.stack([m.ravel() for m in np.meshgrid(*[b[0] for b in bounds], indexing="ij")], axis=-1)
         hi = np.stack([m.ravel() for m in np.meshgrid(*[b[1] for b in bounds], indexing="ij")], axis=-1)
@@ -383,29 +371,28 @@ def picard_semilinear(
     params: FracParams,
     f: Nonlinearity,
     u0: GridFunction,
-    max_iter: int = 200,
-    spec: QuadratureSpec | None = None,
     operator: PicardOperator | None = None,
 ):
     """Iterate u_{k+1}(x) = int_box G(x,y) f(u_k(y)) dy on u0's grid, the box
-    being the grid hull.
+    being the grid hull, with ``operator`` or a ``PicardOperator`` built on
+    u0's axes.
 
     Stops when the residual drops below 1e-6 (1 + sup u_k) (converged;
     "converged-to-zero" when the final sup is below 1e-6), the sup norm
-    exceeds 1e3 (diverged), or the budget runs out.  The dropped exterior
-    tail is nonnegative, so zero verdicts are conservative.
+    exceeds 1e3 (diverged), or after 200 iterations (budget-exhausted).
+    The dropped exterior tail is nonnegative, so zero verdicts are
+    conservative.  ``f.validate`` rejects an f that is negative or
+    decreasing on [0, max(2 sup u0, 1)].
     """
     if np.any(u0.values < 0.0):
         raise ValueError("Picard iteration needs a nonnegative start")
-    if not (f.nonnegative and f.nondecreasing):
-        raise ValueError("Picard iteration needs a nonnegative nondecreasing nonlinearity")
     f.validate(max(u0.sup_norm() * 2.0, 1.0))
-    op = operator or PicardOperator(params, u0.axes, spec)
+    op = operator or PicardOperator(params, u0.axes)
     u = u0.values.copy()
     residual = np.inf
     verdict = "budget-exhausted"
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(200):
         new = op.apply(f(u))
         residual = float(np.max(np.abs(new - u)))
         u = new
@@ -436,8 +423,9 @@ class MovingPlaneReport:
         return len(self.violations) == 0
 
 
-def moving_plane_check(u: GridFunction, lam: float, tol: float | None = None):
-    """List grid nodes x in the slab {0 < x1 < lam} with u(x) > u(x^lam) + tol.
+def moving_plane_check(u: GridFunction, lam: float):
+    """List grid nodes x in the slab {0 < x1 < lam} with u(x) > u(x^lam) + tol,
+    tol = 1e-9 + 1e-6 sup |u|.
 
     Reflected points beyond the grid hull (but still in the half-space)
     are evaluated by clamped interpolation.
@@ -445,8 +433,7 @@ def moving_plane_check(u: GridFunction, lam: float, tol: float | None = None):
     axes = u.axes
     if lam <= axes[0][0] or lam >= axes[0][-1]:
         raise ValueError("reflection level lam must lie inside the grid's x1 range")
-    if tol is None:
-        tol = 1e-9 + 1e-6 * u.sup_norm()
+    tol = 1e-9 + 1e-6 * u.sup_norm()
     nodes = u.nodes()
     vals = u.values.reshape(-1)
     in_slab = (nodes[:, 0] > 0.0) & (nodes[:, 0] < lam)
@@ -481,25 +468,20 @@ def monotonicity_profile(u: GridFunction) -> MonotonicityProfile:
     return MonotonicityProfile(min_slope=float(slopes[idx]), location=loc)
 
 
-def _vdc_sequence(n, base=2):
-    """van der Corput low-discrepancy points in (0, 1)."""
+def _vdc_sequence(n):
+    """Base-2 van der Corput low-discrepancy points in (0, 1)."""
     out = np.empty(n)
     for i in range(n):
         v, denom, k = 0.0, 1.0, i + 1
         while k:
-            k, rem = divmod(k, base)
-            denom *= base
+            k, rem = divmod(k, 2)
+            denom *= 2
             v += rem / denom
         out[i] = v
     return out
 
 
-def lambda0_estimate(
-    params: FracParams,
-    c_lip: float,
-    spec: QuadratureSpec | None = None,
-    n_samples: int = 64,
-):
+def lambda0_estimate(params: FracParams, c_lip: float, n_samples: int = 64):
     """Largest slab width lambda0 whose doubled-slab Green mass
     sup_x int_{0 < y1 < 2 lambda0} G(x, y) dy is at most 0.9 / c_lip, i.e.
     strictly below 1/c_lip with a 10% margin.
@@ -509,11 +491,12 @@ def lambda0_estimate(
     ``FracParams(1, s)`` in every dimension, so lambda0 depends on s and
     c_lip only.  With S the sup of strip_mass(2, (f, 0, ...)) over n_samples
     low-discrepancy fractions f in (0, 1), lambda0 = (0.9 / (c_lip S))^(1/(2s)):
-    n_samples ``strip_mass`` calls, no bracketing and no cap on lambda0.
+    n_samples ``strip_mass`` calls at rel_tol 1e-5, abs_tol 1e-8, no
+    bracketing and no cap on lambda0.
     """
     if c_lip <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
-    spec = spec or QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)
+    spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)
     xs = np.zeros((n_samples, params.N))
     xs[:, 0] = _vdc_sequence(n_samples)
     sup = max(strip_mass(params, 2.0, x, spec) for x in xs)

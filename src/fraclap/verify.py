@@ -79,7 +79,7 @@ class Report:
     wall_time: float = 0.0  # stamped by run_check
     window: dict = field(default_factory=dict)
 
-    def to_text(self, strict: bool = True) -> str:
+    def to_text(self) -> str:
         lines = [
             f"check_id: {self.check_id}",
             f"pass: {_fmt(self.passed)}",
@@ -90,8 +90,7 @@ class Report:
                             ("tolerance", self.tolerance), ("window", self.window)):
             for k in group:
                 lines.append(f"{name}.{k}: {_fmt(group[k])}")
-        if not strict:
-            lines.append(f"wall_time: {_fmt(self.wall_time)}")
+        lines.append(f"wall_time: {_fmt(self.wall_time)}")
         return "\n".join(lines) + "\n"
 
     def csv_rows(self):
@@ -101,6 +100,7 @@ class Report:
         for kind, group in (("param", self.params), ("measured", self.measured),
                             ("tolerance", self.tolerance), ("window", self.window)):
             rows.extend((self.check_id, kind, k, _fmt(group[k])) for k in group)
+        rows.append((self.check_id, "wall_time", "", _fmt(self.wall_time)))
         return rows
 
     def to_dict(self) -> dict:
@@ -127,18 +127,16 @@ def _loglog_slope(xs, ys):
 # individual checks
 
 
-def check_poisson_normalization(param_list=None, sample_count=12, seed=42):
+def check_poisson_normalization(seed=42):
     """Exterior integral of the ball Poisson kernel equals 1 for every x."""
-    params_sweep = param_list or [
-        FracParams(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.75)
-    ]
+    params_sweep = [FracParams(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.75)]
     rng = rng_for(seed, "poisson-normalization")
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
     worst = 0.0
     total = 0
     for params in params_sweep:
         xs = [np.zeros(params.N)]
-        for _ in range(sample_count - 2):
+        for _ in range(10):  # 12 points: the origin, 10 random, one at |x| = 0.99
             v = rng.normal(size=params.N)
             v *= rng.uniform(0.0, 0.95) / np.linalg.norm(v)
             xs.append(v)
@@ -160,9 +158,9 @@ def check_poisson_normalization(param_list=None, sample_count=12, seed=42):
     )
 
 
-def check_green_limit(params=None, k_max=20, n_pairs=10, seed=42):
+def check_green_limit(seed=42):
     """Shifted-ball Green functions increase to the half-space kernel."""
-    params = params or FracParams(2, 0.5)
+    params, k_max, n_pairs = FracParams(2, 0.5), 20, 10
     rng = rng_for(seed, "green-limit")
     r0 = 2.0
     center = shifted_center(params.N, r0)
@@ -212,14 +210,10 @@ def _reflection_samples(params, rng, n):
     return lam, x, y
 
 
-def check_reflection_inequalities(param_list=None, pair_samples=10_000, seed=42):
+def check_reflection_inequalities(seed=42):
     """Strict kernel comparisons across the plane x1 = lambda."""
-    sweep = param_list or [
-        FracParams(1, 0.5),
-        FracParams(2, 0.5),
-        FracParams(3, 0.25),
-        FracParams(3, 0.75),
-    ]
+    sweep = [FracParams(1, 0.5), FracParams(2, 0.5), FracParams(3, 0.25), FracParams(3, 0.75)]
+    pair_samples = 10_000
     rng = rng_for(seed, "reflection-inequalities")
     margin = 1e-14
     violations = 0
@@ -275,14 +269,10 @@ def check_reflection_inequalities(param_list=None, pair_samples=10_000, seed=42)
     )
 
 
-def check_h_monotonicity(param_list=None, grid_size=30, seed=42):
+def check_h_monotonicity(seed=42):
     """Signs of the H(r,t) partials on a log grid."""
-    sweep = param_list or [
-        FracParams(1, 0.5),
-        FracParams(2, 0.5),
-        FracParams(3, 0.25),
-        FracParams(3, 0.75),
-    ]
+    sweep = [FracParams(1, 0.5), FracParams(2, 0.5), FracParams(3, 0.25), FracParams(3, 0.75)]
+    grid_size = 30
     rr = np.logspace(-2, 2, grid_size)
     tt = np.logspace(-2, 2, grid_size)
     bad = 0
@@ -309,8 +299,8 @@ def check_h_monotonicity(param_list=None, grid_size=30, seed=42):
     )
 
 
-def _boundary_slope(params, d_values, spec=None):
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+def _boundary_slope(params, d_values):
+    spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
     one = constant_field(1.0)
     us = []
     for d in d_values:
@@ -320,14 +310,9 @@ def _boundary_slope(params, d_values, spec=None):
     return _loglog_slope(d_values, us), us
 
 
-def check_boundary_estimate(param_list=None, seed=42):
+def check_boundary_estimate(seed=42):
     """Fitted decay exponent of ball solutions near the sphere."""
-    sweep = param_list or [
-        FracParams(2, 0.3),
-        FracParams(2, 0.5),
-        FracParams(1, 0.5),
-        FracParams(1, 0.75),
-    ]
+    sweep = [FracParams(2, 0.3), FracParams(2, 0.5), FracParams(1, 0.5), FracParams(1, 0.75)]
     d_values = np.logspace(-3, -1, 9)
     measured = {}
     passed = True
@@ -412,7 +397,7 @@ def decay_integral(params: FracParams, x1: float, spec: QuadratureSpec | None = 
     return _checked(value[0], err[0], spec, "decay integral")
 
 
-def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42):
+def check_decay_regimes(seed=42):
     """Boundary-layer rates of the exterior shifted-ball integral.
 
     T(x1) (``decay_integral``) integrates |y - x|^(-N) (|y - e1|^2 - 1)^(-s)
@@ -425,11 +410,11 @@ def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42)
     slope must be within 0.05 of 0 and of 1 - 2s, and T/log(1/x1^2) must
     drift by at most 10 % over the last three.
     """
+    N, s_list = 2, (0.25, 0.5, 0.75)
     measured = {}
     passed = True
     samples = 0
-    js = np.arange(j_range[0], j_range[1] + 1, 2)
-    xs = 2.0 ** (-js.astype(float))
+    xs = 2.0 ** -np.arange(4.0, 17.0, 2.0)
     for s in s_list:
         params = FracParams(N, s)
         vals = np.array([decay_integral(params, float(x1)) for x1 in xs])
@@ -453,7 +438,7 @@ def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42)
                 passed = False
     return Report(
         check_id="decay-regimes",
-        params={"N": N, "s_list": str(tuple(s_list)), "ladder": "x1 = 2^-j, j = 4..16"},
+        params={"N": N, "s_list": str(s_list), "ladder": "x1 = 2^-j, j = 4..16"},
         samples=samples,
         passed=passed,
         measured=measured,
@@ -463,7 +448,7 @@ def check_decay_regimes(s_list=(0.25, 0.5, 0.75), N=2, j_range=(4, 16), seed=42)
     )
 
 
-def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
+def check_strip_mass(seed=42):
     """Slab masses decrease with the slab width and sink below 1e-3 at 0.01.
 
     The decrease is a theorem; the 1e-3 threshold is asserted as stated
@@ -473,33 +458,20 @@ def check_strip_mass(params=None, lam_ladder=None, n_x=8, seed=42):
     accuracy.  Under that law the asserted 1e-3 would need a sup below 0.1
     at lam = 1, where 0.76374 is measured (s = 1/2).
     """
-    params = params or FracParams(2, 0.5)
-    lam_ladder = lam_ladder or [2.0 ** (-k) for k in range(0, 8)]
+    params = FracParams(2, 0.5)
+    lams = [2.0 ** (-k) for k in range(0, 8)] + [0.01]  # the ladder, then lam = 0.01
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
-    fracs = np.linspace(0.05, 0.95, n_x)
-    sups = []
-    for lam in lam_ladder:
-        masses = []
-        for a in fracs:
-            x = np.zeros(params.N)
-            x[0] = a * lam
-            masses.append(strip_mass(params, lam, x, spec))
-        sups.append(max(masses))
-    sups = np.array(sups)
+    fracs = np.linspace(0.05, 0.95, 8)
+    sups = np.array([max(strip_mass(params, lam, np.array([a * lam, 0.0]), spec) for a in fracs)
+                     for lam in lams])
+    sups, sup_small = sups[:-1], float(sups[-1])
     decreasing = bool(np.all(np.diff(sups) < 0.0))
-    lam_small = 0.01
-    small_masses = []
-    for a in fracs:
-        x = np.zeros(params.N)
-        x[0] = a * lam_small
-        small_masses.append(strip_mass(params, lam_small, x, spec))
-    sup_small = max(small_masses)
     positive = bool(np.all(sups > 0.0))
     passed = decreasing and positive and (sup_small < 1e-3)
     return Report(
         check_id="strip-mass",
         params={"N": params.N, "s": params.s, "ladder": "lam = 2^-k, k = 0..7"},
-        samples=len(lam_ladder) * n_x + n_x,
+        samples=len(lams) * len(fracs),
         passed=passed,
         measured={
             "decreasing": float(decreasing),
@@ -547,9 +519,9 @@ def check_dimension_reduction(seed=42):
     )
 
 
-def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
+def meanvalue_convolution(params, u: ScalarField, x, eps: float):
     """(regularized kernel_eps * u)(x) for x in the eps-interior of the ball."""
-    spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
+    spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
     if 1.0 - float(np.linalg.norm(x)) <= eps:
         raise ValueError("x must lie in the eps-interior of the unit ball")
@@ -587,9 +559,9 @@ def meanvalue_convolution(params, u: ScalarField, x, eps: float, spec=None):
     return _checked(value[0], err[0], spec, "mean-value convolution")
 
 
-def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, seed=42):
+def check_harmonicity_meanvalue(seed=42):
     """s-harmonic functions reproduce themselves under the regularized kernel."""
-    params = params or FracParams(1, 0.5)
+    params, eps_list, n_x = FracParams(1, 0.5), (0.2, 0.1, 0.05), 4
     rng = rng_for(seed, "harmonicity-meanvalue")
     g = ScalarField(
         func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)),
@@ -598,7 +570,6 @@ def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, s
         bound=1.0,
     )
     u = poisson_extension_field(params, 1.0, g)
-    errors = []
     per_eps = []
     for eps in eps_list:
         worst = 0.0
@@ -610,8 +581,7 @@ def check_harmonicity_meanvalue(params=None, eps_list=(0.2, 0.1, 0.05), n_x=4, s
             direct = float(np.asarray(u(x)))
             worst = max(worst, abs(conv - direct))
         per_eps.append(worst)
-        errors.append(worst)
-    passed = max(errors) <= 1e-4
+    passed = max(per_eps) <= 1e-4
     measured = {f"max_error_eps{eps:g}": e for eps, e in zip(eps_list, per_eps)}
     return Report(
         check_id="harmonicity-meanvalue",
@@ -651,14 +621,15 @@ def _kernel_bound_ratio(params, L, rng, n):
     return float(np.max(g / (0.5 * green_constant_k(params) * d2**e * bound)))
 
 
-def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
+def check_kernel_bounds(seed=42):
     """G stays below its explicit bound (``_kernel_bound_ratio``) on every sample.
 
     The bound is fixed before sampling, so a kernel too large anywhere on the
     samples fails.  Negative control: the bound scaled by 0.99 must fail
     somewhere, which shows the samples come within 1 % of it.
     """
-    sweep = param_list or [FracParams(3, 0.5), FracParams(1, 0.75), FracParams(1, 0.5)]
+    sweep = [FracParams(3, 0.5), FracParams(1, 0.75), FracParams(1, 0.5)]
+    L, samples = 2.0, 10_000
     measured = {}
     worst, control_missed = 0.0, 0
     for params in sweep:
@@ -671,7 +642,7 @@ def check_kernel_bounds(param_list=None, L=2.0, samples=10_000, seed=42):
     return Report(
         check_id="kernel-bounds",
         params={"L": L, "sweep": "(3,0.5) (1,0.75) (1,0.5)"},
-        samples=3 * samples,
+        samples=len(sweep) * samples,
         passed=worst <= 1.0 and control_missed == 0,
         measured=measured,
         tolerance={"max_ratio": 1.0, "control_ratio": 0.99},
@@ -690,7 +661,7 @@ def _bubble(n, s):
     )
 
 
-def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
+def check_critical_bubble(seed=42):
     """At the half-space exponent p = (N-1+2s)/(N-1-2s) the bubble of R^n,
     n = N-1, solves (-Delta)^s w = lam w^p with lam = 2^(2s)
     Gamma((n+2s)/2) / Gamma((n-2s)/2) (Chen, Li & Ou, CPAM 59, 2006; Lieb,
@@ -699,6 +670,7 @@ def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
     """
     from scipy import special as _spec
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+    radii = (0.0, 0.5, 1.0, 2.0)
     spread = dev = 0.0
     control = np.inf
     samples = 0
@@ -723,7 +695,7 @@ def check_critical_bubble(radii=(0.0, 0.5, 1.0, 2.0), seed=42):
             samples += len(radii)
     return Report(
         check_id="critical-bubble",
-        params={"sweep": "N in {2,3,4} x s in {0.25,0.5,0.75}, N-1 > 2s", "radii": str(tuple(radii)),
+        params={"sweep": "N in {2,3,4} x s in {0.25,0.5,0.75}, N-1 > 2s", "radii": str(radii),
                 "control": "p +/- 0.25"},
         samples=samples,
         passed=spread <= 1e-5 and dev <= 1e-5 and control >= 1e-2,
@@ -759,12 +731,10 @@ def default_halfspace_axes(params: FracParams):
     return (ax1,)
 
 
-def experiment_liouville(param_q_list=None, u0_level=0.01, max_iter=200, seed=42):
+def experiment_liouville(seed=42):
     """Picard verdicts for subcritical powers collapse to zero."""
-    runs = param_q_list or [
-        (FracParams(2, 0.5), (1.5, 2.0, 3.0)),
-        (FracParams(3, 0.5), (2.0,)),
-    ]
+    runs = [(FracParams(2, 0.5), (1.5, 2.0, 3.0)), (FracParams(3, 0.5), (2.0,))]
+    u0_level = 0.01
     measured = {}
     passed = True
     samples = 0
@@ -777,9 +747,7 @@ def experiment_liouville(param_q_list=None, u0_level=0.01, max_iter=200, seed=42
             u0 = GridFunction(
                 domain=HalfSpace(), axes=axes, values=np.full(shape, u0_level)
             )
-            _, rep = picard_semilinear(
-                params, Nonlinearity.power(q), u0, max_iter=max_iter, operator=op
-            )
+            _, rep = picard_semilinear(params, Nonlinearity.power(q), u0, operator=op)
             tag = f"verdict_N{params.N}_s{params.s:g}_q{q:g}"
             measured[tag] = rep.verdict
             measured[tag + "_iters"] = float(rep.iterations)
@@ -798,10 +766,10 @@ def experiment_liouville(param_q_list=None, u0_level=0.01, max_iter=200, seed=42
     )
 
 
-def experiment_monotonicity(params=None, q=2.0, lam_grid=10, seed=42):
+def experiment_monotonicity(seed=42):
     """Converged Picard iterates are nondecreasing in x1 and pass the
     moving-plane comparison; a synthetic non-monotone field must fail."""
-    params = params or FracParams(2, 0.5)
+    params, q, lam_grid = FracParams(2, 0.5), 2.0, 10
     axes = default_halfspace_axes(params)
     op = _cached_operator(params, axes)
     shape = [len(a) for a in axes]
@@ -873,9 +841,5 @@ def run_check(check_id: str, seed: int = 42) -> Report:
     return report
 
 
-def run_all(seed: int = 42, check_ids=None):
-    ids = list(check_ids or CHECK_IDS)
-    for cid in ids:
-        if cid not in _RUNNERS:
-            raise KeyError(f"unknown check id {cid!r}")
-    return [run_check(cid, seed) for cid in ids]
+def run_all(seed: int = 42):
+    return [run_check(cid, seed) for cid in CHECK_IDS]

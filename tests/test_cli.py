@@ -25,6 +25,14 @@ def test_verify_csv(capsys):
     assert all(r[0] == "dimension-reduction" for r in rows[1:])
 
 
+def test_verify_csv_wall_time(capsys):
+    assert cli.main(["verify", "--check", "h-monotonicity", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    (row,) = [r for r in rows if r[1] == "wall_time"]
+    assert row[:3] == ["h-monotonicity", "wall_time", ""]
+    assert float(row[3]) > 0.0  # stamped by verify.run_check
+
+
 def test_verify_json(capsys):
     assert cli.main(["verify", "--check", "dimension-reduction", "--format", "json"]) == 0
     (obj,) = json.loads(capsys.readouterr().out)

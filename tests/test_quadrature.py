@@ -195,10 +195,10 @@ CLOSED_FORM_POINTS = [
 
 
 def _sweep_points():
-    # N in {1, 2, 3} x s in {0.25, 0.5, 0.75} x |x| in {0, 0.5, 0.9, 0.99}
+    # N in {1, 2, 3} x s in {0.05, 0.25, 0.5, 0.75, 0.95} x |x| in {0, 0.5, 0.9, 0.99}
     unit = np.array([1.0, 2.0, -2.0]) / 3.0
     for N in (1, 2, 3):
-        for s in (0.25, 0.5, 0.75):
+        for s in (0.05, 0.25, 0.5, 0.75, 0.95):
             for r in (0.0, 0.5, 0.9, 0.99):
                 x = r * unit[:N] / np.linalg.norm(unit[:N])
                 marks = [pytest.mark.slow] if N == 3 and r >= 0.9 else []
@@ -412,6 +412,12 @@ class TestExteriorPoisson:
     def test_normalization_near_the_sphere(self, params, x):
         v = exterior_poisson_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
         assert abs(v - 1.0) <= 5e-11
+
+    @pytest.mark.parametrize("params, x", list(_sweep_points()), ids=_point_id)
+    def test_normalization_sweep(self, params, x):
+        # the ball closed-form sweep, s near 0 and 1 included
+        v = exterior_poisson_integral(params, 1.0, ONE, np.array(x), BALL_SPEC)
+        assert abs(v - 1.0) <= 1e-6
 
     @pytest.mark.parametrize(
         "N, x, c",

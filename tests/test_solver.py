@@ -89,7 +89,7 @@ class TestNonlinearity:
         f.validate(3.0)
 
     def test_validate_rejects_mislabeled(self):
-        bad = Nonlinearity(func=lambda t: -t, nonnegative=True, nondecreasing=True)
+        bad = Nonlinearity(func=lambda t: -t)
         with pytest.raises(ValueError):
             bad.validate(1.0)
         shrink = Nonlinearity(func=lambda t: 5.0 * t, lipschitz_const=1.0)
@@ -326,6 +326,15 @@ class TestPicard:
         assert rep.verdict == "converged-to-zero"
         assert rep.iterations <= 10
         assert np.all(gf.values >= 0.0)
+
+    def test_large_start_diverges(self, small_operator):
+        # u0 = 10 with f(t) = t^2: the sup passes 1e3 on the second iterate
+        axes = small_operator.axes
+        u0 = GridFunction(domain=HalfSpace(), axes=axes, values=np.full([len(a) for a in axes], 10.0))
+        gf, rep = picard_semilinear(P2, Nonlinearity.power(2.0), u0, operator=small_operator)
+        assert rep.verdict == "diverged"
+        assert rep.iterations == 2
+        assert gf.sup_norm() > 1e3
 
     def test_monotone_start_stays_monotone(self, small_operator):
         # if u1 <= u0 nodewise then the whole sequence decreases nodewise

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,12 @@ SEED_LIOUVILLE = {
     "verdict_N3_s0.5_q2": "converged-to-zero",
     "verdict_N3_s0.5_q2_iters": 3.0,
 }
+def test_every_check_takes_only_the_seed():
+    # each check runs the one sweep its Report states: no caller can shrink it
+    for check_id, runner in verify._RUNNERS.items():
+        assert str(inspect.signature(runner)) == "(seed=42)", check_id
+
+
 SEED_MONOTONICITY = {
     "verdict_zero": "converged-to-zero",
     "verdict_power2": "converged-to-zero",
