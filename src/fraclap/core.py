@@ -121,19 +121,6 @@ def getoor_constant(params: FracParams) -> float:
     return 4.0**s * _spec.gamma(1.0 + s) * _spec.gamma(N / 2.0 + s) / _spec.gamma(N / 2.0)
 
 
-def _hyp2f1_1u_series(c, u):
-    """2F1(1, 1/2; c; u) by its power series, at most 220 terms; u must satisfy |u| <= 0.5."""
-    u = np.asarray(u, dtype=float)
-    term = np.ones_like(u)
-    total = np.ones_like(u)
-    for k in range(220):
-        term = term * ((0.5 + k) / (c + k)) * u
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    return total
-
-
 def incomplete_kernel_integral(params: FracParams, t):
     """The kernel integral I(t) = int_0^t z^(s-1) (1+z)^(-N/2) dz.
 
@@ -143,9 +130,10 @@ def incomplete_kernel_integral(params: FracParams, t):
     * N > 2s: regularized incomplete Beta at x = t/(1+t); for x near 1 the
       complement is evaluated at u = 1/(1+t) so no precision is lost.
     * N = 1 = 2s: exact closed form 2*arcsinh(sqrt(t)).
-    * N = 1 < 2s: Gauss series at small x, and the u -> 0 connection
-      formula of the hypergeometric representation at large t (again with
-      u = 1/(1+t) kept exact).
+    * N = 1 < 2s: x^s/s 2F1(s, s+1/2; s+1; x) for x <= 0.7, and above it
+      the u -> 0 connection formula B(s, 1/2-s) + x^s u^(1/2-s)/(s-1/2)
+      2F1(1, 1/2; 3/2-s; u), again with u = 1/(1+t) kept exact; both 2F1
+      are scipy's ``hyp2f1``.
     """
     from scipy import special as _spec
     N, s = params.N, params.s
@@ -183,9 +171,8 @@ def incomplete_kernel_integral(params: FracParams, t):
             ub = u[~small]
             b_cont = _spec.gamma(s) * _spec.gamma(0.5 - s) / _spec.gamma(0.5)
             x_pow_s = np.exp(s * np.log1p(-ub))
-            out[~small] = b_cont + x_pow_s * ub ** (0.5 - s) / (s - 0.5) * _hyp2f1_1u_series(
-                1.5 - s, ub
-            )
+            hyp = _spec.hyp2f1(1.0, 0.5, 1.5 - s, ub)
+            out[~small] = b_cont + x_pow_s * ub ** (0.5 - s) / (s - 0.5) * hyp
     return float(out[0]) if scalar else out
 
 

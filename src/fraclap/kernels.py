@@ -140,10 +140,20 @@ def _green_from_psi(params: FracParams, d2, psi):
     return 0.5 * k * d2 ** ((2.0 * s - N) / 2.0) * ivals
 
 
-def _raise_if_diagonal(live, d2):
-    bad = live & (d2 == 0.0)
-    if np.any(bad):
+def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
+    """``_green_from_psi`` at psi = fx fy / (scale |x-y|^2) where fx > 0 and fy > 0, else 0.
+
+    ``x`` and ``y`` are checked points; raises ``DiagonalSingularity`` at a
+    live x = y.
+    """
+    d2 = _dist2(x, y)
+    live = (fx > 0.0) & (fy > 0.0)
+    if np.any(live & (d2 == 0.0)):
         raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
+    d2safe = np.where(live, d2, 1.0)
+    psi = np.where(live, fx * fy / (scale * d2safe), 0.0)
+    out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def green_ball(params: FracParams, R: float, x, y):
@@ -153,15 +163,8 @@ def green_ball(params: FracParams, R: float, x, y):
     (for N = 1 = 2s, ``_green_from_psi``'s log form).
     """
     x, y = _as_points(params, x, y)
-    x2 = np.sum(x * x, axis=-1)
-    y2 = np.sum(y * y, axis=-1)
-    d2 = _dist2(x, y)
-    live = (x2 < R * R) & (y2 < R * R)
-    _raise_if_diagonal(live, d2)
-    d2safe = np.where(live, d2, 1.0)
-    psi = np.where(live, (R * R - x2) * (R * R - y2) / (R * R * d2safe), 0.0)
-    out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
-    return float(out) if out.ndim == 0 else out
+    R2 = R * R
+    return _green_between(params, x, y, R2 - np.sum(x * x, axis=-1), R2 - np.sum(y * y, axis=-1), R2)
 
 
 def green_shifted_ball(params: FracParams, R: float, x, y):
@@ -171,17 +174,9 @@ def green_shifted_ball(params: FracParams, R: float, x, y):
     R -> infinity, where the centered form loses all digits.
     """
     x, y = _as_points(params, x, y)
-    x2 = np.sum(x * x, axis=-1)
-    y2 = np.sum(y * y, axis=-1)
-    qx = 2.0 * x[..., 0] - x2 / R
-    qy = 2.0 * y[..., 0] - y2 / R
-    d2 = _dist2(x, y)
-    live = (qx > 0.0) & (qy > 0.0)
-    _raise_if_diagonal(live, d2)
-    d2safe = np.where(live, d2, 1.0)
-    psi = np.where(live, qx * qy / d2safe, 0.0)
-    out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
-    return float(out) if out.ndim == 0 else out
+    qx = 2.0 * x[..., 0] - np.sum(x * x, axis=-1) / R
+    qy = 2.0 * y[..., 0] - np.sum(y * y, axis=-1) / R
+    return _green_between(params, x, y, qx, qy)
 
 
 def green_halfspace(params: FracParams, x, y):
@@ -191,15 +186,8 @@ def green_halfspace(params: FracParams, x, y):
     symmetric; invariant under common tangential translations.
     """
     x, y = _as_points(params, x, y)
-    x1 = x[..., 0]
-    y1 = y[..., 0]
-    d2 = _dist2(x, y)
-    live = (x1 > 0.0) & (y1 > 0.0)
-    _raise_if_diagonal(live, d2)
-    d2safe = np.where(live, d2, 1.0)
-    psi = np.where(live, 4.0 * x1 * y1 / d2safe, 0.0)
-    out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
-    return float(out) if out.ndim == 0 else out
+    # views, not a 4 x1 array held through the call: the same psi to the last bit
+    return _green_between(params, x, y, x[..., 0], y[..., 0], 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ exceeds that tolerance, and its sums run over its own panels in the order
 a call for it alone would hold them, so a point's value and error do not
 depend on the points batched with it.  A row's end panels carry
 Gauss-Jacobi weights from the one rule table ``core._gj``.  The polar-ray
-integrals (``_ray_integral``: the ball integral and the strip mass) start
-every ray at x, with the weight (r - a)^(2s-1) for the |x-y|^(2s-N)
-singularity there and (t_exit - r)^beta where the ray leaves the domain
-(beta = s at the sphere and at y1 = 0).
+integrals (the ball integral and the strip mass) start every ray at x,
+with the weight (r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and
+(t_exit - r)^beta where the ray leaves the domain (beta = s at the sphere
+and at y1 = 0).
 ``exterior_poisson_integral`` maps rho in [R, inf) to sigma = 1 - (R/rho)^2
 in [0, 1) with the weights sigma^(-s) and (1 - sigma)^(s-1), so the whole
 exterior is integrated without a truncation radius; its row 0 is the peak
@@ -438,7 +438,7 @@ def getoor_field(params: FracParams) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# polar-ray engine and the ball Green integral
+# angular levels and the ball Green integral
 
 
 def _angular_converge(level, spec, start, max_doublings, n_points=1):
@@ -497,48 +497,6 @@ def _checked(value, err, spec, what):
     return value
 
 
-def _ray_integral(params, rays, spec, n_points=1):
-    """int over directions w and r in [0, t_exit(w)] of integrand(r, w) r^(N-1) dr dw,
-    for each of ``n_points`` points.
-
-    The polar-ray engine; every ray starts at its point.  ``rays(dirs,
-    pts)`` sets up the rays of the points with indices ``pts`` along the
-    directions ``dirs``: it returns each ray's exit distance t_exit, shape
-    (len(pts), len(dirs)), the exponent beta (scalar or of that shape) of
-    the integrand's (t_exit - r)^beta layer there, and ``integrand(r, d)``,
-    which evaluates at nodes r on the rays with flat indices
-    d = i len(dirs) + j (point pts[i], direction dirs[j]).  Panels are
-    halved toward the point, the first weighted by r^alpha
-    (``_end_rule_at_x``) and the last by (t_exit - r)^beta; one
-    ``_adaptive_panels`` call takes all (point, direction, panel) triples
-    of an angular level and a block of points.  Levels double from m = 8 to
-    m = 128; N = 1 runs one level, its two-point rule being exact.  Returns
-    arrays (values, errors): each point's final level's summed panel error
-    plus its difference from the level before.
-    """
-    N = params.N
-    alpha, depth = _end_rule_at_x(N, params.s, spec)
-    graded = _graded_edges(depth)
-
-    def level(m):
-        dirs, wts = _sphere_rule(N, m)
-
-        def run(pts):
-            t_exit, beta, integrand = rays(dirs, pts)
-            return _adaptive_panels(
-                lambda r, d: integrand(r, d) * r ** (N - 1.0),
-                (t_exit[..., None] * graded).reshape(-1, len(graded)),
-                spec,
-                np.tile(wts, len(pts)),
-                ends=(alpha, np.ravel(beta)),
-                point=np.repeat(np.arange(len(pts)), len(dirs)),
-            )
-
-        return len(dirs) * (len(graded) - 1), run
-
-    return _angular_converge(level, spec, 8, 4 if N > 1 else 0, n_points)
-
-
 def _inside(params, R, xs):
     """Points (n, N) and their squared norms; ``ValueError`` unless all lie inside B_R."""
     xs = np.asarray(xs, dtype=float).reshape(-1, params.N)
@@ -552,26 +510,41 @@ def _ball_green_batch(params, R, f, xs, spec):
     """(values, errors) of ``ball_green_integral`` at every point of ``xs`` (n, N)."""
     xs, x2 = _inside(params, R, xs)
     h = R * R - x2
+    N = params.N
+    alpha, depth = _end_rule_at_x(N, params.s, spec)
+    graded = _graded_edges(depth)
 
-    def rays(dirs, pts):
-        # t_exit and -t_neg of r^2 + 2 c r - h, c = x.w, each without cancellation
-        c, hp = np.sum(xs[pts][:, None, :] * dirs, axis=-1), h[pts][:, None]
-        q = np.sqrt(c * c + hp) + np.abs(c)
-        t_exit, t_back = np.where(c > 0.0, hp / q, q), np.where(c > 0.0, q, hp / q)
-        x = np.repeat(xs[pts], len(dirs), axis=0)
-        omega = np.tile(dirs, (len(pts), 1))
-        hr, te, tb = np.repeat(h[pts], len(dirs)), t_exit.ravel(), t_back.ravel()
+    def level(m):
+        dirs, wts = _sphere_rule(N, m)
 
-        def integrand(r, d):
-            live = (r < te[d]) & (r > 0.0)
-            r2 = np.where(live, r * r, 1.0)
-            psi = np.where(live, hr[d] * (te[d] - r) * (r + tb[d]) / (R * R * r2), 0.0)
-            y = np.take(x, d, axis=0) + r[:, None] * np.take(omega, d, axis=0)
-            return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(y)
+        def run(pts):
+            # t_exit and -t_neg of r^2 + 2 c r - h, c = x.w, each without cancellation
+            c, hp = np.sum(xs[pts][:, None, :] * dirs, axis=-1), h[pts][:, None]
+            q = np.sqrt(c * c + hp) + np.abs(c)
+            t_exit, t_back = np.where(c > 0.0, hp / q, q), np.where(c > 0.0, q, hp / q)
+            x = np.repeat(xs[pts], len(dirs), axis=0)
+            omega = np.tile(dirs, (len(pts), 1))
+            hr, te, tb = np.repeat(h[pts], len(dirs)), t_exit.ravel(), t_back.ravel()
 
-        return t_exit, params.s, integrand
+            def integrand(r, d):
+                live = (r < te[d]) & (r > 0.0)
+                r2 = np.where(live, r * r, 1.0)
+                psi = np.where(live, hr[d] * (te[d] - r) * (r + tb[d]) / (R * R * r2), 0.0)
+                y = np.take(x, d, axis=0) + r[:, None] * np.take(omega, d, axis=0)
+                return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(y) * r ** (N - 1.0)
 
-    return _ray_integral(params, rays, spec, len(xs))
+            return _adaptive_panels(
+                integrand,
+                te[:, None] * graded,
+                spec,
+                np.tile(wts, len(pts)),
+                ends=(alpha, params.s),
+                point=np.repeat(np.arange(len(pts)), len(dirs)),
+            )
+
+        return len(dirs) * (len(graded) - 1), run
+
+    return _angular_converge(level, spec, 8, 4 if N > 1 else 0, len(xs))
 
 
 def ball_green_integral(
@@ -579,17 +552,20 @@ def ball_green_integral(
 ):
     """int_{B_R} G_R(x, y) f(y) dy for x inside B_R.
 
-    Polar rays around x on the ray engine (``_ray_integral``).  With
+    Polar rays around x: one ``_adaptive_panels`` call takes all (point,
+    direction, panel) triples of an angular level and a block of points,
+    and ``_angular_converge`` doubles the levels from m = 8 to m = 128
+    (N = 1 runs one level, its two-point rule being exact).  With
     c = x.w and h = R^2 - |x|^2, the ray x + r w leaves the ball at the
     root t_exit of r^2 + 2 c r - h, and R^2 - |x + r w|^2 = (t_exit - r)
     (r - t_neg) in terms of both roots, so psi is formed without
-    cancellation.  The |x-y|^(2s-N) singularity at x is the weight of the
-    first panel of each ray; at the sphere I(psi) is psi^s times an
-    analytic function, so the last panel carries the weight
-    (t_exit - r)^s.  Returns a value whose error (the final level's summed
-    panel error plus the last angular level difference) is within
-    100 x tolerance, or raises ``ToleranceNotMet`` carrying the estimate
-    and the error.
+    cancellation.  The panels are halved toward x, where the |x-y|^(2s-N)
+    singularity is the weight r^alpha of the first panel
+    (``_end_rule_at_x``); at the sphere I(psi) is psi^s times an analytic
+    function, so the last panel carries the weight (t_exit - r)^s.
+    Returns a value whose error (the final level's summed panel error plus
+    the last angular level difference) is within 100 x tolerance, or
+    raises ``ToleranceNotMet`` carrying the estimate and the error.
     """
     spec = spec or QuadratureSpec()
     value, err = _ball_green_batch(params, R, f, x, spec)
@@ -1017,10 +993,12 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     with G_1 the half-line Green function of ``FracParams(1, s)``: the
     half-space is invariant under tangential translations, and on functions
     of x1 alone the symbol |xi|^(2s) acts as the one-dimensional
-    |xi1|^(2s).  So the slab is [0, lam] of the half-line: two rays from x1
-    on the ray engine, the one toward y1 = 0 ending in the weight y1^s
-    (G_1 is y1^s times an analytic function there).  ``x`` must have shape
-    (N,).  Raises ``ToleranceNotMet`` as ``ball_green_integral`` does.
+    |xi1|^(2s).  So the slab is [0, lam] of the half-line: one two-row
+    ``_adaptive_panels`` call, the rows being the rays from x1 to lam and
+    to 0, halved toward x1 as ``ball_green_integral``'s rays are, the one
+    toward y1 = 0 ending in the weight y1^s (G_1 is y1^s times an analytic
+    function there).  ``x`` must have shape (N,).  Raises
+    ``ToleranceNotMet`` as ``ball_green_integral`` does.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
     x = np.asarray(x, dtype=float)
@@ -1030,18 +1008,16 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     if not (0.0 < x1 < lam):
         raise ValueError("strip_mass needs 0 < x1 < lam")
     line = FracParams(1, params.s)
+    alpha, depth = _end_rule_at_x(1, params.s, spec)
+    sign = np.array([1.0, -1.0])  # the rays toward y1 = lam and toward y1 = 0
 
-    def rays(dirs, _):
-        up = dirs[:, 0] > 0.0
+    def integrand(r, d):
+        y1 = x1 + r * sign[d]
+        live = (y1 > 0.0) & (r > 0.0)
+        r2 = np.where(live, r * r, 1.0)
+        psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
+        return np.where(live, _green_from_psi(line, r2, psi), 0.0)
 
-        def integrand(r, d):
-            y1 = x1 + r * dirs[d, 0]
-            live = (y1 > 0.0) & (r > 0.0)
-            r2 = np.where(live, r * r, 1.0)
-            psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
-            return np.where(live, _green_from_psi(line, r2, psi), 0.0)
-
-        return np.where(up, lam - x1, x1)[None], np.where(up, 0.0, params.s)[None], integrand
-
-    value, err = _ray_integral(line, rays, spec)
+    edges = np.array([[lam - x1], [x1]]) * _graded_edges(depth)
+    value, err = _adaptive_panels(integrand, edges, spec, (1.0, 1.0), ends=(alpha, [0.0, params.s]))
     return _checked(value[0], err[0], spec, "strip mass")

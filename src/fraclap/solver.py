@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+def _grid_nodes(axes):
+    """The tensor grid of ``axes`` as an (M, len(axes)) array in C order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 @dataclass
 class GridFunction:
     """Scalar field sampled on a tensor grid, multilinearly interpolated.
@@ -78,8 +83,7 @@ class GridFunction:
 
     def nodes(self):
         """All grid nodes as an (M, N) array in C order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _grid_nodes(self.axes)
 
     def _inside_hull(self, pts):
         ok = np.ones(pts.shape[:-1], dtype=bool)
@@ -204,8 +208,7 @@ def solve_ball_dirichlet(
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
     axes = tuple(np.asarray(a, dtype=float) for a in grid)
     shape = tuple(len(a) for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _grid_nodes(axes)
     inside = np.sum(pts * pts, axis=-1) < R * R
     flat = np.empty(len(pts))
     if not np.all(inside):
@@ -284,14 +287,11 @@ class PicardOperator:
         for k, a in enumerate(self.axes[1:], start=1):
             if not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-12, atol=0):
                 raise ValueError(f"lateral axis {k} must be uniformly spaced")
-        mesh = np.meshgrid(*self.axes, indexing="ij")
         self.shape = tuple(len(a) for a in self.axes)
-        self.nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        self.nodes = _grid_nodes(self.axes)
         if np.any(self.nodes[:, 0] <= 0.0):
             raise ValueError("grid nodes must lie strictly inside the half-space")
-        axis_w = [_axis_weights(a) for a in self.axes]
-        wmesh = np.meshgrid(*axis_w, indexing="ij")
-        self.weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=0), axis=0)
+        self.weights = np.prod(_grid_nodes([_axis_weights(a) for a in self.axes]), axis=-1)
         self._table, self._table_hat = self._build_matrix()
         self.diag_mass = self._build_diagonal()
         lo = np.array([a[0] for a in self.axes])
@@ -328,9 +328,7 @@ class PicardOperator:
 
     def _build_diagonal(self):
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
-        bounds = [_cell_bounds(a) for a in self.axes]
-        lo = np.stack([m.ravel() for m in np.meshgrid(*[b[0] for b in bounds], indexing="ij")], axis=-1)
-        hi = np.stack([m.ravel() for m in np.meshgrid(*[b[1] for b in bounds], indexing="ij")], axis=-1)
+        lo, hi = (_grid_nodes(b) for b in zip(*(_cell_bounds(a) for a in self.axes)))
         x = self.nodes
         keys = np.round(np.column_stack([x[:, :1], lo - x, hi - x]), 12)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)

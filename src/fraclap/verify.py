@@ -80,17 +80,9 @@ class Report:
     window: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [
-            f"check_id: {self.check_id}",
-            f"pass: {_fmt(self.passed)}",
-            f"samples: {self.samples}",
-            f"seed: {self.seed}",
-        ]
-        for name, group in (("param", self.params), ("measured", self.measured),
-                            ("tolerance", self.tolerance), ("window", self.window)):
-            for k in group:
-                lines.append(f"{name}.{k}: {_fmt(group[k])}")
-        lines.append(f"wall_time: {_fmt(self.wall_time)}")
+        lines = [f"check_id: {self.check_id}"]
+        for _, kind, key, value in self.csv_rows():
+            lines.append(f"{kind}.{key}: {value}" if key else f"{kind}: {value}")
         return "\n".join(lines) + "\n"
 
     def csv_rows(self):
@@ -715,20 +707,14 @@ def _cached_operator(params, axes):
     return _OPERATOR_CACHE[key]
 
 
+_HALFSPACE_GRIDS = {1: (64, 0, 4.0), 2: (40, 80, 4.0), 3: (12, 16, 3.0)}  # N: (n1, n_lateral, L)
+
+
 def default_halfspace_axes(params: FracParams):
-    if params.N == 2:
-        n1, n2, L1, L2 = 40, 80, 4.0, 4.0
-        ax1 = np.linspace(L1 / (2 * n1), L1 - L1 / (2 * n1), n1)
-        ax2 = np.linspace(-L2 + L2 / n2, L2 - L2 / n2, n2)
-        return (ax1, ax2)
-    if params.N == 3:
-        n1, n2, L1, L2 = 12, 16, 3.0, 3.0
-        ax1 = np.linspace(L1 / (2 * n1), L1 - L1 / (2 * n1), n1)
-        lat = np.linspace(-L2 + L2 / n2, L2 - L2 / n2, n2)
-        return (ax1, lat, lat)
-    n1 = 64
-    ax1 = np.linspace(4.0 / (2 * n1), 4.0 - 4.0 / (2 * n1), n1)
-    return (ax1,)
+    """Cell midpoints of (0, L) for x1 and of (-L, L) for each of the N - 1 lateral axes."""
+    n1, n, L = _HALFSPACE_GRIDS[params.N]
+    lateral = (np.linspace(-L + L / n, L - L / n, n) for _ in range(params.N - 1))
+    return (np.linspace(L / (2 * n1), L - L / (2 * n1), n1), *lateral)
 
 
 def experiment_liouville(seed=42):

@@ -178,7 +178,8 @@ class TestIncompleteKernelIntegral:
     def test_against_mpmath_all_regimes(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        ts = [1e-10, 1e-4, 0.3, 1.0, 2.5, 50.0, 1e4, 1e8, 1e12]
+        # t = 7/3 is x = t/(1+t) = 0.7, where N = 1 < 2s switches branch
+        ts = [1e-10, 1e-4, 0.3, 1.0, 7.0 / 3.0, 2.5, 50.0, 1e4, 1e8, 1e12]
         for N, s in [(1, 0.25), (1, 0.5), (1, 0.6), (1, 0.75), (1, 0.95), (2, 0.5), (2, 0.75), (3, 0.25), (4, 0.9)]:
             p = FracParams(N, s)
             for t in ts:
@@ -186,6 +187,17 @@ class TestIncompleteKernelIntegral:
                 ref = float(mp.betainc(s, mp.mpf(N) / 2 - s, 0, x))
                 got = incomplete_kernel_integral(p, t)
                 assert got == pytest.approx(ref, rel=1e-10), (N, s, t)
+
+    @pytest.mark.parametrize("s", [0.55, 0.6, 0.75, 0.9, 0.95])
+    def test_large_t_branch_one_dimensional(self, s):
+        # N = 1 < 2s above x = 0.7: the connection formula with 2F1(1, 1/2; 3/2-s; u)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        ts = np.concatenate([np.linspace(2.34, 60.0, 9), np.logspace(2, 12, 11)])
+        got = incomplete_kernel_integral(FracParams(1, s), ts)
+        for t, g in zip(ts, got):
+            ref = float(mp.betainc(s, mp.mpf(0.5) - s, 0, mp.mpf(t) / (1 + mp.mpf(t))))
+            assert g == pytest.approx(ref, rel=1e-13), (s, t)
 
     def test_monotone_in_t(self):
         ts = np.logspace(-8, 12, 300)

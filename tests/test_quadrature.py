@@ -624,10 +624,13 @@ class TestStripMass:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_every_dimension_has_the_half_line_mass(self, N, s):
-        # the lateral integral of G_N is G_1, whatever x' is
+        # the lateral integral of G_N is G_1, whatever x' is; so the value is the
+        # N = 1 one to the last bit, the same half-line integral being computed
         lateral = [0.7, -2.0][: N - 1]
         for x1, ref in zip((0.05, 0.5, 0.95), self.HALF_LINE_REFERENCES[s]):
-            assert strip_mass(FracParams(N, s), 1.0, [x1, *lateral]) == pytest.approx(ref, rel=1e-8)
+            value = strip_mass(FracParams(N, s), 1.0, [x1, *lateral])
+            assert value == pytest.approx(ref, rel=1e-8)
+            assert value == strip_mass(FracParams(1, s), 1.0, [x1])
 
     def test_halving_decreases(self):
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
