@@ -1,9 +1,14 @@
 import math
+import multiprocessing
+import queue
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from fraclap import core, kernels
 from fraclap.core import (
     CriticalExponents,
     FracParams,
@@ -211,6 +216,158 @@ class TestIncompleteKernelIntegral:
             lim = sp.beta(s, N / 2.0 - s)
             assert incomplete_kernel_integral(p, 1e14) == pytest.approx(lim, rel=1e-6)
             assert incomplete_kernel_integral(p, np.inf) == pytest.approx(lim, rel=1e-14)
+
+    def test_infinity_one_dimensional_silent(self):
+        # N = 1 < 2s diverges: t = inf gives +inf without a RuntimeWarning
+        p = FracParams(1, 0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = incomplete_kernel_integral(p, [0.0, np.inf])
+            assert incomplete_kernel_integral(p, np.inf) == np.inf
+        assert got.tolist() == [0.0, np.inf]
+
+
+BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25)]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count for one test, on a fresh pool that is shut down after it."""
+    monkeypatch.setattr(core, "_pool", None)
+    yield lambda n: monkeypatch.setattr(core, "_usable_cpus", lambda: n)
+    if core._pool is not None:
+        core._pool.shutdown()
+
+
+def _record_body(monkeypatch):
+    """Wrap the private kernel-integral body; returns its calls as (thread id, size, errstate)."""
+    calls = []
+    body = core._kernel_integral
+
+    def recorder(params, t):
+        calls.append((threading.get_ident(), t.size, np.geterr()))
+        return body(params, t)
+
+    monkeypatch.setattr(core, "_kernel_integral", recorder)
+    return calls
+
+
+def _kernel_arguments(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    t = rng.exponential(2.0, shape) ** 3
+    flat = t.reshape(-1)
+    flat[::997] = 0.0
+    flat[5::1009] = np.inf
+    flat[-1] = np.inf
+    return t
+
+
+class TestBlockedKernelIntegral:
+    """Large inputs run in blocks on the thread pool, bit-identical to one serial call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2 * core._BLOCK - 1,),  # one short of the threshold: serial
+            (2 * core._BLOCK,),
+            (2 * core._BLOCK + 12345,),  # ragged last block
+            "2d",
+        ],
+    )
+    def test_bit_identical_to_serial(self, cpus, monkeypatch, workers, N, s, shape):
+        if shape == "2d":  # a transposed, non-contiguous 2-D view
+            t = _kernel_arguments((3, core._BLOCK - 7)).T
+        else:
+            t = _kernel_arguments(shape)
+        p = FracParams(N, s)
+        cpus(1)
+        ref = incomplete_kernel_integral(p, t)
+        cpus(workers)
+        calls = _record_body(monkeypatch)
+        got = incomplete_kernel_integral(p, t)
+        assert got.shape == ref.shape == t.shape
+        assert got.tobytes() == ref.tobytes()
+        blocked = workers >= 2 and t.size >= 2 * core._BLOCK
+        assert len(calls) == (-(-t.size // core._BLOCK) if blocked else 1)
+        assert sum(n for _, n, _ in calls) == t.size
+
+    def test_rejects_before_split(self, cpus, monkeypatch):
+        cpus(2)
+        calls = _record_body(monkeypatch)
+        t = _kernel_arguments(3 * core._BLOCK)
+        t[-1] = np.nan
+        with pytest.raises(ValueError):
+            incomplete_kernel_integral(FracParams(2, 0.5), t)
+        assert calls == []
+
+    def test_green_halfspace_symmetric(self, cpus):
+        cpus(2)
+        rng = np.random.default_rng(1)
+        n = 2 * core._BLOCK + 5
+        x = rng.uniform(-2.0, 2.0, (n, 3))
+        y = rng.uniform(-2.0, 2.0, (n, 3))
+        x[:, 0] = rng.uniform(0.01, 2.0, n)
+        y[:, 0] = rng.uniform(0.01, 2.0, n)
+        p = FracParams(3, 0.75)
+        g = kernels.green_halfspace(p, x, y)
+        assert np.array_equal(g, kernels.green_halfspace(p, y, x))
+
+    def test_one_traced_call_per_green_batch(self, cpus, monkeypatch):
+        # the benchmark tracer patches kernels.incomplete_kernel_integral and keeps a
+        # single-threaded span stack: the split must stay below that name
+        cpus(2)
+        outer = []
+        public = kernels.incomplete_kernel_integral
+
+        def recorder(params, t):
+            outer.append((threading.get_ident(), np.size(t)))
+            return public(params, t)
+
+        monkeypatch.setattr(kernels, "incomplete_kernel_integral", recorder)
+        blocks = _record_body(monkeypatch)
+        rng = np.random.default_rng(2)
+        n = 2**18
+        x = rng.uniform(0.01, 2.0, (n, 2))
+        y = rng.uniform(0.01, 2.0, (n, 2))
+        kernels.green_halfspace(FracParams(2, 0.75), x, y)
+        assert outer == [(threading.get_ident(), n)]
+        assert len(blocks) == n // core._BLOCK
+        assert all(ident != threading.get_ident() for ident, _, _ in blocks)
+
+    def test_blocks_see_callers_errstate(self, cpus, monkeypatch):
+        cpus(2)
+        calls = _record_body(monkeypatch)
+        t = _kernel_arguments(2 * core._BLOCK)
+        with np.errstate(over="raise"):
+            caller = np.geterr()
+            incomplete_kernel_integral(FracParams(3, 0.25), t)
+        assert caller["over"] == "raise"
+        assert len(calls) == 2
+        assert all(ident != threading.get_ident() and err == caller for ident, _, err in calls)
+
+    def test_forked_child_gets_a_fresh_pool(self, cpus):
+        cpus(2)
+        p = FracParams(2, 0.5)
+        t = _kernel_arguments(2 * core._BLOCK)
+        ref = incomplete_kernel_integral(p, t)  # the parent's pool now has threads
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(incomplete_kernel_integral(p, t)))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert got is not None, "the forked child returned no result"
+        assert child.exitcode == 0
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestCriticalExponents:
