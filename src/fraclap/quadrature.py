@@ -27,9 +27,14 @@ that converges, or whose level error stalls above 100 x tolerance, retires
 while the others go on, and a level runs its live points in blocks of
 about ``_RAY_CHUNK`` panels.  A point's error is its final level's panel
 error plus its last level difference.  The box engine
-``_box_integral`` serves every half-space box (``box_green_mass``,
-``halfspace_green_integral``): Duffy pyramids with their apex at the box
-point nearest x, tiled and bisected against GL(n)/GL(2n) estimates.
+``_box_integral`` serves every half-space box: Duffy pyramids with their
+apex at the box point nearest x, tiled and bisected against GL(n)/GL(2n)
+estimates.  Like the radial engine it takes an axis, of boxes: every box
+has its own tolerance and refinement, and its sums run over its own tiles
+in the order a call for it alone would hold them, so its value does not
+depend on the boxes batched with it.  ``box_green_mass`` takes rows of
+boxes (``PicardOperator`` gets all its self-cell masses from one call),
+and ``halfspace_green_integral`` is the engine's one-box call.
 ``strip_mass`` is [0, lam] of the one-dimensional half-line for every N.
 
 Every integrator returns a value with an error within its contract or
@@ -43,10 +48,12 @@ values and errors and raise for no missed tolerance; the public functions
 are their one-point calls through ``_checked``, ``solve_ball_dirichlet``
 flags the nodes ``_misses`` marks, and ``poisson_extension_field`` raises
 what the one-point call of its first such point would.  The box engine
-raises when its summed estimate misses the tolerance after
-``max_refinements`` passes.  Batched evaluations take a bounded number of
-nodes at a time (``_RAY_CHUNK``, ``_TILE_CHUNK``).  Field callables must
-accept ``(..., N)`` arrays.
+raises for the first box whose summed estimate misses the tolerance after
+``max_refinements`` passes, carrying that box's estimate and error, which
+are its one-box call's.  Batched evaluations take a bounded number of
+values at a time: ``_RAY_CHUNK`` integrand nodes, and ``_TILE_CHUNK``
+(2^14) kernel values of whole tiles.  Field callables must accept
+``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -742,96 +749,124 @@ def _halfspace_tail_bound(params, x, bound, p, L):
 
 
 _TILE_ORDER = {1: 8, 2: 6, 3: 4}  # GL(n) per tile axis, checked against GL(2n)
-_TILE_CHUNK = 1 << 17  # kernel evaluations per call; bounds the tile arrays
+_TILE_CHUNK = 1 << 14  # kernel evaluations per call; bounds the tile arrays of a batch
 _TILE_RULES = {}
+
+
+def _grid_nodes(axes):
+    """The tensor grid of ``axes`` as an (M, len(axes)) array in C order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _tile_rule(N):
     """Tensor GL(2n) and GL(n) nodes on [-1, 1]^N stacked in one array.
 
-    Returns (nodes, w_high, w_low, modes, m): the weights are zero-padded
-    to the stacked nodes, and ``modes`` holds the two highest Legendre
-    polynomials at the m = 2n GL(2n) nodes of one axis.
+    Returns (nodes, w_high, w_low, modes): the first m^N nodes (m = 2n) are
+    GL(2n)'s, with the weights ``w_high``, the other n^N GL(n)'s, with
+    ``w_low``, and ``modes`` holds the two highest Legendre polynomials at
+    the m GL(2n) nodes of one axis, one polynomial per row.
     """
     if N not in _TILE_RULES:
         n = _TILE_ORDER[N]
-        nodes, weights = [], []
-        for m in (2 * n, n):
-            t, w = _gl(m)
-            nodes.append(np.stack([g.ravel() for g in np.meshgrid(*[t] * N, indexing="ij")], -1))
-            weights.append(np.prod(np.meshgrid(*[w] * N, indexing="ij"), axis=0).ravel())
-        pad_high, pad_low = np.zeros(len(weights[1])), np.zeros(len(weights[0]))
-        modes = np.polynomial.legendre.legvander(_gl(2 * n)[0], 2 * n - 1)[:, -2:]
-        _TILE_RULES[N] = (
-            np.concatenate(nodes),
-            np.concatenate([weights[0], pad_high]),
-            np.concatenate([pad_low, weights[1]]),
-            modes,
-            2 * n,
-        )
+        rules = [_gl(m) for m in (2 * n, n)]
+        nodes = np.concatenate([_grid_nodes([t] * N) for t, _ in rules])
+        w_high, w_low = (np.prod(_grid_nodes([w] * N), axis=-1) for _, w in rules)
+        modes = np.polynomial.legendre.legvander(rules[0][0], 2 * n - 1)[:, -2:].T.copy()
+        _TILE_RULES[N] = (nodes, w_high, w_low, modes)
     return _TILE_RULES[N]
 
 
 def _edges_about_foot(a, b, h):
-    """Panel edges on [a, b] (a <= 0 <= b) graded geometrically from 0 at scale h."""
-    edges = {a, 0.0, b}
-    for end in (a, b):
-        step = h
-        while step < 0.75 * abs(end):
-            edges.add(math.copysign(step, end))
-            step *= 2.0
-    return np.array(sorted(edges))
+    """Panel edges on [a, b] (a <= 0 <= b) graded geometrically from 0 at scale h > 0.
+
+    One row per apex: a, the steps -h 2^i and h 2^i below 3/4 of the
+    distance to their end, 0 and b, ascending and each edge once.  Returns
+    (edges, panels): the rows, padded with inf past their last edge, and
+    the number of panels in each.
+    """
+    reach = np.abs(np.stack([a, b], axis=1))
+    count = int(np.ceil(np.log2(max(float(np.max(reach / h[:, None])), 1.0)))) + 1
+    steps = np.ldexp(h[:, None], np.arange(count))  # h doubled i times, exactly
+    row = np.concatenate([a[:, None], -steps, np.zeros((len(h), 1)), steps, b[:, None]], axis=1)
+    valid = np.concatenate(
+        [a[:, None] < 0.0, steps < 0.75 * reach[:, :1], np.ones((len(h), 1), bool), steps < 0.75 * reach[:, 1:],
+         b[:, None] > 0.0],
+        axis=1,
+    )
+    edges = np.sort(np.where(valid, row, np.inf), axis=1)
+    return edges, np.sum(valid, axis=1) - 1
 
 
 def _pyramid_tiles(c, lo, hi, e, scale=None):
-    """Initial tiles of the pyramids with apex c over the faces of [lo, hi].
+    """Initial tiles of the pyramids with apex c[i] over the faces of [lo[i], hi[i]], every row i.
 
     A tile is a box in (v, d) coordinates: v in [0, 1] maps to the ray
     parameter u = v^(1/e), and d = p' - c' is the lateral offset of the face
     point p from the foot of the perpendicular, graded from the foot at the
-    pyramid's height h.  With a ``scale`` the v axis is cut where u halves
-    from 1 down to scale / D, D the distance from c to the lateral panel's
-    nearest face point.  Returns (a, b, axis, offset): tile corners (T, N),
-    the face's axis k and its offset p_k - c_k (|.| = h).
+    pyramid's height h.  With a ``scale`` (one per row) the v axis is cut
+    where u halves from 1 down to scale / D, D the distance from c to the
+    lateral panel's nearest face point.  Returns (a, b, axis, offset, box):
+    tile corners (T, N), the face's axis k, its offset p_k - c_k (|.| = h)
+    and the tile's row.  A row's tiles are consecutive and in the order a
+    one-row call makes them: by face (axis k, lo before hi), a face's
+    panels in C order, a panel's v cuts upward.
     """
-    N = len(c)
+    N = c.shape[1]
     parts = []
     for k in range(N):
-        lateral = [j for j in range(N) if j != k]
-        for face in (lo[k], hi[k]):
-            h = abs(face - c[k])
-            if h == 0.0:
+        for face in (lo[:, k], hi[:, k]):
+            live = np.flatnonzero(face != c[:, k])
+            if not len(live):
                 continue
-            edges = [np.array([0.0, 1.0])]
-            edges += [_edges_about_foot(lo[j] - c[j], hi[j] - c[j], h) for j in lateral]
-            panel = np.meshgrid(*[np.arange(len(ed) - 1) for ed in edges], indexing="ij")
-            a = np.stack([ed[i.ravel()] for ed, i in zip(edges, panel)], -1)
-            b = np.stack([ed[i.ravel() + 1] for ed, i in zip(edges, panel)], -1)
-            if scale is not None:
-                near = np.hypot(h, np.linalg.norm(np.maximum(np.maximum(a[:, 1:], -b[:, 1:]), 0.0), axis=-1))
-                halvings = np.maximum(np.ceil(np.log2(near / scale)), 0.0).astype(int)
-                tile = np.repeat(np.arange(len(a)), halvings + 1)
-                top = np.concatenate([2.0 ** (-e * np.arange(n, -1.0, -1.0)) for n in halvings])
-                a, b = a[tile], b[tile]
-                a[:, 0] = np.where(np.r_[True, tile[1:] != tile[:-1]], 0.0, top * 2.0**-e)
-                b[:, 0] = top
-            parts.append((a, b, np.full(len(a), k), np.full(len(a), face - c[k])))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+            offset = face[live] - c[live, k]
+            # the v axis is one panel; each lateral axis j is graded about the foot
+            cuts = [(np.tile([0.0, 1.0], (len(live), 1)), np.ones(len(live), dtype=int))]
+            cuts += [
+                _edges_about_foot(lo[live, j] - c[live, j], hi[live, j] - c[live, j], np.abs(offset))
+                for j in range(N)
+                if j != k
+            ]
+            panels = np.column_stack([count for _, count in cuts])
+            # every apex's panel indices in C order: the widest grid, cut to the apex's counts
+            grid = _grid_nodes([np.arange(n) for n in np.max(panels, axis=0)])
+            row, index = np.nonzero(np.all(grid < panels[:, None, :], axis=-1))
+            i = grid[index]
+            a = np.column_stack([edges[row, i[:, j]] for j, (edges, _) in enumerate(cuts)])
+            b = np.column_stack([edges[row, i[:, j] + 1] for j, (edges, _) in enumerate(cuts)])
+            parts.append((a, b, np.full(len(row), k), offset[row], live[row]))
+    tiles = tuple(np.concatenate(part) for part in zip(*parts))
+    # grouped by row; the stable sort keeps a row's faces in the order above
+    order = np.argsort(tiles[4], kind="stable")
+    a, b, axis, offset, box = (t[order] for t in tiles)
+    if scale is not None:
+        near = np.hypot(np.abs(offset), np.linalg.norm(np.maximum(np.maximum(a[:, 1:], -b[:, 1:]), 0.0), axis=-1))
+        halvings = np.maximum(np.ceil(np.log2(near / scale[box])), 0.0).astype(int)
+        tile = np.repeat(np.arange(len(a)), halvings + 1)
+        cut = np.arange(len(tile)) - np.repeat(np.cumsum(halvings + 1) - halvings - 1, halvings + 1)
+        top = 2.0 ** (-e * (halvings[tile] - cut))
+        a, b, axis, offset, box = (t[tile] for t in (a, b, axis, offset, box))
+        a[:, 0] = np.where(cut == 0, 0.0, top * 2.0**-e)
+        b[:, 0] = top
+    return a, b, axis, offset, box
 
 
 def _tile_sums(params, x, c, e, tiles, f=None):
     """GL(2n) value, |GL(2n) - GL(n)| estimate and split axis of each tile.
 
-    The kernel takes the true x; the nodes are y = c + u P, P = p - c, and
+    ``x`` and ``c`` hold each tile's evaluation point and apex, (T, N).  The
+    kernel takes the true x; the nodes are y = c + u P, P = p - c, and
     with delta = c - x, |y - x|^2 = u^2 (h^2 + |d|^2) + |delta|^2 +
     2 u delta.P, each term >= 0 as c is the box point nearest x.  ``f``,
     if given, multiplies the kernel at y; without it (the mass, whose apex
     is x) delta is 0 and only y1 is formed.  The split axis is the one whose
-    marginal has the largest top two Legendre coefficients.
+    marginal has the largest top two Legendre coefficients.  Every sum is
+    a row sum over one tile's nodes, so a tile's results do not depend on
+    the tiles evaluated with it.
     """
     N = params.N
-    nodes, w_high, w_low, modes, m = _tile_rule(N)
-    a, b, axis, offset = tiles
+    nodes, w_high, w_low, modes = _tile_rule(N)
+    m = modes.shape[1]
+    a, b, axis, offset = tiles[:4]
     h = np.abs(offset)
     half = 0.5 * (b - a)
     z = (0.5 * (a + b))[:, None, :] + half[:, None, :] * nodes
@@ -840,105 +875,138 @@ def _tile_sums(params, x, c, e, tiles, f=None):
     r2 = u * u * (h[:, None] ** 2 + np.sum(d * d, axis=-1))
     if f is None:  # the mass, apex at x (box_green_mass): only y1 is needed
         dp1 = np.where((axis == 0)[:, None], offset[:, None], d[..., 0]) if N > 1 else offset[:, None]
-        y1 = c[0] + u * dp1
+        y1 = c[:, :1] + u * dp1
     else:  # P on the face axis is the offset, on the other axes d in order
         face = np.broadcast_to(offset[:, None, None], d.shape[:-1] + (1,))
         j = np.arange(N)
         column = np.where(j == axis[:, None], 0, j + (j < axis[:, None]))
         P = np.take_along_axis(np.concatenate([face, d], axis=-1), column[:, None, :], axis=-1)
         delta = c - x
-        r2 = r2 + (delta @ delta + 2.0 * u * (P @ delta))
-        y = c + u[..., None] * P
+        r2 = r2 + (np.sum(delta * delta, axis=-1)[:, None] + 2.0 * u * np.sum(P * delta[:, None, :], axis=-1))
+        y = c[:, None, :] + u[..., None] * P
         y1 = y[..., 0]
     live = y1 > 0.0
-    psi = np.where(live, 4.0 * x[0] * y1 / r2, 0.0)
+    psi = np.where(live, 4.0 * x[:, :1] * y1 / r2, 0.0)
     # dy = h u^(N-1) du dd and du = u^(1-e)/e dv
     jac = (h * np.prod(half, axis=-1) / e)[:, None] * u ** (N - e)
     g = np.where(live, _green_from_psi(params, r2, psi), 0.0) * jac
     if f is not None:
         g = g * f(y)
-    high = g @ w_high
-    grid = (g[:, : m**N] * w_high[: m**N]).reshape((len(a),) + (m,) * N)
-    tails = [
-        np.sum(np.abs(np.sum(grid, axis=tuple(i + 1 for i in range(N) if i != j)) @ modes), axis=-1)
-        for j in range(N)
-    ]
-    return high, np.abs(high - g @ w_low), np.argmax(np.stack(tails, -1), axis=-1)
+    grid = g[:, : m**N] * w_high
+    high = np.sum(grid, axis=-1)
+    low = np.sum(g[:, m**N :] * w_low, axis=-1)
+    grid = grid.reshape((len(a),) + (m,) * N)
+    marginals = [np.sum(grid, axis=tuple(i + 1 for i in range(N) if i != j)) for j in range(N)]
+    tails = [np.sum(np.abs(np.sum(marginal[:, None, :] * modes, axis=-1)), axis=-1) for marginal in marginals]
+    return high, np.abs(high - low), np.argmax(np.stack(tails, -1), axis=-1)
 
 
 def _box_integral(params, x, lo, hi, spec, f=None):
-    """(value, error) of int over the box [lo, hi], lo1 >= 0, of G(x, y) f(y) dy.
+    """(values, errors) of the integrals of G(x, y) f(y) dy over boxes [lo, hi], lo1 >= 0.
 
+    One box per row of ``x``, ``lo`` and ``hi`` ((n, N); (N,) is one box).
     Duffy pyramids (M. G. Duffy, SIAM J. Numer. Anal. 19, 1982) with apex
     c, the box point nearest x: one per face not holding c, y = c + u (p - c)
     for p on the face, and u = v^(1/e), e = 2s when N > 2s (else 1), removes
     the u^(2s-1) singularity of an apex at x.  A density's length scale is
     unknown, so its tiles are also graded toward c, down to the smallest
-    nonzero face height or |x - c|.  Tiles above their share of the
-    tolerance are bisected along their roughest axis, a pass in one kernel
-    call.  A density that jumps inside the box converges slowly.  Raises
-    ``ToleranceNotMet`` (estimate and error) if the summed estimate misses
-    ``spec`` after ``spec.max_refinements`` passes.
+    nonzero face height or |x - c|.  Every box has its own tolerance
+    ``spec.tolerance`` of its own value: while its summed error exceeds it,
+    a pass bisects its tiles above their share of it along their roughest
+    axis, and a box that meets it keeps its tiles.  A pass is one kernel
+    evaluation over the new tiles of every box, in chunks of about
+    ``_TILE_CHUNK`` values, and each box's sums run over its own tiles in
+    the order a call for it alone holds them, so its value and error are
+    bit-identical to its one-box call.  A density that jumps inside a box
+    converges slowly.  Raises ``ToleranceNotMet``, carrying the estimate and
+    the error of the first box whose summed estimate misses ``spec`` after
+    ``spec.max_refinements`` passes.
     """
     N, s = params.N, params.s
     e = 2.0 * s if N > 2.0 * s else 1.0
+    x, lo, hi = (np.reshape(v, (-1, N)) for v in (x, lo, hi))
+    n = len(x)
     c = np.clip(x, lo, hi)
-    lengths = np.append(np.abs(np.concatenate([lo - c, hi - c])), np.linalg.norm(c - x))
-    scale = None if f is None else float(np.min(lengths[lengths > 0.0]))
+    scale = None
+    if f is not None:
+        lengths = np.column_stack([np.abs(lo - c), np.abs(hi - c), np.linalg.norm(c - x, axis=-1)])
+        scale = np.min(lengths, axis=1, where=lengths > 0.0, initial=np.inf)
     chunk = max(1, _TILE_CHUNK // len(_tile_rule(N)[0]))
 
     def evaluate(tiles):
-        parts = [
-            _tile_sums(params, x, c, e, tuple(t[i : i + chunk] for t in tiles), f)
-            for i in range(0, len(tiles[0]), chunk)
-        ]
-        return [np.concatenate(p) for p in zip(*parts)]
+        box = tiles[4]
+        parts = []
+        for i in range(0, len(box), chunk):
+            rows = box[i : i + chunk]
+            parts.append(_tile_sums(params, x[rows], c[rows], e, tuple(t[i : i + chunk] for t in tiles), f))
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     tiles = _pyramid_tiles(c, lo, hi, e, scale)
-    vals, errs, axis = evaluate(tiles)
+    tiles += evaluate(tiles)  # (a, b, axis, offset, box) and each tile's value, error and split axis
+    total, err = np.zeros(n), np.zeros(n)
+    changed = range(n)
     for level in range(spec.max_refinements + 1):
-        total, err = float(np.sum(vals)), float(np.sum(errs))
+        a, b, _, _, box, vals, errs, roughest = tiles
+        # each box's np.sum over its own tiles, as in a call for it alone; only split boxes change
+        bounds = np.searchsorted(box, np.arange(n + 1))
+        ends_at = bounds.tolist()
+        for i in changed:
+            start, stop = ends_at[i], ends_at[i + 1]
+            total[i], err[i] = vals[start:stop].sum(), errs[start:stop].sum()
         tol = spec.tolerance(total)
-        if err <= tol:
-            return total, err
-        if level == spec.max_refinements:
+        live = ~(err <= tol)
+        if level == spec.max_refinements or not np.any(live):
             break
-        # bisect every tile above its share of the tolerance, along its roughest axis
-        split = errs > tol / len(errs)
-        at = (np.arange(int(np.sum(split))), axis[split])
-        a, b = tiles[0][split], tiles[1][split]
+        # bisect every tile above its box's share of the tolerance, along its roughest axis
+        count = np.diff(bounds)
+        split = errs > np.repeat(np.where(live, tol / count, np.inf), count)
+        at = (np.arange(int(np.sum(split))), roughest[split])
+        a, b = a[split], b[split]
         b_left, a_right = b.copy(), a.copy()
         b_left[at] = a_right[at] = 0.5 * (a[at] + b[at])
         children = (np.concatenate([a, a_right]), np.concatenate([b_left, b])) + tuple(
-            np.concatenate([t[split], t[split]]) for t in tiles[2:]
+            np.concatenate([t[split], t[split]]) for t in tiles[2:5]
         )
-        new = evaluate(children)
+        children += evaluate(children)
         tiles = tuple(np.concatenate([t[~split], child]) for t, child in zip(tiles, children))
-        vals, errs, axis = (np.concatenate([old[~split], n]) for old, n in zip((vals, errs, axis), new))
-    raise ToleranceNotMet(
-        f"box integral stalled at error {err:.3e} after {spec.max_refinements} refinements",
-        estimate=total,
-        error=err,
-    )
+        # grouped by box; the stable sort keeps each box's tiles in the order of a call for it alone
+        order = np.argsort(tiles[4], kind="stable")
+        tiles = tuple(t[order] for t in tiles)
+        changed = np.flatnonzero(live).tolist()
+    missed = np.flatnonzero(live)
+    if len(missed):
+        i = missed[0]
+        raise ToleranceNotMet(
+            f"box integral stalled at error {err[i]:.3e} after {spec.max_refinements} refinements",
+            estimate=float(total[i]),
+            error=float(err[i]),
+        )
+    return total, err
 
 
 def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = None):
     """int over the box [lo, hi] of G_halfspace(x, y) dy, x in the closed box.
 
-    The box engine (``_box_integral``) with its apex at x and no density;
-    raises ``ToleranceNotMet`` carrying the estimate and the error, and
-    ``ValueError`` unless x, lo, hi have shape (N,), lo < hi and x is in
-    the closed box.
+    ``x``, ``lo`` and ``hi`` are one box, shape (N,), or n boxes, one per
+    row of shape (n, N), and return a float or an array of n values.  The
+    rows go to one call of the box engine (``_box_integral``) with their
+    apexes at x and no density; each box keeps its own tolerance and
+    refinement, so its value is bit-identical to its one-box call.  Every
+    row is checked before any evaluation: ``ValueError`` unless the three
+    have one shape, (N,) or (n, N), lo < hi and x is in the closed box.
+    Raises ``ToleranceNotMet`` carrying the estimate and the error of the
+    first box that misses ``spec``.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
     x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
-    if not (x.shape == lo.shape == hi.shape == (params.N,)):
-        raise ValueError("x, lo and hi need shape (N,)")
+    if not (x.shape == lo.shape == hi.shape and x.ndim in (1, 2) and x.shape[-1] == params.N):
+        raise ValueError("x, lo and hi need one shape, (N,) or (n, N)")
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate")
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("apex x must lie in the closed box")
-    return _box_integral(params, x, lo, hi, spec)[0]
+    values = _box_integral(params, x, lo, hi, spec)[0]
+    return float(values[0]) if x.ndim == 1 else values
 
 
 def halfspace_green_integral(
@@ -976,7 +1044,7 @@ def halfspace_green_integral(
     lo[0] = max(lo[0], 0.0)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
-    return _box_integral(params, x, lo, hi, spec, f)[0]
+    return float(_box_integral(params, x, lo, hi, spec, f)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .quadrature import (  # noqa: F401
     ScalarField,
     _ball_green_batch,
     _exterior_poisson_batch,
+    _grid_nodes,
     _misses,
     ball_green_integral,
     box_green_mass,
@@ -45,11 +46,6 @@ __all__ = [
     "lambda0_estimate",
     "monotonicity_profile",
 ]
-
-
-def _grid_nodes(axes):
-    """The tensor grid of ``axes`` as an (M, len(axes)) array in C order."""
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 @dataclass
@@ -273,8 +269,10 @@ class PicardOperator:
 
     Diagonal: the Green mass of the node's own cell by ``box_green_mass``
     (Duffy pyramids with their apex at the node, which lies in the closed
-    cell), computed once per distinct cell shape and height.  Every
-    coefficient is nonnegative, so the operator is monotone nodewise.
+    cell), computed once per distinct cell shape and height, all distinct
+    cells in one batched call; each mass is bit-identical to that cell's
+    one-box call.  Every coefficient is nonnegative, so the operator is
+    monotone nodewise.
     """
 
     def __init__(self, params: FracParams, axes):
@@ -332,8 +330,7 @@ class PicardOperator:
         x = self.nodes
         keys = np.round(np.column_stack([x[:, :1], lo - x, hi - x]), 12)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        masses = np.array([box_green_mass(self.params, x[i], lo[i], hi[i], spec) for i in first])
-        return masses[inverse.reshape(-1)]
+        return box_green_mass(self.params, x[first], lo[first], hi[first], spec)[inverse.reshape(-1)]
 
     def _off_diagonal(self, u):
         v = self.weights.reshape(self.shape) * u

@@ -27,7 +27,8 @@ from fraclap.quadrature import (
     poisson_extension_field,
     strip_mass,
 )
-from fraclap.solver import solve_ball_dirichlet
+from fraclap.solver import PicardOperator, _cell_bounds, solve_ball_dirichlet
+from fraclap.verify import default_halfspace_axes
 
 P1 = FracParams(1, 0.5)
 P2 = FracParams(2, 0.5)
@@ -851,3 +852,207 @@ class TestBoxGreenMassProperties:
             assert err.value.error is not None
 
         check()
+
+
+# the spec PicardOperator._build_diagonal gives box_green_mass
+PICARD_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=20)
+
+
+def _cells(axes, picks=None):
+    """(x, lo, hi) rows of the node cells of a tensor grid, at the indices ``picks`` per axis (all by default)."""
+    picks = picks or [np.arange(len(a)) for a in axes]
+    index = quadrature._grid_nodes(picks)
+    columns = [(a, *_cell_bounds(a)) for a in axes]
+    return tuple(np.column_stack([col[k][index[:, j]] for j, col in enumerate(columns)]) for k in range(3))
+
+
+def _default_cells(params):
+    """One cell of each shape on ``default_halfspace_axes``: every x1 row and, on each
+    lateral axis, the first node, an interior one and the last."""
+    axes = default_halfspace_axes(params)
+    return _cells(axes, [np.arange(len(axes[0]))] + [np.array([0, 1, len(a) - 1]) for a in axes[1:]])
+
+
+def _one_box_calls(params, x, lo, hi, spec):
+    return np.array([box_green_mass(params, *box, spec) for box in zip(x, lo, hi)])
+
+
+def _loop_pyramid_tiles(c, lo, hi, e, scale):
+    """``quadrature._pyramid_tiles`` for one apex, written as a loop over faces and edge sets: the reference."""
+    N = len(c)
+    parts = []
+    for k in range(N):
+        for face in (lo[k], hi[k]):
+            h = abs(face - c[k])
+            if h == 0.0:
+                continue
+            edges = [np.array([0.0, 1.0])]
+            for j in range(N):
+                if j == k:
+                    continue
+                cut = {lo[j] - c[j], 0.0, hi[j] - c[j]}
+                for end in (lo[j] - c[j], hi[j] - c[j]):
+                    step = h
+                    while step < 0.75 * abs(end):
+                        cut.add(math.copysign(step, end))
+                        step *= 2.0
+                edges.append(np.array(sorted(cut)))
+            for index in itertools.product(*[range(len(ed) - 1) for ed in edges]):
+                a = np.array([ed[i] for ed, i in zip(edges, index)])
+                b = np.array([ed[i + 1] for ed, i in zip(edges, index)])
+                halvings = 0
+                if scale is not None:
+                    lateral = np.linalg.norm(np.maximum(np.maximum(a[None, 1:], -b[None, 1:]), 0.0), axis=-1)
+                    halvings = max(int(np.ceil(np.log2(np.hypot(h, lateral[0]) / scale))), 0)
+                for n in range(halvings, -1, -1):
+                    sub_a, sub_b = a.copy(), b.copy()
+                    if scale is not None:
+                        top = np.power(2.0, -e * n)
+                        sub_a[0], sub_b[0] = (0.0 if n == halvings else top * 2.0**-e), top
+                    parts.append((sub_a, sub_b, k, face - c[k]))
+    a, b, axis, offset = zip(*parts)
+    return np.array(a), np.array(b), np.array(axis), np.array(offset)
+
+
+class TestBoxBatch:
+    """Rows of boxes in one box-engine call: each value is its one-box call's, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [PICARD_SPEC, None], ids=["picard-spec", "default-spec"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_default_grid_cells(self, N, spec):
+        params = FracParams(N, 0.5)
+        x, lo, hi = _default_cells(params)
+        assert len(x) == {1: 64, 2: 120, 3: 108}[N]
+        np.testing.assert_array_equal(box_green_mass(params, x, lo, hi, spec), _one_box_calls(params, x, lo, hi, spec))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_tiles_match_the_per_apex_loop(self, N):
+        # apexes inside, on a face and outside (clipped), with and without the density's v-axis cuts
+        @BOX_SETTINGS
+        @given(st.lists(boxes(N, apex=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.7])), min_size=1, max_size=4),
+               st.sampled_from([0.5, 1.0, 1.5]), st.booleans())
+        def check(batch, e, cut):
+            x, lo, hi = (np.array(v) for v in zip(*batch))
+            c = np.clip(x, lo, hi)
+            scale = np.where(cut, np.min(hi - lo, axis=1) / 3.0, np.nan)
+            tiles = quadrature._pyramid_tiles(c, lo, hi, e, scale if cut else None)
+            for row in range(len(x)):
+                mine = [t[tiles[4] == row] for t in tiles[:4]]
+                ref = _loop_pyramid_tiles(c[row], lo[row], hi[row], e, scale[row] if cut else None)
+                for got, want in zip(mine, ref):
+                    np.testing.assert_array_equal(got, want)
+
+        check()
+
+    def test_edge_steps_stay_below_three_quarters_of_the_end(self):
+        # h 2^i = 1.5 is exactly 3/4 of the distance 2 to either end, so it is no edge
+        a, b, h = np.array([-2.0, 0.0]), np.array([2.0, 1.0]), np.array([0.375, 0.25])
+        edges, panels = quadrature._edges_about_foot(a, b, h)
+        assert panels.tolist() == [6, 3]
+        np.testing.assert_array_equal(edges[0, :7], [-2.0, -0.75, -0.375, 0.0, 0.375, 0.75, 2.0])
+        np.testing.assert_array_equal(edges[1, :4], [0.0, 0.25, 0.5, 1.0])
+
+    @pytest.mark.parametrize("params", BOX_PARAMS, ids=_box_id)
+    def test_hypothesis_batches(self, params):
+        @BOX_SETTINGS
+        @given(st.lists(boxes(params.N), min_size=2, max_size=3))
+        def check(batch):
+            x, lo, hi = (np.array(v) for v in zip(*batch))
+            np.testing.assert_array_equal(
+                box_green_mass(params, x, lo, hi, PICARD_SPEC), _one_box_calls(params, x, lo, hi, PICARD_SPEC)
+            )
+
+        check()
+
+    # at rel_tol 1e-9 the centred cell converges within one pass, the thin
+    # slab and the whole box with their apexes at a corner need six
+    SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15)
+    SHALLOW = ([0.55, 0.05], [0.5, 0.0], [0.6, 0.1])
+    DEEP = [([0.01, -1.0], [0.01, -1.0], [0.02, 1.0]), ([0.05, -3.85], [0.05, -3.95], [3.95, 3.95])]
+
+    @staticmethod
+    def _passes(box, spec):
+        """The fewest refinement passes with which the one-box call meets ``spec``."""
+        for passes in range(1, spec.max_refinements + 1):
+            try:
+                box_green_mass(P2, *map(np.array, box), QuadratureSpec(spec.rel_tol, spec.abs_tol, passes))
+                return passes
+            except ToleranceNotMet:
+                pass
+
+    def test_boxes_of_different_depths(self):
+        batch = [self.DEEP[0], self.SHALLOW, self.DEEP[1]]
+        assert [self._passes(box, self.SPEC) for box in batch] == [6, 1, 6]
+        x, lo, hi = (np.array(v) for v in zip(*batch))
+        batched = box_green_mass(P2, x, lo, hi, self.SPEC)
+        np.testing.assert_array_equal(batched, _one_box_calls(P2, x, lo, hi, self.SPEC))
+
+    def test_first_missing_box_raises_with_its_estimate(self):
+        # with three passes the shallow box meets the spec and both deep ones miss
+        spec = QuadratureSpec(self.SPEC.rel_tol, self.SPEC.abs_tol, 3)
+        batch = [self.SHALLOW, *self.DEEP]
+        x, lo, hi = (np.array(v) for v in zip(*batch))
+        with pytest.raises(ToleranceNotMet) as alone:
+            box_green_mass(P2, x[1], lo[1], hi[1], spec)
+        with pytest.raises(ToleranceNotMet) as err:
+            box_green_mass(P2, x, lo, hi, spec)
+        assert (err.value.estimate, err.value.error) == (alone.value.estimate, alone.value.error)
+        assert err.value.error > spec.tolerance(err.value.estimate)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (([1.2, 0.0], [1.0, -0.1], [1.1, 0.1]), "closed box"),
+            (([1.05, 0.0], [1.0, 0.1], [1.1, 0.2]), "closed box"),
+            (([1.05, 0.0], [1.1, -0.1], [1.0, 0.1]), "lo < hi"),
+        ],
+    )
+    def test_bad_row_raises_before_any_evaluation(self, monkeypatch, row, message):
+        evaluated = []
+        monkeypatch.setattr(quadrature, "_tile_sums", lambda *args, **kwargs: evaluated.append(args))
+        x, lo, hi = (np.array(v) for v in zip(self.SHALLOW, *self.DEEP, row))
+        with pytest.raises(ValueError, match=message):
+            box_green_mass(P2, x, lo, hi)
+        assert evaluated == []
+
+    def test_rows_need_one_shape(self):
+        x, lo, hi = (np.array(v) for v in zip(self.SHALLOW, self.DEEP[0]))
+        for args in ((x, lo[0], hi), (x[:, :1], lo[:, :1], hi[:, :1]), (x[None], lo[None], hi[None])):
+            with pytest.raises(ValueError, match="one shape"):
+                box_green_mass(P2, *args)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_operator_diagonal_is_the_one_box_call(self, N):
+        # on dyadic nodes every cell's offsets lo - x and hi - x are exact, so
+        # each node's one-box call is the call the operator made for its cell shape
+        params = FracParams(N, 0.5)
+        axes = (0.125 * np.arange(1, 7),) + (0.25 * np.arange(-2, 3),) * (N - 1)
+        op = PicardOperator(params, axes)
+        x, lo, hi = _cells(axes)
+        np.testing.assert_array_equal(op.nodes, x)
+        np.testing.assert_array_equal(op.diag_mass, _one_box_calls(params, x, lo, hi, PICARD_SPEC))
+
+    def test_operator_self_cells_bound_memory(self, monkeypatch):
+        # the self-cell masses of the 3200-node operator are one batched call over
+        # 120 cells, evaluated in chunks of _TILE_CHUNK = 2^14 kernel values.  The
+        # peak from the start of _build_diagonal on, with the kernel table held, is
+        # 6.4 MB (4.2 MB held) with one usable CPU or two; 2^15-value chunks read
+        # 8.3 MB, 2^17-value chunks 17.4 MB.  The bound leaves 1.1 MB (17 %) above
+        # the measured peak.  The whole build peaks at 15-19 MB in _build_matrix,
+        # whatever the chunk, so the peak is taken from the self-cell masses on.
+        build = PicardOperator._build_diagonal
+
+        def from_here(self):
+            tracemalloc.reset_peak()
+            return build(self)
+
+        monkeypatch.setattr(PicardOperator, "_build_diagonal", from_here)
+        axes = default_halfspace_axes(P2)
+        PicardOperator(P2, tuple(a[:3] for a in axes))  # rule tables and kernel set-up
+        tracemalloc.start()
+        try:
+            PicardOperator(P2, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6
