@@ -8,6 +8,10 @@ broadcast shape ``(...)``.  Every kernel is symmetric in (x, y) exactly in
 floating point, vanishes outside its domain, and raises
 :class:`DiagonalSingularity` instead of overflowing when asked for a value
 on the diagonal inside the domain.
+
+Every Green value, here and in ``quadrature`` and ``solver``, is one call
+of ``_green_from_psi`` on |x-y|^2 and the factors of psi = fx fy / (scale
+|x-y|^2): it is the one place where psi and its zero set are formed.
 """
 from __future__ import annotations
 
@@ -125,34 +129,36 @@ def poisson_shifted_ball(params: FracParams, R: float, x, y):
 # Green functions
 
 
-def _green_from_psi(params: FracParams, d2, psi):
-    """(k/2) |x-y|^(2s-N) I(psi), with the exact log form when N = 1 = 2s.
+def _green_from_psi(params: FracParams, d2, fx, fy, scale=1.0):
+    """(k/2) d2^(s-N/2) I(psi) at psi = fx fy / (scale d2), with the exact log
+    form when N = 1 = 2s, where fx > 0, fy > 0 and d2 > 0; 0 elsewhere.
 
-    ``d2`` is |x-y|^2; entries with psi <= 0 give 0.
+    ``d2`` is |x-y|^2.  The one place where psi and its zero set are formed.
     """
     s, N = params.s, params.N
-    psi = np.maximum(psi, 0.0)
+    live = (fx > 0.0) & (fy > 0.0) & (d2 > 0.0)
+    d2 = np.where(live, d2, 1.0)
+    psi = np.where(live, fx * fy / (scale * d2), 0.0)
     if params.regime is Regime.N_EQ_2S:
         # (1/pi) log(sqrt(psi) + sqrt(1+psi)); |x-y|^(2s-N) = 1
-        return np.arcsinh(np.sqrt(psi)) / np.pi
+        return np.where(live, np.arcsinh(np.sqrt(psi)) / np.pi, 0.0)
     k = green_constant_k(params)
-    ivals = incomplete_kernel_integral(params, psi)
-    return 0.5 * k * d2 ** ((2.0 * s - N) / 2.0) * ivals
+    # I(psi) is a temporary, freed before the where allocates the result: on
+    # large batches the result then reuses its memory instead of growing the heap
+    val = 0.5 * k * d2 ** ((2.0 * s - N) / 2.0) * incomplete_kernel_integral(params, psi)
+    return np.where(live, val, 0.0)
 
 
 def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
-    """``_green_from_psi`` at psi = fx fy / (scale |x-y|^2) where fx > 0 and fy > 0, else 0.
+    """``_green_from_psi`` at d2 = |x-y|^2 for checked points ``x`` and ``y``.
 
-    ``x`` and ``y`` are checked points; raises ``DiagonalSingularity`` at a
-    live x = y.
+    Raises ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0.
     """
     d2 = _dist2(x, y)
-    live = (fx > 0.0) & (fy > 0.0)
-    if np.any(live & (d2 == 0.0)):
+    diagonal = d2 == 0.0
+    if np.any(diagonal) and np.any(diagonal & (fx > 0.0) & (fy > 0.0)):
         raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
-    d2safe = np.where(live, d2, 1.0)
-    psi = np.where(live, fx * fy / (scale * d2safe), 0.0)
-    out = np.where(live, _green_from_psi(params, d2safe, psi), 0.0)
+    out = _green_from_psi(params, d2, fx, fy, scale)
     return float(out) if out.ndim == 0 else out
 
 
@@ -202,7 +208,7 @@ def h_function(params: FracParams, r, t):
         raise ValueError("H(r,t) requires r > 0")
     if np.any(t < 0.0):
         raise ValueError("H(r,t) requires t >= 0")
-    out = _green_from_psi(params, r, t / r)
+    out = _green_from_psi(params, r, t, 1.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -36,6 +36,9 @@ depend on the boxes batched with it.  ``box_green_mass`` takes rows of
 boxes (``PicardOperator`` gets all its self-cell masses from one call),
 and ``halfspace_green_integral`` is the engine's one-box call.
 ``strip_mass`` is [0, lam] of the one-dimensional half-line for every N.
+Every integrand forms its Green values in one ``kernels._green_from_psi``
+call on |x-y|^2 and the factors of psi, the one place where psi and its
+zero set are formed.
 
 Every integrator returns a value with an error within its contract or
 raises ``ToleranceNotMet`` carrying the estimate and the error.  The panel
@@ -67,11 +70,10 @@ from .core import (
     FracParams,
     _gj,
     _gl,
-    green_constant_k,
     normalization_a,
     poisson_constant_C,
 )
-from .kernels import _green_from_psi, green_halfspace
+from .kernels import _green_from_psi
 
 
 __all__ = [
@@ -119,11 +121,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar density with the metadata integrators need for truncation.
+    """Scalar density with the metadata ``frac_laplacian_point`` truncates by.
 
     ``func`` must be vectorized over points of shape (..., N).  ``bound``
     and ``decay_exponent`` encode |f(y)| <= bound * (1+|y|)^(-decay);
-    ``support_radius`` marks exact vanishing outside a centered ball.
+    ``support_radius`` marks exact vanishing outside a centered ball.  Only
+    ``frac_laplacian_point`` reads these three; ``exterior_poisson_integral``
+    only requires ``bound`` to be set.
     """
 
     func: Callable
@@ -534,11 +538,9 @@ def _ball_green_batch(params, R, f, xs, spec):
             hr, te, tb = np.repeat(h[pts], len(dirs)), t_exit.ravel(), t_back.ravel()
 
             def integrand(r, d):
-                live = (r < te[d]) & (r > 0.0)
-                r2 = np.where(live, r * r, 1.0)
-                psi = np.where(live, hr[d] * (te[d] - r) * (r + tb[d]) / (R * R * r2), 0.0)
                 y = np.take(x, d, axis=0) + r[:, None] * np.take(omega, d, axis=0)
-                return np.where(live, _green_from_psi(params, r2, psi), 0.0) * f(y) * r ** (N - 1.0)
+                g = _green_from_psi(params, r * r, hr[d] * (te[d] - r), r + tb[d], R * R)
+                return g * f(y) * r ** (N - 1.0)
 
             return _adaptive_panels(
                 integrand,
@@ -728,24 +730,7 @@ def poisson_extension_field(
 
 
 # ---------------------------------------------------------------------------
-# half-space Green integral over a truncated box
-
-
-def _halfspace_tail_bound(params, x, bound, p, L):
-    """Bound on int over the half-space outside B_L of G(x,y) |f(y)| dy.
-
-    Uses G <= (k/2s) (4 x1 y1)^s |x-y|^(-N) (the kernel integral is below
-    psi^s/s) with y1 <= |y| and |x-y| >= |y|/2 for |y| >= L >= 2|x|.
-    """
-    N, s = params.N, params.s
-    k = green_constant_k(params)
-    if p <= s:
-        raise ValueError("half-space tail needs decay exponent > s")
-    if L < 2.0 * float(np.linalg.norm(x)):
-        raise ValueError("half-space tail needs L >= 2|x|")
-    x1 = max(float(np.asarray(x)[0]), 0.0)
-    surface = 0.5 * sphere_surface(N)
-    return (k / (2.0 * s)) * (4.0 * x1) ** s * bound * (2.0**N) * surface * L ** (s - p) / (p - s)
+# half-space Green integrals over boxes
 
 
 _TILE_ORDER = {1: 8, 2: 6, 3: 4}  # GL(n) per tile axis, checked against GL(2n)
@@ -885,11 +870,9 @@ def _tile_sums(params, x, c, e, tiles, f=None):
         r2 = r2 + (np.sum(delta * delta, axis=-1)[:, None] + 2.0 * u * np.sum(P * delta[:, None, :], axis=-1))
         y = c[:, None, :] + u[..., None] * P
         y1 = y[..., 0]
-    live = y1 > 0.0
-    psi = np.where(live, 4.0 * x[:, :1] * y1 / r2, 0.0)
     # dy = h u^(N-1) du dd and du = u^(1-e)/e dv
     jac = (h * np.prod(half, axis=-1) / e)[:, None] * u ** (N - e)
-    g = np.where(live, _green_from_psi(params, r2, psi), 0.0) * jac
+    g = _green_from_psi(params, r2, y1, 4.0 * x[:, :1]) * jac
     if f is not None:
         g = g * f(y)
     grid = g[:, : m**N] * w_high
@@ -1014,33 +997,19 @@ def halfspace_green_integral(
     f: ScalarField,
     x,
     spec: QuadratureSpec | None = None,
-    box=None,
+    *,
+    box,
 ):
-    """int over the half-space of G(x,y) f(y) dy, truncated to a box.
+    """int over the box ``box`` = (lo, hi), cut to y1 >= 0, of G(x,y) f(y) dy.
 
-    Over ``box`` if given, else over the support of f or, for a decay tag,
-    a box holding |y| < L, L doubled until the explicit kernel bound on the
-    tail beyond |y| >= L is below a quarter of ``spec.abs_tol``.  x may lie
-    outside the box; the box engine
-    (``_box_integral``) raises ``ToleranceNotMet``, carrying the estimate
-    and the error, when its error misses ``spec``.  Integrate a density
-    that jumps inside the box over the pieces where it is smooth.
+    x may lie outside the box; the box engine (``_box_integral``) raises
+    ``ToleranceNotMet``, carrying the estimate and the error, when its
+    error misses ``spec``.  Integrate a density that jumps inside the box
+    over the pieces where it is smooth.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
-    N, p = params.N, f.decay_exponent
-    if box is not None:
-        lo, hi = (np.array(v, dtype=float) for v in box)
-    else:
-        if f.support_radius is not None:
-            L = float(f.support_radius)
-        elif f.bound is not None and p > params.s:
-            L = max(4.0, 4.0 * float(np.linalg.norm(x)))
-            while _halfspace_tail_bound(params, x, f.bound, p, L) > 0.25 * spec.abs_tol and L < 1e12:
-                L *= 2.0
-        else:
-            raise ValueError("half-space integral needs a support radius or decay exponent > s")
-        lo, hi = np.array([0.0] + [-L] * (N - 1)), np.full(N, L)
+    lo, hi = (np.array(v, dtype=float) for v in box)
     lo[0] = max(lo[0], 0.0)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
@@ -1080,11 +1049,7 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     sign = np.array([1.0, -1.0])  # the rays toward y1 = lam and toward y1 = 0
 
     def integrand(r, d):
-        y1 = x1 + r * sign[d]
-        live = (y1 > 0.0) & (r > 0.0)
-        r2 = np.where(live, r * r, 1.0)
-        psi = np.where(live, 4.0 * x1 * y1 / r2, 0.0)
-        return np.where(live, _green_from_psi(line, r2, psi), 0.0)
+        return _green_from_psi(line, r * r, x1 + r * sign[d], 4.0 * x1)
 
     edges = np.array([[lam - x1], [x1]]) * _graded_edges(depth)
     value, err = _adaptive_panels(integrand, edges, spec, (1.0, 1.0), ends=(alpha, [0.0, params.s]))

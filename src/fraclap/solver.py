@@ -312,10 +312,8 @@ class PicardOperator:
         x1 = a1.reshape((-1, 1) + ones)
         y1 = a1.reshape((1, -1) + ones)
         d2 = (x1 - y1) ** 2 + r2
-        live = d2 > 0.0
-        d2safe = np.where(live, d2, 1.0)
-        psi = np.where(live, 4.0 * x1 * y1 / d2safe, 0.0)
-        table = np.where(live, _green_from_psi(self.params, d2safe, psi), 0.0)
+        # zero on the diagonal d2 = 0, whose mass is diag_mass
+        table = _green_from_psi(self.params, d2, np.broadcast_to(4.0 * x1 * y1, d2.shape), 1.0)
         if not lateral:
             return table, None
         # zero-padded to 2 n_k, the output node i_k reads the product at

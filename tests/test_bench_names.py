@@ -32,3 +32,39 @@ def test_workload_grid_function_over_a_halfspace():
     shape = tuple(len(a) for a in axes)
     u0 = fraclap.solver.GridFunction(domain=fraclap.kernels.HalfSpace(), axes=axes, values=np.full(shape, 0.01))
     assert u0.eval(u0.nodes()[:3]).tolist() == [0.01] * 3
+
+
+def test_green_evals_count_one_kernel_value_per_entry(monkeypatch):
+    # the tracer counts kernels.green_from_psi evals as np.size of the third
+    # positional argument of the _green_from_psi names it patches
+    calls = []
+
+    def wrapped(owner):
+        inner = owner._green_from_psi
+
+        def green(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            calls.append((owner.__name__, np.size(args[2]), np.size(out)))
+            return out
+
+        return green
+
+    for owner in (fraclap.quadrature, fraclap.solver):
+        monkeypatch.setattr(owner, "_green_from_psi", wrapped(owner))
+    P2 = fraclap.FracParams(2, 0.5)
+    runs = {
+        "strip_mass": lambda: fraclap.quadrature.strip_mass(P2, 1.0, np.array([0.3, 0.0])),
+        "ball_green_integral": lambda: fraclap.quadrature.ball_green_integral(
+            P2, 1.0, fraclap.quadrature.constant_field(1.0), np.array([0.2, 0.1])
+        ),
+        "box_green_mass": lambda: fraclap.quadrature.box_green_mass(P2, np.array([0.5, 0.0]), [0.0, -1.0], [1.0, 1.0]),
+        "PicardOperator": lambda: fraclap.solver.PicardOperator(
+            P2, (np.linspace(0.25, 1.75, 4), np.linspace(-1.0, 1.0, 5))
+        ),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name
+        assert all(arg == out for _, arg, out in calls), name
+    assert {owner for owner, *_ in calls} == {"fraclap.quadrature", "fraclap.solver"}

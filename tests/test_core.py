@@ -185,10 +185,14 @@ class TestIncompleteKernelIntegral:
         mp.mp.dps = 40
         # t = 7/3 is x = t/(1+t) = 0.7, where N = 1 < 2s switches branch
         ts = [1e-10, 1e-4, 0.3, 1.0, 7.0 / 3.0, 2.5, 50.0, 1e4, 1e8, 1e12]
-        for N, s in [(1, 0.25), (1, 0.5), (1, 0.6), (1, 0.75), (1, 0.95), (2, 0.5), (2, 0.75), (3, 0.25), (4, 0.9)]:
+        regimes = [(1, 0.25), (1, 0.5), (1, 0.6), (1, 0.75), (1, 0.95), (2, 0.5), (2, 0.75), (3, 0.25), (3, 0.5),
+                   (4, 0.9)]
+        for N, s in regimes:
             p = FracParams(N, s)
-            for t in ts:
-                x = mp.mpf(t) / (1 + mp.mpf(t))
+            # the ends t = 0 (x = 0) and t = inf (x = 1); I(inf) is finite for N > 2s
+            ends = [0.0, math.inf] if N > 2 * s else []
+            for t in ts + ends:
+                x = 1 if t == math.inf else mp.mpf(t) / (1 + mp.mpf(t))
                 ref = float(mp.betainc(s, mp.mpf(N) / 2 - s, 0, x))
                 got = incomplete_kernel_integral(p, t)
                 assert got == pytest.approx(ref, rel=1e-10), (N, s, t)

@@ -162,6 +162,28 @@ class TestPoissonShiftedBall:
         assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + a))
 
 
+# off the diagonal with both points outside the domain: fx < 0 and fy < 0,
+# so fx fy > 0, and only a zero set built from each factor gives 0
+BOTH_OUTSIDE = {
+    "ball": (lambda p, x, y: green_ball(p, 1.0, x, y), 3.0, -2.0),
+    "shifted-ball": (lambda p, x, y: green_shifted_ball(p, 1.0, x, y), -1.0, 3.0),
+    "halfspace": (green_halfspace, -1.0, -2.0),
+}
+
+
+@pytest.mark.parametrize("kernel", BOTH_OUTSIDE)
+@pytest.mark.parametrize(
+    "params", [P1, FracParams(1, 0.25), FracParams(1, 0.75), P2, FracParams(3, 0.75)],
+    ids=lambda p: f"N{p.N}-s{p.s:g}",
+)
+def test_zero_with_both_points_outside(kernel, params):
+    green, x1, y1 = BOTH_OUTSIDE[kernel]
+    e1 = np.eye(params.N)[0]
+    assert green(params, x1 * e1, y1 * e1) == 0.0
+    tangent = 0.5 * np.eye(params.N)[-1]
+    assert np.all(green(params, np.stack([x1 * e1, x1 * e1 + tangent]), y1 * e1 - tangent) == 0.0)
+
+
 class TestGreenHalfspace:
     def test_boundary_vanishing(self):
         assert green_halfspace(P2, [0.0, 0.3], [1.0, 0.0]) == 0.0

@@ -494,7 +494,7 @@ class TestHalfspaceIntegral:
         zero = ScalarField(
             func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2", support_radius=1.0, bound=0.0
         )
-        assert halfspace_green_integral(P2, zero, np.array([0.5, 0.0])) == 0.0
+        assert halfspace_green_integral(P2, zero, np.array([0.5, 0.0]), box=([0.0, -1.0], [1.0, 1.0])) == 0.0
 
     INDICATOR = ScalarField(
         func=lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0),
@@ -516,39 +516,13 @@ class TestHalfspaceIntegral:
         assert vals[2] > vals[1] > vals[0]
 
     def test_jump_inside_the_box_raises_with_estimate(self):
-        # over the support box [0, 3] x [-3, 3] the indicator jumps inside,
-        # which no tile rule resolves to 1e-6 in four passes
+        # over the box [0, 3] x [-3, 3] the indicator jumps inside, which no
+        # tile rule resolves to 1e-6 in four passes
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=4)
         with pytest.raises(ToleranceNotMet) as err:
-            halfspace_green_integral(P2, self.INDICATOR, np.array([0.2, 0.0]), spec)
+            halfspace_green_integral(P2, self.INDICATOR, np.array([0.2, 0.0]), spec, box=([0.0, -3.0], [3.0, 3.0]))
         assert err.value.estimate > 0.0
         assert err.value.error > spec.tolerance(err.value.estimate)
-
-    def test_missing_descriptor_rejected(self):
-        f = ScalarField(func=lambda p: np.ones(p.shape[:-1]), smoothness="continuous", bound=1.0)
-        with pytest.raises(ValueError):
-            halfspace_green_integral(P2, f, np.array([0.5, 0.0]))
-
-    GAUSSIAN = ScalarField(
-        func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0
-    )
-
-    def test_tail_is_rigorous_only_when_the_box_holds_its_half_ball(self):
-        # the bound covers |y| >= L for L >= 2|x|
-        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
-        x = np.array([1.5, 0.0])
-        L = 2.0 * np.linalg.norm(x) + 1e-9
-        tail = quadrature._halfspace_tail_bound(P2, x, self.GAUSSIAN.bound, self.GAUSSIAN.decay_exponent, L)
-        whole = halfspace_green_integral(P2, self.GAUSSIAN, x, spec)
-        # a box that misses the mass near the origin misses far more than the bound
-        off = halfspace_green_integral(P2, self.GAUSSIAN, x, spec, box=([1.0, -1.0], [2.0, 1.0]))
-        assert whole - off > 5.0 * tail
-        # a box that holds the half-ball |y| < L misses at most the bound
-        held, err = quadrature._box_integral(P2, x, np.array([0.0, -4.0]), np.array([4.0, 4.0]), spec, self.GAUSSIAN)
-        assert whole - held <= tail + err + 1e-9
-        # the bound itself refuses a radius below 2|x|
-        with pytest.raises(ValueError):
-            quadrature._halfspace_tail_bound(P2, x, 1.0, 4.0, 2.9)
 
     def test_whole_box_reports_its_angular_error(self):
         # the value must meet the nested-quadrature mass of TestBoxGreenMass,

@@ -214,8 +214,8 @@ class TestBallSolve:
         assert set(node_errors) == raised
 
 
-def halfspace_values(f, grid, spec, box=None, node_errors=None):
-    """u(x) = half-space Green integral of f at every node of the tensor grid,
+def halfspace_values(f, grid, spec, box, node_errors=None):
+    """u(x) = half-space Green integral of f over ``box`` at every node of the tensor grid,
     0 at nodes with x1 <= 0; a node whose integral raises ``ToleranceNotMet``
     keeps the estimate and lands in ``node_errors`` (index -> (value, error))."""
     u = np.zeros(tuple(len(a) for a in grid))
@@ -240,7 +240,8 @@ class TestHalfspaceLinear:
             support_radius=1.0,
             bound=0.0,
         )
-        u = halfspace_values(zero, halfspace_grid(6, 8, 2.0, 2.0), QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8))
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
+        u = halfspace_values(zero, halfspace_grid(6, 8, 2.0, 2.0), spec, box=([0.0, -1.0], [1.0, 1.0]))
         assert np.max(np.abs(u)) == 0.0
 
     def test_tangential_invariance(self):
@@ -282,7 +283,7 @@ class TestHalfspaceLinear:
         assert np.all(np.diff(profile) > 0.0)
 
     def test_jump_density_keeps_estimates_and_flags_nodes(self):
-        # the indicator of [1, 2] x [-1, 1] jumps inside its support box
+        # the indicator of [1, 2] x [-1, 1] jumps inside the box
         # [0, 3] x [-3, 3], which four passes do not resolve to 1e-6: every
         # node with x1 > 0 keeps its estimate, within its reported error of
         # the integral over the indicator's own box, and lands in node_errors
@@ -295,7 +296,7 @@ class TestHalfspaceLinear:
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=4)
         grid = ([0.0, 0.2, 0.5], [0.0, 0.5])
         node_errors = {}
-        u = halfspace_values(indicator, grid, spec, node_errors=node_errors)
+        u = halfspace_values(indicator, grid, spec, box=([0.0, -3.0], [3.0, 3.0]), node_errors=node_errors)
         exact = halfspace_values(indicator, grid, spec, box=([1.0, -1.0], [2.0, 1.0]))
         assert sorted(node_errors) == [(1, 0), (1, 1), (2, 0), (2, 1)]
         for key, (estimate, error) in node_errors.items():
@@ -372,10 +373,7 @@ def dense_reference(op, rows=None):
     xs = nodes if rows is None else nodes[rows]
     diff = xs[:, None, :] - nodes[None, :, :]
     d2 = np.sum(diff * diff, axis=-1)
-    live = d2 > 0.0
-    d2safe = np.where(live, d2, 1.0)
-    psi = np.where(live, 4.0 * xs[:, None, 0] * nodes[None, :, 0] / d2safe, 0.0)
-    return np.where(live, _green_from_psi(op.params, d2safe, psi), 0.0) * op.weights
+    return _green_from_psi(op.params, d2, 4.0 * xs[:, None, 0] * nodes[None, :, 0], 1.0) * op.weights
 
 
 def operator_grid(N):
