@@ -1,18 +1,22 @@
 """Singular-integral quadrature: the pointwise fractional Laplacian, ball and
 half-space Green integrals, exterior Poisson integrals and strip masses.
 
-One radial engine, ``_adaptive_panels``, integrates every ray family: at
+Two adaptive engines refine through one bisection driver, ``_refine``,
+and share its contract.  Each cell has an owner (an evaluation point or a
+box), and every owner has its own tolerance, ``spec.tolerance`` of its own
+value: while its summed error exceeds it, a pass bisects its cells whose
+error exceeds that tolerance over its number of cells, and its sums run
+over its own cells in the order a call for it alone would hold them, so
+its value and error do not depend on the owners batched with it.
+
+The radial engine, ``_adaptive_panels``, integrates every ray family: at
 each angular level of a sphere rule it takes all (point, direction, radial
 panel) triples of a block of evaluation points in one array, a 16-point
-Gauss rule per panel checked against the 8-point one.  Every point has its
-own tolerance (``spec.tolerance`` of its own value) and its own
-refinement: its worst panels are bisected only while its own summed error
-exceeds that tolerance, and its sums run over its own panels in the order
-a call for it alone would hold them, so a point's value and error do not
-depend on the points batched with it.  A row's end panels carry
-Gauss-Jacobi weights from the one rule table ``core._gj``.  The polar-ray
-integrals (the ball integral and the strip mass) start every ray at x,
-with the weight (r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and
+Gauss rule per panel checked against the 8-point one, each point the
+owner of its panels.  A row's end panels carry Gauss-Jacobi weights from
+the one rule table ``core._gj``.  The polar-ray integrals (the ball
+integral and the strip mass) start every ray at x, with the weight
+(r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and
 (t_exit - r)^beta where the ray leaves the domain (beta = s at the sphere
 and at y1 = 0).
 ``exterior_poisson_integral`` maps rho in [R, inf) to sigma = 1 - (R/rho)^2
@@ -29,19 +33,16 @@ about ``_RAY_CHUNK`` panels.  A point's error is its final level's panel
 error plus its last level difference.  The box engine
 ``_box_integral`` serves every half-space box: Duffy pyramids with their
 apex at the box point nearest x, tiled and bisected against GL(n)/GL(2n)
-estimates.  Like the radial engine it takes an axis, of boxes: every box
-has its own tolerance and refinement, and its sums run over its own tiles
-in the order a call for it alone would hold them, so its value does not
-depend on the boxes batched with it.  ``box_green_mass`` takes rows of
-boxes (``PicardOperator`` gets all its self-cell masses from one call),
-and ``halfspace_green_integral`` is the engine's one-box call.
+estimates, each box the owner of its tiles.  ``box_green_mass`` takes
+rows of boxes (``PicardOperator`` gets all its self-cell masses from one
+call), and ``halfspace_green_integral`` is the engine's one-box call.
 ``strip_mass`` is [0, lam] of the one-dimensional half-line for every N.
 Every integrand forms its Green values in one ``kernels._green_from_psi``
 call on |x-y|^2 and the factors of psi, the one place where psi and its
 zero set are formed.
 
 Every integrator returns a value with an error within its contract or
-raises ``ToleranceNotMet`` carrying the estimate and the error.  The panel
+raises ``ToleranceNotMet`` carrying the estimate and the error.  The radial
 engine never raises; ``_checked`` is its one raise site, for the ray,
 exterior and fractional-Laplacian integrals (and ``verify``'s reductions)
 when the error exceeds 100 x tolerance.  The batch error contract: the
@@ -51,12 +52,11 @@ values and errors and raise for no missed tolerance; the public functions
 are their one-point calls through ``_checked``, ``solve_ball_dirichlet``
 flags the nodes ``_misses`` marks, and ``poisson_extension_field`` raises
 what the one-point call of its first such point would.  The box engine
-raises for the first box whose summed estimate misses the tolerance after
-``max_refinements`` passes, carrying that box's estimate and error, which
-are its one-box call's.  Batched evaluations take a bounded number of
-values at a time: ``_RAY_CHUNK`` integrand nodes, and ``_TILE_CHUNK``
-(2^14) kernel values of whole tiles.  Field callables must accept
-``(..., N)`` arrays.
+raises for the first box that still misses its tolerance when ``_refine``
+stops, carrying that box's estimate and error, which are its one-box
+call's.  Batched evaluations take a bounded number of values at a time:
+``_RAY_CHUNK`` integrand nodes, and ``_TILE_CHUNK`` (2^14) kernel values
+of whole tiles.  Field callables must accept ``(..., N)`` arrays.
 """
 from __future__ import annotations
 
@@ -159,6 +159,58 @@ def constant_field(value: float) -> ScalarField:
 _RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule, initial panels per block of points
 
 
+def _refine(cells, n, spec: QuadratureSpec, evaluate, bisect, chunk):
+    """Bisect a family of cells with owners 0 .. n-1 until each owner meets its tolerance.
+
+    ``cells`` is a tuple of per-cell arrays, its first column each cell's
+    owner (an evaluation point or a box).  ``evaluate(*columns)`` takes at
+    most ``chunk`` cells and returns (values, errors, *more), one entry per
+    cell and each from its own cell alone; ``bisect(*columns)`` takes the
+    cells to split, with those columns appended, and returns their
+    children's cells.  The refinement contract: every owner has its own
+    tolerance ``spec.tolerance`` of its own value; while its summed error
+    exceeds it, a pass bisects its cells whose error exceeds that tolerance
+    over its number of cells (the worst one always does), and an owner that
+    meets it keeps its cells.  An owner's value and error are sums over its
+    own cells in the order a call for it alone holds them (a stable sort by
+    owner after every pass; only the owners that split are summed again),
+    so neither depends on the owners refined with it.  Stops once no cell
+    splits or after ``spec.max_refinements`` passes and never raises.
+    Returns arrays (values, errors, live), one entry per owner, ``live``
+    marking the owners whose error still exceeds their tolerance.
+    """
+    width = len(cells)
+
+    def run(cells):
+        parts = [evaluate(*(c[i : i + chunk] for c in cells)) for i in range(0, len(cells[0]), chunk)]
+        return cells + tuple(np.concatenate(part) for part in zip(*parts))
+
+    def grouped(cells):
+        order = np.argsort(cells[0], kind="stable")
+        return tuple(c[order] for c in cells)
+
+    cells = grouped(run(cells))
+    total, err = np.zeros(n), np.zeros(n)
+    changed = range(n)
+    for k in range(spec.max_refinements + 1):
+        vals, errs = cells[width], cells[width + 1]
+        bounds = np.searchsorted(cells[0], np.arange(n + 1))
+        ends_at = bounds.tolist()
+        for i in changed:
+            start, stop = ends_at[i], ends_at[i + 1]
+            total[i], err[i] = vals[start:stop].sum(), errs[start:stop].sum()
+        tol = spec.tolerance(total)
+        live = ~(err <= tol)
+        count = np.diff(bounds)
+        split = errs > np.repeat(np.where(live, tol / count, np.inf), count)
+        if k == spec.max_refinements or not np.any(split):
+            break
+        children = run(bisect(*(c[split] for c in cells)))
+        cells = grouped(tuple(np.concatenate([c[~split], child]) for c, child in zip(cells, children)))
+        changed = np.flatnonzero(live).tolist()
+    return total, err, live
+
+
 def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.0, 0.0), point=None):
     """Adaptive Gauss panels on rays, for one or more evaluation points.
 
@@ -175,17 +227,11 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
     (r - a)^alpha and its last with the one for (b - r)^beta, the weight
     divided out (``_gj``), so every panel is a plain sum of f(r_i) w_i.
     Each panel's 16-point value and |16-point - 8-point| error are scaled
-    by its row's weight.  Every point p has its own tolerance
-    ``spec.tolerance(value_p)``: while its summed error err_p exceeds it,
-    a pass bisects the point's panels at or above 0.25 err_p / n_p (n_p
-    panels; the worst one always qualifies), and a point that meets it
-    keeps its panels.  A bisected end panel passes its weight to the
-    child that holds that end, and the other child is a Gauss-Legendre
-    panel.  A point's panels keep their order whatever the other points
-    do, so its value and decisions are those of a call for it alone.
-    Returns arrays (values, errors), one entry per point, once every point
-    meets its tolerance or after ``spec.max_refinements`` passes; it never
-    raises, and the caller's ``_checked`` judges each error.
+    by its row's weight.  Each point owns its panels in ``_refine``; a
+    bisected end panel passes its weight to the child that holds that end,
+    and the other child is a Gauss-Legendre panel.  Returns arrays (values,
+    errors), one entry per point; it never raises, and the caller's
+    ``_checked`` judges each error.
     """
     if isinstance(edges, tuple):
         a, b, d = edges
@@ -198,7 +244,6 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
     first, last = np.concatenate(([True], new_row)), np.concatenate((new_row, [True]))
     weights = np.asarray(weights, dtype=float)
     point = np.zeros(rows, dtype=int) if point is None else np.asarray(point)
-    n_points = int(point.max()) + 1
     # a panel's rule indexes (0, *alphas) at its left end and (0, *betas) at its right
     (alphas, ia), (betas, ib) = (
         np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
@@ -212,61 +257,25 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
     u = np.array([np.concatenate([lo[0], hi[0]]) for lo, hi in zip(low, high)])
     w_low = np.array([lo[1] for lo in low])
     w_high = np.array([hi[1] for hi in high])
-    step = max(1, _RAY_CHUNK // (n_low + n_high))
 
-    def _eval(a_arr, b_arr, d_arr, r_arr):
-        vals, errs = [np.zeros(0)], [np.zeros(0)]
-        for i in range(0, len(a_arr), step):
-            pa, pb, pd, pr = (v[i : i + step] for v in (a_arr, b_arr, d_arr, r_arr))
-            half = 0.5 * (pb - pa)
-            # np.take: row gathers of small 2-D tables, much faster than fancy indexing
-            nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * np.take(u, pr, axis=0)
-            f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
-            vl = np.sum(f[:, :n_low] * np.take(w_low, pr, axis=0), axis=-1)
-            vh = np.sum(f[:, n_low:] * np.take(w_high, pr, axis=0), axis=-1)
-            w = weights[pd] * half
-            vals.append(vh * w)
-            errs.append(np.abs(vh - vl) * w)
-        return np.concatenate(vals), np.concatenate(errs)
+    def evaluate(_, pa, pb, pd, pr):
+        half = 0.5 * (pb - pa)
+        # np.take: row gathers of small 2-D tables, much faster than fancy indexing
+        nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * np.take(u, pr, axis=0)
+        f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
+        vl = np.sum(f[:, :n_low] * np.take(w_low, pr, axis=0), axis=-1)
+        vh = np.sum(f[:, n_low:] * np.take(w_high, pr, axis=0), axis=-1)
+        w = weights[pd] * half
+        return vh * w, np.abs(vh - vl) * w
 
-    def grouped(panels):
-        # by point; the stable sort keeps each point's panels in the order a call for it alone holds them
-        if n_points == 1:
-            return panels
-        order = np.argsort(point[panels[2]], kind="stable")
-        return tuple(v[order] for v in panels)
-
-    panels = grouped((a, b, d, rule, *_eval(a, b, d, rule)))
-    total, err = np.zeros(n_points), np.zeros(n_points)
-    changed = range(n_points)
-    for k in range(spec.max_refinements + 1):
-        # each point's np.sum over its own panels, as in a call for it alone; only split points change
-        bounds = np.searchsorted(point[panels[2]], np.arange(n_points + 1))
-        ends_at = bounds.tolist()
-        for p in changed:
-            i, j = ends_at[p], ends_at[p + 1]
-            total[p], err[p] = panels[4][i:j].sum(), panels[5][i:j].sum()
-        live = ~(err <= spec.tolerance(total))
-        if k == spec.max_refinements or not np.any(live):
-            break
-        # bisect every panel holding more than its share of its point's error
-        count = np.diff(bounds)
-        share = np.where(live, np.maximum(0.25 * err / count, 1e-300), np.inf)
-        a, b, d, rule, vals, errs = panels
-        split = errs >= np.repeat(share, count)
-        sa, sb, sd, sr = a[split], b[split], d[split], rule[split]
+    def bisect(owner, sa, sb, sd, sr, *_):
         smid = 0.5 * (sa + sb)
         # the left child keeps the left end's weight, the right child the right end's
-        children = (
-            np.concatenate([sa, smid]),
-            np.concatenate([smid, sb]),
-            np.concatenate([sd, sd]),
-            np.concatenate([sr - sr % nb, sr % nb]),
-        )
-        children += _eval(*children)
-        panels = grouped(tuple(np.concatenate([old[~split], new]) for old, new in zip(panels, children)))
-        changed = np.flatnonzero(live).tolist()
-    return total, err
+        pairs = ((owner, owner), (sa, smid), (smid, sb), (sd, sd), (sr - sr % nb, sr % nb))
+        return tuple(np.concatenate(pair) for pair in pairs)
+
+    panels = (point[d], a, b, d, rule)
+    return _refine(panels, int(point.max()) + 1, spec, evaluate, bisect, _RAY_CHUNK // (n_low + n_high))[:2]
 
 
 def _graded_edges(depth, n_coarse=6):
@@ -363,8 +372,9 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     bound then exceeds a tenth of the tolerance of the result (which can be
     far smaller than u(x)), r_far is set for that and the levels run again.
 
-    Raises ``ValueError`` for a field not tagged C2, or one with neither a
-    support radius nor a decay exponent and bound.  Raises
+    Raises ``ValueError`` for an x not of shape (N,), a field not tagged
+    C2, or one with neither a support radius nor a decay exponent and
+    bound.  Raises
     ``ToleranceNotMet``, carrying the estimate and the error, when the
     error (the final level's panel error plus the last level difference
     plus the tail bound) exceeds 100 x tolerance.
@@ -372,7 +382,7 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
     if u.smoothness != "C2":
         raise ValueError("frac_laplacian_point requires a C2-tagged field")
-    x = np.asarray(x, dtype=float)
+    x = _point(params, x)
     N, s = params.N, params.s
     half_a = 0.5 * normalization_a(params)
     ux = float(u(x))
@@ -517,6 +527,14 @@ def _inside(params, R, xs):
     return xs, x2
 
 
+def _point(params, x):
+    """``x`` as a float array; ``ValueError`` unless it is one point, shape (N,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.N,):
+        raise ValueError("x needs shape (N,)")
+    return x
+
+
 def _ball_green_batch(params, R, f, xs, spec):
     """(values, errors) of ``ball_green_integral`` at every point of ``xs`` (n, N)."""
     xs, x2 = _inside(params, R, xs)
@@ -572,12 +590,12 @@ def ball_green_integral(
     singularity is the weight r^alpha of the first panel
     (``_end_rule_at_x``); at the sphere I(psi) is psi^s times an analytic
     function, so the last panel carries the weight (t_exit - r)^s.
-    Returns a value whose error (the final level's summed panel error plus
+    ``x`` must have shape (N,).  Returns a value whose error (the final level's summed panel error plus
     the last angular level difference) is within 100 x tolerance, or
     raises ``ToleranceNotMet`` carrying the estimate and the error.
     """
     spec = spec or QuadratureSpec()
-    value, err = _ball_green_batch(params, R, f, x, spec)
+    value, err = _ball_green_batch(params, R, f, _point(params, x), spec)
     return _checked(value[0], err[0], spec, "ball Green integral")
 
 
@@ -682,12 +700,12 @@ def exterior_poisson_integral(
     edges halve from 1/2 down to 2 (R - |x|)/R, the kernel's boundary layer
     R - |x| (sigma ~ 2 (rho - R)/R there).  Angular levels double from
     m = 16 (``_angular_converge``); N = 1 runs one level, its two
-    directions being exact.  Raises ``ValueError`` for data without a
-    ``bound`` and ``ToleranceNotMet``, carrying the estimate and the error,
+    directions being exact.  Raises ``ValueError`` for an x not of shape
+    (N,) or data without a ``bound``, and ``ToleranceNotMet``, carrying the estimate and the error,
     when the error exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec()
-    value, err = _exterior_poisson_batch(params, R, g, x, spec)
+    value, err = _exterior_poisson_batch(params, R, g, _point(params, x), spec)
     return _checked(value[0], err[0], spec, "exterior integral")
 
 
@@ -893,17 +911,13 @@ def _box_integral(params, x, lo, hi, spec, f=None):
     for p on the face, and u = v^(1/e), e = 2s when N > 2s (else 1), removes
     the u^(2s-1) singularity of an apex at x.  A density's length scale is
     unknown, so its tiles are also graded toward c, down to the smallest
-    nonzero face height or |x - c|.  Every box has its own tolerance
-    ``spec.tolerance`` of its own value: while its summed error exceeds it,
-    a pass bisects its tiles above their share of it along their roughest
-    axis, and a box that meets it keeps its tiles.  A pass is one kernel
-    evaluation over the new tiles of every box, in chunks of about
-    ``_TILE_CHUNK`` values, and each box's sums run over its own tiles in
-    the order a call for it alone holds them, so its value and error are
+    nonzero face height or |x - c|.  The tiles of each box refine through
+    ``_refine``, the box their owner, a tile splitting along its roughest
+    axis; a pass evaluates the new tiles of every box in chunks of about
+    ``_TILE_CHUNK`` kernel values, and each box's value and error are
     bit-identical to its one-box call.  A density that jumps inside a box
     converges slowly.  Raises ``ToleranceNotMet``, carrying the estimate and
-    the error of the first box whose summed estimate misses ``spec`` after
-    ``spec.max_refinements`` passes.
+    the error of the first box that still misses its tolerance.
     """
     N, s = params.N, params.s
     e = 2.0 * s if N > 2.0 * s else 1.0
@@ -914,53 +928,27 @@ def _box_integral(params, x, lo, hi, spec, f=None):
     if f is not None:
         lengths = np.column_stack([np.abs(lo - c), np.abs(hi - c), np.linalg.norm(c - x, axis=-1)])
         scale = np.min(lengths, axis=1, where=lengths > 0.0, initial=np.inf)
-    chunk = max(1, _TILE_CHUNK // len(_tile_rule(N)[0]))
 
-    def evaluate(tiles):
-        box = tiles[4]
-        parts = []
-        for i in range(0, len(box), chunk):
-            rows = box[i : i + chunk]
-            parts.append(_tile_sums(params, x[rows], c[rows], e, tuple(t[i : i + chunk] for t in tiles), f))
-        return tuple(np.concatenate(p) for p in zip(*parts))
+    def evaluate(box, *tiles):
+        return _tile_sums(params, x[box], c[box], e, tiles, f)
 
-    tiles = _pyramid_tiles(c, lo, hi, e, scale)
-    tiles += evaluate(tiles)  # (a, b, axis, offset, box) and each tile's value, error and split axis
-    total, err = np.zeros(n), np.zeros(n)
-    changed = range(n)
-    for level in range(spec.max_refinements + 1):
-        a, b, _, _, box, vals, errs, roughest = tiles
-        # each box's np.sum over its own tiles, as in a call for it alone; only split boxes change
-        bounds = np.searchsorted(box, np.arange(n + 1))
-        ends_at = bounds.tolist()
-        for i in changed:
-            start, stop = ends_at[i], ends_at[i + 1]
-            total[i], err[i] = vals[start:stop].sum(), errs[start:stop].sum()
-        tol = spec.tolerance(total)
-        live = ~(err <= tol)
-        if level == spec.max_refinements or not np.any(live):
-            break
-        # bisect every tile above its box's share of the tolerance, along its roughest axis
-        count = np.diff(bounds)
-        split = errs > np.repeat(np.where(live, tol / count, np.inf), count)
-        at = (np.arange(int(np.sum(split))), roughest[split])
-        a, b = a[split], b[split]
+    def bisect(box, a, b, axis, offset, _, __, roughest):
+        # along each tile's roughest axis
+        at = (np.arange(len(box)), roughest)
         b_left, a_right = b.copy(), a.copy()
         b_left[at] = a_right[at] = 0.5 * (a[at] + b[at])
-        children = (np.concatenate([a, a_right]), np.concatenate([b_left, b])) + tuple(
-            np.concatenate([t[split], t[split]]) for t in tiles[2:5]
-        )
-        children += evaluate(children)
-        tiles = tuple(np.concatenate([t[~split], child]) for t, child in zip(tiles, children))
-        # grouped by box; the stable sort keeps each box's tiles in the order of a call for it alone
-        order = np.argsort(tiles[4], kind="stable")
-        tiles = tuple(t[order] for t in tiles)
-        changed = np.flatnonzero(live).tolist()
+        pairs = ((box, box), (a, a_right), (b_left, b), (axis, axis), (offset, offset))
+        return tuple(np.concatenate(pair) for pair in pairs)
+
+    a, b, axis, offset, box = _pyramid_tiles(c, lo, hi, e, scale)
+    total, err, live = _refine(
+        (box, a, b, axis, offset), n, spec, evaluate, bisect, _TILE_CHUNK // len(_tile_rule(N)[0])
+    )
     missed = np.flatnonzero(live)
     if len(missed):
         i = missed[0]
         raise ToleranceNotMet(
-            f"box integral stalled at error {err[i]:.3e} after {spec.max_refinements} refinements",
+            f"box integral error {err[i]:.3e} exceeds tolerance",
             estimate=float(total[i]),
             error=float(err[i]),
         )
@@ -1002,14 +990,16 @@ def halfspace_green_integral(
 ):
     """int over the box ``box`` = (lo, hi), cut to y1 >= 0, of G(x,y) f(y) dy.
 
-    x may lie outside the box; the box engine (``_box_integral``) raises
-    ``ToleranceNotMet``, carrying the estimate and the error, when its
-    error misses ``spec``.  Integrate a density that jumps inside the box
-    over the pieces where it is smooth.
+    x, lo and hi have shape (N,), and x may lie outside the box; the box
+    engine (``_box_integral``) raises ``ToleranceNotMet``, carrying the
+    estimate and the error, when its error misses ``spec``.  Integrate a
+    density that jumps inside the box over the pieces where it is smooth.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
-    x = np.asarray(x, dtype=float)
+    x = _point(params, x)
     lo, hi = (np.array(v, dtype=float) for v in box)
+    if lo.shape != x.shape or hi.shape != x.shape:
+        raise ValueError("box corners need shape (N,)")
     lo[0] = max(lo[0], 0.0)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
@@ -1038,10 +1028,7 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     ``ToleranceNotMet`` as ``ball_green_integral`` does.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.N,):
-        raise ValueError("x needs shape (N,)")
-    x1 = float(x[0])
+    x1 = float(_point(params, x)[0])
     if not (0.0 < x1 < lam):
         raise ValueError("strip_mass needs 0 < x1 < lam")
     line = FracParams(1, params.s)

@@ -489,6 +489,8 @@ def lambda0_estimate(params: FracParams, c_lip: float, n_samples: int = 64):
     """
     if c_lip <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)
     xs = np.zeros((n_samples, params.N))
     xs[:, 0] = _vdc_sequence(n_samples)

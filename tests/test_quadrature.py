@@ -524,6 +524,11 @@ class TestHalfspaceIntegral:
         assert err.value.estimate > 0.0
         assert err.value.error > spec.tolerance(err.value.estimate)
 
+    def test_rejects_corners_of_the_wrong_shape(self):
+        for box in (([0.0, -1.0, 0.0], [1.0, 1.0, 1.0]), ([[0.0, -1.0]], [[1.0, 1.0]])):
+            with pytest.raises(ValueError, match="box corners"):
+                halfspace_green_integral(P2, ONE, np.array([0.5, 0.0]), box=box)
+
     def test_whole_box_reports_its_angular_error(self):
         # the value must meet the nested-quadrature mass of TestBoxGreenMass,
         # and the reported error cover its miss
@@ -600,12 +605,16 @@ class TestStripMass:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_every_dimension_has_the_half_line_mass(self, N, s):
         # the lateral integral of G_N is G_1, whatever x' is; so the value is the
-        # N = 1 one to the last bit, the same half-line integral being computed
+        # N = 1 one to the last bit, the same half-line integral being computed.
+        # The box engine's mass of the N = 1 box [0, 1] is the same integral, so
+        # the references pin both engines (its default spec is rel 1e-7; measured
+        # at most 3.3e-8 off)
         lateral = [0.7, -2.0][: N - 1]
         for x1, ref in zip((0.05, 0.5, 0.95), self.HALF_LINE_REFERENCES[s]):
             value = strip_mass(FracParams(N, s), 1.0, [x1, *lateral])
             assert value == pytest.approx(ref, rel=1e-8)
             assert value == strip_mass(FracParams(1, s), 1.0, [x1])
+            assert box_green_mass(FracParams(1, s), [x1], [0.0], [1.0]) == pytest.approx(ref, rel=1e-7)
 
     def test_halving_decreases(self):
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
@@ -681,6 +690,82 @@ CONTRACT_CASES = {
         0.7307080842481433,  # TestStripMass.HALF_LINE_REFERENCES[0.5][1]
     ),
 }
+
+
+# every one-point integrator of a field, at x
+ONE_POINT_CALLS = {
+    "ball_green_integral": lambda f, x: ball_green_integral(P2, 1.0, f, x),
+    "exterior_poisson_integral": lambda f, x: exterior_poisson_integral(P2, 1.0, f, x),
+    "frac_laplacian_point": lambda f, x: frac_laplacian_point(P2, f, x),
+    "halfspace_green_integral": lambda f, x: halfspace_green_integral(P2, f, x, box=([0.0, -1.0], [1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize(
+    "x", [[[0.1, 0.0], [0.5, 0.0]], [0.1, 0.0, 0.5, 0.0], [0.1]], ids=["two-points", "flat-pair", "short"]
+)
+@pytest.mark.parametrize("name", list(ONE_POINT_CALLS))
+def test_one_point_integrators_reject_a_wrongly_shaped_point(name, x):
+    # the batch forms take (n, N); a one-point call takes x of shape (N,) and
+    # raises for any other shape before it evaluates anything
+    evaluated = []
+    field = ScalarField(
+        func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2", support_radius=2.0, bound=1.0
+    )
+    with pytest.raises(ValueError, match=r"x needs shape \(N,\)"):
+        ONE_POINT_CALLS[name](field, np.array(x))
+    assert evaluated == []
+
+
+def _toy_refine(kinds, spec):
+    """``_refine`` on [0, 1] with one owner per entry of ``kinds``: kind 0
+    integrates 1, which Simpson's rule and the midpoint rule agree on at
+    once, kind 1 integrates sqrt(y).  Returns (values, errors, live) and the
+    owners of the cells of every ``evaluate`` call."""
+    evaluated = []
+
+    def evaluate(owner, a, b, kind):
+        evaluated.append(owner)
+        mid = 0.5 * (a + b)
+
+        def f(y):
+            return np.where(kind == 0, 1.0, np.sqrt(y))
+
+        simpson = (b - a) / 6.0 * (f(a) + 4.0 * f(mid) + f(b))
+        return simpson, np.abs(simpson - (b - a) * f(mid))
+
+    def bisect(owner, a, b, kind, *_):
+        mid = 0.5 * (a + b)
+        return tuple(np.concatenate(pair) for pair in ((owner, owner), (a, mid), (mid, b), (kind, kind)))
+
+    n = len(kinds)
+    cells = (np.arange(n)[::-1], np.zeros(n), np.ones(n), np.array(kinds)[::-1])
+    return quadrature._refine(cells, n, spec, evaluate, bisect, chunk=3), evaluated
+
+
+class TestRefine:
+    """The bisection driver both engines refine through, on a toy cell family."""
+
+    SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_refinements=40)
+
+    def test_owners_refine_alone(self):
+        (values, errors, live), evaluated = _toy_refine([0, 1], self.SPEC)
+        (alone, alone_error, _), _ = _toy_refine([1], self.SPEC)
+        # the met owner's one cell is evaluated once, in the first pass
+        assert sum(int(np.sum(owner == 0)) for owner in evaluated) == 1
+        assert len(evaluated) > 2
+        assert values[0] == 1.0 and errors[0] == 0.0
+        # the other owner's sums are those of its one-owner call, bit for bit
+        assert (values[1], errors[1]) == (alone[0], alone_error[0])
+        assert values[1] == pytest.approx(2.0 / 3.0, rel=1e-8)
+        assert not np.any(live)
+
+    def test_live_marks_the_owner_that_misses(self):
+        tiny = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
+        (values, errors, live), evaluated = _toy_refine([0, 1], tiny)
+        assert live.tolist() == [False, True]
+        assert errors[1] > tiny.tolerance(values[1])
+        assert len(evaluated) == 2  # the first pass and one bisection
 
 
 class TestToleranceHandling:

@@ -537,3 +537,8 @@ class TestLambda0:
         with pytest.raises(ValueError):
             lambda0_estimate(P2, 0.0)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_no_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            lambda0_estimate(P2, 1.0, n_samples=n_samples)
+
