@@ -17,10 +17,10 @@ differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 ``incomplete_kernel_integral`` is the inner loop of every Green kernel.
 An input of at least two blocks of 2^16 values, in a process allowed at
 least two CPUs, is split into those blocks and evaluated on a thread pool
-with one worker per usable CPU (scipy's ``betainc`` and ``hyp2f1`` release
-the GIL); smaller inputs, or a one-CPU process, take one serial call.  The
-pool is created on the first such call, not at import, and a forked child
-starts a new one.  The body is elementwise, so the blocked result is
+with one worker per usable CPU (scipy's ``betainc`` and ``hyp2f1``, and
+NumPy's ufuncs, release the GIL); smaller inputs, or a one-CPU process,
+take one serial call.  The pool is created on the first such call, not at
+import, and a forked child starts a new one.  The body is elementwise, so the blocked result is
 bit-identical to the serial one.  Validation happens once, in the calling
 thread, and the workers run only the private body, never a public name,
 so a wrapper around the public function sees one call per batch.
@@ -142,9 +142,13 @@ def incomplete_kernel_integral(params: FracParams, t):
     when N > 2s, and diverges to +inf when N = 1 <= 2s.  Vectorized over t.
     Branch strategy:
 
-    * N > 2s: regularized incomplete Beta at x = t/(1+t); for x near 1 the
-      complement is evaluated at u = 1/(1+t) so no precision is lost.
     * N = 1 = 2s: exact closed form 2*arcsinh(sqrt(t)).
+    * s = 1/2, N >= 2: closed form 2 int_0^theta cos^(N-2) at
+      theta = arctan(sqrt(t)), by a recursion in N, and above t = 99
+      B(1/2, (N-1)/2) minus a nine-term series in u = 1/(1+t); see
+      ``_half_order_integral``.
+    * other N > 2s: regularized incomplete Beta at x = t/(1+t); for x near 1
+      the complement is evaluated at u = 1/(1+t) so no precision is lost.
     * N = 1 < 2s: x^s/s 2F1(s, s+1/2; s+1; x) for x <= 0.7, and above it
       the u -> 0 connection formula B(s, 1/2-s) + x^s u^(1/2-s)/(s-1/2)
       2F1(1, 1/2; 3/2-s; u), again with u = 1/(1+t) kept exact; both 2F1
@@ -175,6 +179,8 @@ def _kernel_integral(params: FracParams, t_arr):
 
     if regime is Regime.N_EQ_2S:
         return 2.0 * np.arcsinh(np.sqrt(t_arr))
+    if s == 0.5:
+        return _half_order_integral(N, t_arr)
     if regime is Regime.N_GT_2S:
         b = N / 2.0 - s
         B = _spec.beta(s, b)
@@ -205,6 +211,43 @@ def _kernel_integral(params: FracParams, t_arr):
         hyp = _spec.hyp2f1(1.0, 0.5, 1.5 - s, ub)
         with np.errstate(divide="ignore"):  # u = 0 at t = inf gives +inf
             out[~small] = b_cont + x_pow_s * ub ** (0.5 - s) / (s - 0.5) * hyp
+    return out
+
+
+def _half_order_integral(N, t):
+    """I(t) at s = 1/2 and N >= 2, in closed form.
+
+    z = tan^2(theta) gives I(t) = 2 J_(N-2)(theta) at theta = arctan(sqrt(t)),
+    where J_n(theta) = int_0^theta cos^n, from J_0 = theta or J_1 = sin by
+    the recursion J_n = cos^(n-1) sin / n + (n-1)/n J_(n-2), a sum of
+    positive terms, with tan = sqrt(t), sin = sqrt(t u) and
+    cos^2 = u = 1/(1+t).  Above t = 99 that sum is flat to its last bit and
+    did not round monotonically (at N = 4 it stepped down 1 ulp near
+    t = 3e10), so there I = B(1/2, b) minus the tail
+    sum_k binom(2k, k) 4^-k u^(b+k) / (b+k), b = (N-1)/2, in nine terms (the
+    rest is below 1e-19 of it at u < 0.01).
+    """
+    n = N - 2
+    u = 1.0 / (1.0 + t)
+    with np.errstate(invalid="ignore"):  # inf * 0 at t = inf, where the tail is taken
+        if n % 2:
+            J = c = np.sqrt(t * u)  # J_1 = sin = cos^0 sin
+        else:
+            c = np.sqrt(t)  # tan = cos^-1 sin
+            J = np.arctan(c)
+        B = 2.0 if n % 2 else math.pi  # 2 J_n(pi/2)
+        for m in range(2 + n % 2, n + 1, 2):
+            c = c * u  # cos^(m-1) sin
+            J = c / m + (m - 1) / m * J
+            B = (m - 1) / m * B
+    out = 2.0 * J
+    near = u < 0.01
+    b, un = (N - 1) / 2.0, u[near]
+    tail = np.zeros_like(un)
+    for k in range(8, -1, -1):
+        tail *= un
+        tail += math.comb(2 * k, k) / 4.0**k / (b + k)
+    out[near] = B - tail * un**b
     return out
 
 

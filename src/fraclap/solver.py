@@ -8,7 +8,9 @@ discrete operator inherits the monotonicity of the continuous one.  The
 half-space Green function is invariant under tangential translations, so
 on uniform lateral axes the off-diagonal part is a kernel table over
 (x1, y1, x' - y') of n1^2 prod(2 n_k - 1) values, applied by FFT over the
-lateral axes; no M x M matrix is held.
+lateral axes; no M x M matrix is held.  The kernel is even in each lateral
+offset and symmetric in (x1, y1), so the table is built from
+n1 (n1 + 1)/2 prod n_k kernel values and mirrored.
 """
 from __future__ import annotations
 
@@ -258,12 +260,16 @@ class PicardOperator:
     lateral axes (x2 ... xN; the x1 axis may be graded) the coefficients
     are therefore the table T[i1, j1, d'] over the lateral offsets
     d'_k in {-(n_k - 1) .. n_k - 1} h_k, n1^2 prod(2 n_k - 1) kernel values
-    in place of M^2.  ``apply`` multiplies by the weights, takes an FFT over
-    the lateral axes zero-padded to 2 n_k (so the circular convolution is
-    the linear one), contracts with the transformed table over j1 (one
-    n1 x n1 matvec per frequency), transforms back, crops and adds the
-    diagonal; with N = 1 the table is the n1 x n1 matrix and ``apply`` is a
-    matvec.  Non-uniform lateral axes raise ``ValueError``.  ``matrix`` is
+    in place of M^2.  G is even in each d'_k and symmetric in (x1, y1), so
+    the build evaluates only the n1 (n1 + 1)/2 prod n_k values at d'_k >= 0
+    and i1 <= j1 and mirrors the rest, bit-identical to evaluating them all.
+    ``apply`` multiplies by the weights, takes an FFT over the lateral axes
+    zero-padded to 2 n_k (so the circular convolution is the linear one),
+    contracts with the transformed table over j1 (one n1 x n1 matvec per
+    frequency), transforms back, crops and adds the diagonal; with N = 1
+    the table is the n1 x n1 matrix and ``apply`` is a matvec.  Axes that
+    are not strictly increasing, and non-uniform lateral axes, raise
+    ``ValueError`` before any kernel value is computed.  ``matrix`` is
     a dense M x M view assembled from the table on each access; ``apply``
     does not use it.
 
@@ -282,6 +288,8 @@ class PicardOperator:
             raise ValueError("grid dimension does not match params")
         if any(len(a) < 2 for a in self.axes):
             raise ValueError("grid axes need at least two nodes")
+        if any(np.any(np.diff(a) <= 0.0) for a in self.axes):
+            raise ValueError("grid axes must be strictly increasing")
         for k, a in enumerate(self.axes[1:], start=1):
             if not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-12, atol=0):
                 raise ValueError(f"lateral axis {k} must be uniformly spaced")
@@ -300,20 +308,31 @@ class PicardOperator:
         """The kernel table T[i1, j1, d'] and its lateral transform.
 
         Offset index m_k = 0 .. 2 n_k - 2 stands for x_k - y_k = (m_k - n_k + 1) h_k.
-        The benchmark's tracer (``bench/fraclap_bench/tracing.py``) times
-        this method, ``_build_diagonal`` and ``apply`` by name.
+        The kernel is evaluated at offsets d'_k >= 0 and pairs i1 <= j1 only
+        and mirrored: (-d)^2 = d^2 and (4a) b = (4b) a hold exactly in
+        floating point, so the table is bit-identical to evaluating every
+        entry.  The benchmark's tracer (``bench/fraclap_bench/tracing.py``)
+        times this method, ``_build_diagonal`` and ``apply`` by name.
         """
         a1, lateral = self.axes[0], self.shape[1:]
         ones = (1,) * len(lateral)
-        r2 = np.zeros([2 * n - 1 for n in lateral])
+        r2 = np.zeros(lateral)
         for k, (a, n) in enumerate(zip(self.axes[1:], lateral)):
-            d = np.arange(1 - n, n) * ((a[-1] - a[0]) / (n - 1))
+            d = np.arange(n) * ((a[-1] - a[0]) / (n - 1))
             r2 = r2 + (d * d).reshape(ones[:k] + (-1,) + ones[k + 1 :])
-        x1 = a1.reshape((-1, 1) + ones)
-        y1 = a1.reshape((1, -1) + ones)
+        i, j = np.triu_indices(len(a1))
+        x1 = a1[i].reshape((-1,) + ones)
+        y1 = a1[j].reshape((-1,) + ones)
         d2 = (x1 - y1) ** 2 + r2
         # zero on the diagonal d2 = 0, whose mass is diag_mass
-        table = _green_from_psi(self.params, d2, np.broadcast_to(4.0 * x1 * y1, d2.shape), 1.0)
+        half = _green_from_psi(self.params, d2, np.broadcast_to(4.0 * x1 * y1, d2.shape), 1.0)
+        table = np.empty((len(a1), len(a1)) + tuple(2 * n - 1 for n in lateral))
+        corner = table[(slice(None), slice(None)) + tuple(slice(n - 1, None) for n in lateral)]  # d'_k >= 0
+        corner[i, j] = half
+        corner[j, i] = half
+        for k, n in enumerate(lateral, start=2):
+            lo = (slice(None),) * k
+            table[lo + (slice(n - 1),)] = table[lo + (slice(2 * n - 2, n - 1, -1),)]
         if not lateral:
             return table, None
         # zero-padded to 2 n_k, the output node i_k reads the product at

@@ -197,6 +197,20 @@ class TestIncompleteKernelIntegral:
                 got = incomplete_kernel_integral(p, t)
                 assert got == pytest.approx(ref, rel=1e-10), (N, s, t)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_half_order_closed_form(self, N):
+        # s = 1/2: I = 2 int_0^theta cos^(N-2), theta = arctan(sqrt(t)); I(inf) = B(1/2, (N-1)/2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        # t = 99 is the last point of the cosine recursion, 99.5 the first of the tail series
+        ts = [0.0, 1e-10, 1e-4, 0.3, 1.0, 7.0 / 3.0, 2.5, 50.0, 99.0, 99.5, 1e4, 1e8, 1e12, math.inf]
+        got = incomplete_kernel_integral(FracParams(N, 0.5), ts)
+        assert got[0] == 0.0
+        for t, g in zip(ts[1:], got[1:]):
+            x = 1 if t == math.inf else mp.mpf(t) / (1 + mp.mpf(t))
+            ref = float(mp.betainc(0.5, mp.mpf(N - 1) / 2, 0, x))
+            assert g == pytest.approx(ref, rel=1e-14), (N, t)
+
     @pytest.mark.parametrize("s", [0.55, 0.6, 0.75, 0.9, 0.95])
     def test_large_t_branch_one_dimensional(self, s):
         # N = 1 < 2s above x = 0.7: the connection formula with 2F1(1, 1/2; 3/2-s; u)
@@ -210,12 +224,12 @@ class TestIncompleteKernelIntegral:
 
     def test_monotone_in_t(self):
         ts = np.logspace(-8, 12, 300)
-        for N, s in [(1, 0.25), (1, 0.5), (1, 0.75), (2, 0.3), (3, 0.7)]:
+        for N, s in [(1, 0.25), (1, 0.5), (1, 0.75), (2, 0.3), (3, 0.7), (3, 0.5), (4, 0.5)]:
             vals = incomplete_kernel_integral(FracParams(N, s), ts)
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_limit_is_beta(self):
-        for N, s in [(2, 0.5), (3, 0.75), (5, 0.9)]:
+        for N, s in [(2, 0.5), (3, 0.75), (5, 0.9), (3, 0.5), (4, 0.5)]:
             p = FracParams(N, s)
             lim = sp.beta(s, N / 2.0 - s)
             assert incomplete_kernel_integral(p, 1e14) == pytest.approx(lim, rel=1e-6)
@@ -231,7 +245,7 @@ class TestIncompleteKernelIntegral:
         assert got.tolist() == [0.0, np.inf]
 
 
-BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25)]
+BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (3, 0.5), (4, 0.5)]
 
 
 @pytest.fixture

@@ -385,6 +385,24 @@ def operator_grid(N):
     return (np.linspace(0.125, 2.875, 6), np.linspace(-2.5, 2.5, 8), np.linspace(-1.5, 2.5, 7))
 
 
+GRADED_AXES = (0.05 * 1.4 ** np.arange(10), np.linspace(-2.0, 2.0, 9))
+
+
+def full_table(op):
+    """The kernel table T[i1, j1, d'] by ``_green_from_psi`` at every x1, y1 and
+    every lateral offset d'_k = (m_k - n_k + 1) h_k, m_k = 0 .. 2 n_k - 2."""
+    a1, lateral = op.axes[0], op.shape[1:]
+    ones = (1,) * len(lateral)
+    r2 = np.zeros([2 * n - 1 for n in lateral])
+    for k, (a, n) in enumerate(zip(op.axes[1:], lateral)):
+        d = np.arange(1 - n, n) * ((a[-1] - a[0]) / (n - 1))
+        r2 = r2 + (d * d).reshape(ones[:k] + (-1,) + ones[k + 1 :])
+    x1 = a1.reshape((-1, 1) + ones)
+    y1 = a1.reshape((1, -1) + ones)
+    d2 = (x1 - y1) ** 2 + r2
+    return _green_from_psi(op.params, d2, np.broadcast_to(4.0 * x1 * y1, d2.shape), 1.0)
+
+
 def assert_matches_reference(op, rows=None, seed=0):
     K = dense_reference(op, rows)
     rows = np.arange(len(op.nodes)) if rows is None else rows
@@ -406,10 +424,17 @@ class TestPicardOperator:
         assert np.all(np.diag(dense) == 0.0)
 
     def test_graded_x1_axis(self):
-        axes = (0.05 * 1.4 ** np.arange(10), np.linspace(-2.0, 2.0, 9))
-        op = PicardOperator(P2, axes)
+        op = PicardOperator(P2, GRADED_AXES)
         K = assert_matches_reference(op)
         np.testing.assert_allclose(op.matrix, K, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    @pytest.mark.parametrize("axes", [operator_grid(1), operator_grid(2), operator_grid(3), GRADED_AXES],
+                             ids=["N1", "N2", "N3-unequal-off-centre", "N2-graded"])
+    def test_table_is_the_full_build(self, axes, s):
+        # evaluated at d'_k >= 0 and i1 <= j1 only, then mirrored: bit for bit the full grid
+        op = PicardOperator(FracParams(len(axes), s), axes)
+        assert op._table.tobytes() == full_table(op).tobytes()
 
     def test_large_three_dimensional_grid_rows(self):
         # 9216 nodes: the dense matrix would take 680 MB, the reference only 50 rows
@@ -428,6 +453,24 @@ class TestPicardOperator:
                 hi.append(a[-1] if i == len(a) - 1 else 0.5 * (a[i] + a[i + 1]))
             mass = box_green_mass(P2, small_operator.nodes[row], np.array(lo), np.array(hi), spec)
             assert small_operator.diag_mass[row] == pytest.approx(mass, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (np.linspace(0.1, 1.0, 5), np.linspace(1.0, -1.0, 5)),
+            (np.linspace(1.0, 0.1, 5), np.linspace(-1.0, 1.0, 5)),
+            (np.array([0.1, 0.4, 0.4, 0.7, 1.0]), np.linspace(-1.0, 1.0, 5)),
+        ],
+        ids=["descending-lateral", "descending-x1", "repeated-x1-node"],
+    )
+    def test_rejects_axes_not_strictly_increasing(self, monkeypatch, axes):
+        def kernel(*args, **kwargs):
+            raise AssertionError("kernel evaluated before the axes were checked")
+
+        monkeypatch.setattr(solver, "_green_from_psi", kernel)
+        monkeypatch.setattr(solver, "box_green_mass", kernel)
+        with pytest.raises(ValueError, match="grid axes must be strictly increasing"):
+            PicardOperator(P2, axes)
 
     def test_rejects_nonuniform_lateral_axis(self):
         x1 = np.linspace(0.1, 1.0, 5)
