@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FracParams
-from .kernels import Ball, HalfSpace, _green_from_psi, reflect_point
+from .kernels import Ball, HalfSpace, _green_from_psi
 # ball_green_integral and exterior_poisson_integral are not called here, but stay
 # names of this module: bench/fraclap_bench patches them on it to trace and lap
 from .quadrature import (  # noqa: F401
@@ -50,12 +50,23 @@ __all__ = [
 ]
 
 
+def _grid_axes(axes):
+    """``axes`` as float arrays, each with at least two strictly increasing nodes."""
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    if any(len(a) < 2 for a in axes):
+        raise ValueError("grid axes need at least two nodes")
+    if any(np.any(np.diff(a) <= 0.0) for a in axes):
+        raise ValueError("grid axes must be strictly increasing")
+    return axes
+
+
 @dataclass
 class GridFunction:
     """Scalar field sampled on a tensor grid, multilinearly interpolated.
 
-    Outside the grid hull it returns ``exterior_field`` where one is
-    stored, else 0 (matching zero complementary data and box truncation).
+    Each axis has at least two strictly increasing nodes.  Outside the grid
+    hull ``eval`` returns ``exterior_field`` where one is stored, else 0
+    (matching zero complementary data and box truncation).
     """
 
     domain: Ball | HalfSpace
@@ -64,12 +75,8 @@ class GridFunction:
     exterior_field: ScalarField | None = None
 
     def __post_init__(self):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        self.axes = _grid_axes(self.axes)
         self.values = np.asarray(self.values, dtype=float)
-        if any(len(a) < 2 for a in self.axes):
-            raise ValueError("grid axes need at least two nodes")
-        if any(np.any(np.diff(a) <= 0.0) for a in self.axes):
-            raise ValueError("grid axes must be strictly increasing")
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise ValueError("values shape does not match grid axes")
         if not np.all(np.isfinite(self.values)):
@@ -83,22 +90,18 @@ class GridFunction:
         """All grid nodes as an (M, N) array in C order."""
         return _grid_nodes(self.axes)
 
-    def _inside_hull(self, pts):
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for k, a in enumerate(self.axes):
-            ok &= (pts[..., k] >= a[0]) & (pts[..., k] <= a[-1])
-        return ok
-
     def _interp(self, pts):
-        # multilinear interpolation with coordinates clipped to the hull
+        # multilinear interpolation with coordinates clipped to the hull; a point
+        # is inside the hull when clipping changed none of its coordinates
+        inside = np.ones(pts.shape[:-1], dtype=bool)
         idx = []
         frac = []
         for k, a in enumerate(self.axes):
             c = np.clip(pts[..., k], a[0], a[-1])
+            inside &= c == pts[..., k]
             i = np.clip(np.searchsorted(a, c, side="right") - 1, 0, len(a) - 2)
-            h = a[i + 1] - a[i]
             idx.append(i)
-            frac.append((c - a[i]) / h)
+            frac.append((c - a[i]) / (a[i + 1] - a[i]))
         out = np.zeros(pts.shape[:-1])
         for corner in range(2**self.ndim):
             weight = np.ones(pts.shape[:-1])
@@ -108,24 +111,21 @@ class GridFunction:
                 weight = weight * (frac[k] if bit else (1.0 - frac[k]))
                 index.append(idx[k] + bit)
             out += weight * self.values[tuple(index)]
-        return out
+        return out, inside
 
-    def eval(self, pts, extrapolation: str = "rule"):
-        """Evaluate at points (..., N).
-
-        extrapolation="rule": the exterior field (or 0) outside the hull.
-        extrapolation="clamp": clamp coordinates to the hull (used for
-        reflected points that leave the truncation box).
-        """
+    def eval(self, pts):
+        """Evaluate at points of shape (N,) or (..., N), else ``ValueError``:
+        multilinear inside the hull; outside it the exterior field, or 0
+        where none is stored."""
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 0 or pts.shape[-1] != self.ndim:
+            raise ValueError(f"points need a last axis of length {self.ndim}")
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = self._interp(pts)  # coordinates clipped to the hull: the clamped value
-        if extrapolation != "clamp":
-            inside = self._inside_hull(pts)
-            out = np.where(inside, out, 0.0)
-            if self.exterior_field is not None and np.any(~inside):
-                out = np.where(inside, out, np.asarray(self.exterior_field(pts), dtype=float))
+        out, inside = self._interp(pts)
+        out = np.where(inside, out, 0.0)
+        if self.exterior_field is not None and np.any(~inside):
+            out = np.where(inside, out, np.asarray(self.exterior_field(pts), dtype=float))
         return float(out[0]) if scalar else out
 
     def sup_norm(self):
@@ -204,7 +204,7 @@ def solve_ball_dirichlet(
     (index -> (value, summed error of the integrals that missed)).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
-    axes = tuple(np.asarray(a, dtype=float) for a in grid)
+    axes = _grid_axes(grid)
     shape = tuple(len(a) for a in axes)
     pts = _grid_nodes(axes)
     inside = np.sum(pts * pts, axis=-1) < R * R
@@ -283,13 +283,9 @@ class PicardOperator:
 
     def __init__(self, params: FracParams, axes):
         self.params = params
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self.axes = _grid_axes(axes)
         if len(self.axes) != params.N:
             raise ValueError("grid dimension does not match params")
-        if any(len(a) < 2 for a in self.axes):
-            raise ValueError("grid axes need at least two nodes")
-        if any(np.any(np.diff(a) <= 0.0) for a in self.axes):
-            raise ValueError("grid axes must be strictly increasing")
         for k, a in enumerate(self.axes[1:], start=1):
             if not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-12, atol=0):
                 raise ValueError(f"lateral axis {k} must be uniformly spaced")
@@ -387,7 +383,8 @@ def picard_semilinear(
 ):
     """Iterate u_{k+1}(x) = int_box G(x,y) f(u_k(y)) dy on u0's grid, the box
     being the grid hull, with ``operator`` or a ``PicardOperator`` built on
-    u0's axes.
+    u0's axes.  A given ``operator`` must have been built for ``params`` on
+    u0's axes, else ``ValueError``.
 
     Stops when the residual drops below 1e-6 (1 + sup u_k) (converged;
     "converged-to-zero" when the final sup is below 1e-6), the sup norm
@@ -400,6 +397,8 @@ def picard_semilinear(
         raise ValueError("Picard iteration needs a nonnegative start")
     f.validate(max(u0.sup_norm() * 2.0, 1.0))
     op = operator or PicardOperator(params, u0.axes)
+    if op.params != params or len(op.axes) != u0.ndim or not all(map(np.array_equal, op.axes, u0.axes)):
+        raise ValueError("operator was not built for params on u0's axes")
     u = u0.values.copy()
     residual = np.inf
     verdict = "budget-exhausted"
@@ -439,24 +438,24 @@ def moving_plane_check(u: GridFunction, lam: float):
     """List grid nodes x in the slab {0 < x1 < lam} with u(x) > u(x^lam) + tol,
     tol = 1e-9 + 1e-6 sup |u|.
 
-    Reflected points beyond the grid hull (but still in the half-space)
-    are evaluated by clamped interpolation.
+    The reflection x^lam = (2 lam - x1, x') moves x1 only, so the slab is a
+    set of x1 rows and u(x^lam) is the linear interpolation of u along the
+    x1 axis at 2 lam - x1, clamped to the axis ends (reflected points past
+    the grid hull take the value of its last x1 row).  Raises ``ValueError``
+    unless lam lies strictly inside the x1 range of the grid.
     """
-    axes = u.axes
-    if lam <= axes[0][0] or lam >= axes[0][-1]:
+    a = u.axes[0]
+    if not a[0] < lam < a[-1]:
         raise ValueError("reflection level lam must lie inside the grid's x1 range")
     tol = 1e-9 + 1e-6 * u.sup_norm()
-    nodes = u.nodes()
-    vals = u.values.reshape(-1)
-    in_slab = (nodes[:, 0] > 0.0) & (nodes[:, 0] < lam)
-    slab_nodes = nodes[in_slab]
-    slab_vals = vals[in_slab]
-    reflected = reflect_point(slab_nodes, lam)
-    refl_vals = u.eval(reflected, extrapolation="clamp")
-    deficit = slab_vals - refl_vals
-    bad = deficit > tol
+    rows = np.flatnonzero((a > 0.0) & (a < lam))
+    c = np.clip(2.0 * lam - a[rows], a[0], a[-1])
+    i = np.clip(np.searchsorted(a, c, side="right") - 1, 0, len(a) - 2)
+    f = ((c - a[i]) / (a[i + 1] - a[i])).reshape((-1,) + (1,) * (u.ndim - 1))
+    deficit = u.values[rows] - ((1.0 - f) * u.values[i] + f * u.values[i + 1])
     violations = [
-        (tuple(slab_nodes[i]), float(deficit[i])) for i in np.nonzero(bad)[0]
+        ((a[rows[k]],) + tuple(ax[j] for ax, j in zip(u.axes[1:], rest)), float(deficit[(k, *rest)]))
+        for k, *rest in np.argwhere(deficit > tol)
     ]
     return MovingPlaneReport(lam=lam, tol=tol, violations=violations)
 

@@ -27,6 +27,7 @@ from .kernels import (
     green_halfspace,
     green_shifted_ball,
     h_function_partials,
+    reflect_point,
     regularized_poisson,
     shifted_center,
 )
@@ -214,10 +215,8 @@ def check_reflection_inequalities(seed=42):
     worst_margin = np.inf
     for params in sweep:
         lam, x, y = _reflection_samples(params, rng, pair_samples)
-        xl = x.copy()
-        xl[:, 0] = 2.0 * lam - x[:, 0]
-        yl = y.copy()
-        yl[:, 0] = 2.0 * lam - y[:, 0]
+        xl = reflect_point(x, lam)
+        yl = reflect_point(y, lam)
         keep = (np.sum((x - y) ** 2, axis=-1) > 1e-16) & (
             np.sum((x - yl) ** 2, axis=-1) > 1e-16
         ) & (x[:, 0] > 0) & (y[:, 0] > 0)
@@ -236,8 +235,7 @@ def check_reflection_inequalities(seed=42):
         yf = rng.uniform(-1.0, 1.0, (pair_samples // 2, params.N))
         xf[:, 0] = rng.uniform(0.02, 0.98, pair_samples // 2) * lam2
         yf[:, 0] = 2.0 * lam2 + rng.uniform(0.0, 3.0, pair_samples // 2)
-        xfl = xf.copy()
-        xfl[:, 0] = 2.0 * lam2 - xf[:, 0]
+        xfl = reflect_point(xf, lam2)
         m3 = green_halfspace(params, xfl, yf) - green_halfspace(params, xf, yf)
         violations += int(np.sum(m3 <= margin))
         worst_margin = min(worst_margin, float(np.min(m3)))

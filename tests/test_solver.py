@@ -4,7 +4,7 @@ from scipy import integrate
 
 from fraclap import solver
 from fraclap.core import FracParams, getoor_constant
-from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace
+from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace, reflect_point
 from fraclap.quadrature import (
     QuadratureSpec,
     ScalarField,
@@ -57,11 +57,21 @@ class TestGridFunction:
         assert gf.eval(np.array([5.0, 0.0])) == 0.0
         assert gf.eval(np.array([-1.0, 0.0])) == 0.0
 
-    def test_clamped_extrapolation(self):
-        axes = (np.linspace(0.5, 2.5, 5), np.linspace(-1.0, 1.0, 5))
-        vals = np.add.outer(axes[0], np.zeros(5))
-        gf = GridFunction(domain=HalfSpace(), axes=axes, values=vals)
-        assert gf.eval(np.array([5.0, 0.0]), extrapolation="clamp") == pytest.approx(2.5)
+    @pytest.mark.parametrize(
+        "ndim, pts",
+        [
+            (2, [0.5, 0.0, 99.0]),
+            (1, [0.1, 0.5, 0.9]),
+            (2, [[0.5], [1.0]]),
+            (1, 0.5),
+        ],
+        ids=["extra-coordinate", "flat-points-on-1d", "missing-coordinate", "zero-dim"],
+    )
+    def test_eval_rejects_points_of_other_dimension(self, ndim, pts):
+        axes = (np.linspace(0.0, 1.0, 3),) * ndim
+        gf = GridFunction(domain=HalfSpace(), axes=axes, values=np.ones((3,) * ndim))
+        with pytest.raises(ValueError, match=f"last axis of length {ndim}"):
+            gf.eval(pts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -361,6 +371,25 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_semilinear(P2, Nonlinearity.power(2.0), u0, operator=small_operator)
 
+    def test_rejects_operator_of_other_params_or_axes(self, small_operator):
+        axes = small_operator.axes
+        u0 = GridFunction(domain=HalfSpace(), axes=axes, values=np.full([len(a) for a in axes], 0.01))
+        with pytest.raises(ValueError, match="not built for params"):
+            picard_semilinear(FracParams(2, 0.75), Nonlinearity.power(2.0), u0, operator=small_operator)
+        shifted = (axes[0], axes[1] + 0.1)
+        u1 = GridFunction(domain=HalfSpace(), axes=shifted, values=u0.values)
+        with pytest.raises(ValueError, match="not built for params"):
+            picard_semilinear(P2, Nonlinearity.power(2.0), u1, operator=small_operator)
+        other = PicardOperator(FracParams(2, 0.75), halfspace_grid(6, 4))
+        with pytest.raises(ValueError, match="not built for params"):
+            picard_semilinear(P2, Nonlinearity.power(2.0), u0, operator=other)
+        small = GridFunction(domain=HalfSpace(), axes=halfspace_grid(6, 4), values=np.full((6, 4), 0.01))
+        with pytest.raises(ValueError, match="not built for params"):
+            picard_semilinear(P2, Nonlinearity.power(2.0), small, operator=small_operator)
+        three = GridFunction(domain=HalfSpace(), axes=axes + (axes[1],), values=np.full([len(a) for a in axes] + [20], 0.01))
+        with pytest.raises(ValueError, match="not built for params"):
+            picard_semilinear(P2, Nonlinearity.power(2.0), three, operator=small_operator)
+
     def test_report_consistency(self, small_operator):
         with pytest.raises(ValueError):
             SolveReport(iterations=1, residual=0.0, verdict="nonsense")
@@ -483,6 +512,29 @@ class TestPicardOperator:
             PicardOperator(P2, (x1, np.array([0.0])))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda axes: GridFunction(domain=HalfSpace(), axes=axes, values=np.zeros([len(a) for a in axes])),
+        lambda axes: PicardOperator(P2, axes),
+    ],
+    ids=["GridFunction", "PicardOperator"],
+)
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ((np.linspace(0.1, 1.0, 4), np.array([0.5])), "grid axes need at least two nodes"),
+        ((np.linspace(0.1, 1.0, 4), np.linspace(1.0, -1.0, 3)), "grid axes must be strictly increasing"),
+        ((np.array([0.1, 0.4, 0.4, 1.0]), np.linspace(-1.0, 1.0, 3)), "grid axes must be strictly increasing"),
+    ],
+    ids=["one-node", "descending", "repeated-node"],
+)
+def test_one_axes_rule(build, axes, message):
+    with pytest.raises(ValueError) as info:
+        build(axes)
+    assert str(info.value) == message
+
+
 class TestMovingPlane:
     def _linear_gf(self):
         axes = halfspace_grid(10, 6, 3.0, 2.0)
@@ -513,6 +565,46 @@ class TestMovingPlane:
         gf = self._linear_gf()
         with pytest.raises(ValueError):
             moving_plane_check(gf, 10.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), -np.inf, np.inf, 0.15, 2.85], ids=["nan", "-inf", "inf", "a0", "a-1"])
+    def test_rejects_level_outside_open_x1_range(self, lam):
+        # the x1 axis runs from 0.15 to 2.85; the field has violations at lam = 1
+        gf = self._linear_gf()
+        vals = gf.values.copy()
+        vals[0, :] = 2.0
+        bad = GridFunction(domain=HalfSpace(), axes=gf.axes, values=vals)
+        with pytest.raises(ValueError, match="lam must lie inside"):
+            moving_plane_check(bad, lam)
+
+    @staticmethod
+    def point_reference(u, lam):
+        """The check written point by point: nodes, their reflections clipped
+        to the hull, and eval at those points."""
+        nodes = u.nodes()
+        slab = (nodes[:, 0] > 0.0) & (nodes[:, 0] < lam)
+        lo, hi = [a[0] for a in u.axes], [a[-1] for a in u.axes]
+        reflected = np.clip(reflect_point(nodes[slab], lam), lo, hi)
+        deficit = u.values.reshape(-1)[slab] - u.eval(reflected)
+        tol = 1e-9 + 1e-6 * u.sup_norm()
+        return tol, [(tuple(nodes[slab][k]), float(deficit[k])) for k in np.flatnonzero(deficit > tol)]
+
+    @pytest.mark.parametrize("N", [1, 2, 3], ids=["N1", "N2", "N3"])
+    def test_rows_match_point_reference(self, N):
+        rng = np.random.default_rng(N)
+        axes = [np.sort(rng.uniform(-0.2, 3.0, 24))]
+        axes += [np.sort(rng.uniform(-2.0, 2.0, 5 + k)) for k in range(N - 1)]
+        gf = GridFunction(domain=HalfSpace(), axes=axes, values=rng.normal(size=[len(a) for a in axes]))
+        a = axes[0]
+        mid = 0.5 * (a[0] + a[-1])
+        lams = [0.3 * a[0] + 0.7 * mid, float(a[8]), 0.5 * (mid + a[-1]), 0.9 * a[-1] + 0.1 * mid]
+        assert sum(lam > mid for lam in lams) == 2  # past the midpoint 2 lam - a[0] leaves the hull
+        for lam in lams:
+            rep = moving_plane_check(gf, lam)
+            tol, violations = self.point_reference(gf, lam)
+            assert violations
+            assert rep.tol == tol
+            assert [node for node, _ in rep.violations] == [node for node, _ in violations]
+            assert [d.hex() for _, d in rep.violations] == [d.hex() for _, d in violations]
 
 
 class TestMonotonicityProfile:
