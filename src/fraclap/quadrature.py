@@ -25,12 +25,13 @@ exterior is integrated without a truncation radius; its row 0 is the peak
 of the kernel |x - rho w|^(-N), whose angular mass is known in closed
 form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions.
 ``frac_laplacian_point`` runs the engine on the symmetrized second
-difference, with a Taylor stub at 0 and an exact-or-bounded tail.  Levels
-double until two agree (``_angular_converge``), point by point: a point
-that converges, or whose level error stalls above 100 x tolerance, retires
-while the others go on, and a level runs its live points in blocks of
-about ``_RAY_CHUNK`` panels.  A point's error is its final level's panel
-error plus its last level difference.  The box engine
+difference, with a Taylor stub at 0 and r = r0 + (1 - t)/t mapping the rest
+of the radius onto t in (0, 1], so it has no truncation radius either.
+Levels double until two agree (``_angular_converge``), point by point: a
+point that converges, or whose level error stalls above 100 x tolerance or
+is NaN, retires while the others go on, and a level runs its live points in
+blocks of about ``_RAY_CHUNK`` panels.  A point's error is its final level's
+panel error plus its last level difference.  The box engine
 ``_box_integral`` serves every half-space box: Duffy pyramids with their
 apex at the box point nearest x, tiled and bisected against GL(n)/GL(2n)
 estimates, each box the owner of its tiles.  ``box_green_mass`` takes
@@ -45,8 +46,8 @@ Every integrator returns a value with an error within its contract or
 raises ``ToleranceNotMet`` carrying the estimate and the error.  The radial
 engine never raises; ``_checked`` is its one raise site, for the ray,
 exterior and fractional-Laplacian integrals (and ``verify``'s reductions)
-when the error exceeds 100 x tolerance.  The batch error contract: the
-ball and exterior integrals have private batch forms
+when the error exceeds 100 x tolerance or is NaN (``_misses``).  The batch
+error contract: the ball and exterior integrals have private batch forms
 (``_ball_green_batch``, ``_exterior_poisson_batch``) that return arrays of
 values and errors and raise for no missed tolerance; the public functions
 are their one-point calls through ``_checked``, ``solve_ball_dirichlet``
@@ -61,6 +62,7 @@ of whole tiles.  Field callables must accept ``(..., N)`` arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,10 +112,10 @@ class QuadratureSpec:
     max_refinements: int = 30
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
+        if not isinstance(self.max_refinements, numbers.Integral) or self.max_refinements < 1:
+            raise ValueError("max_refinements must be an integer >= 1")
 
     def tolerance(self, scale=1.0):
         return np.maximum(self.abs_tol, self.rel_tol * np.abs(scale))
@@ -121,20 +123,16 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar density with the metadata ``frac_laplacian_point`` truncates by.
+    """A scalar field and its smoothness tag.
 
-    ``func`` must be vectorized over points of shape (..., N).  ``bound``
-    and ``decay_exponent`` encode |f(y)| <= bound * (1+|y|)^(-decay);
-    ``support_radius`` marks exact vanishing outside a centered ball.  Only
-    ``frac_laplacian_point`` reads these three; ``exterior_poisson_integral``
-    only requires ``bound`` to be set.
+    ``func`` must be vectorized over points of shape (..., N).  The tag is
+    "C2" or "continuous"; ``frac_laplacian_point`` needs "C2".  No decay is
+    declared: the unbounded integrals take their whole domain, and data
+    that grows too fast makes them raise ``ToleranceNotMet``.
     """
 
     func: Callable
     smoothness: str = "continuous"
-    support_radius: float | None = None
-    decay_exponent: float = 0.0
-    bound: float | None = None
 
     def __post_init__(self):
         if self.smoothness not in _SMOOTHNESS:
@@ -146,11 +144,7 @@ class ScalarField:
 
 def constant_field(value: float) -> ScalarField:
     value = float(value)
-    return ScalarField(
-        func=lambda pts: np.full(np.asarray(pts).shape[:-1], value),
-        smoothness="C2",
-        bound=abs(value),
-    )
+    return ScalarField(func=lambda pts: np.full(np.asarray(pts).shape[:-1], value), smoothness="C2")
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +356,23 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     The symmetrized second difference D2(r, w) removes the principal value
     for C^2 fields and is even in the direction w, so each angular level
     runs the antipodal sphere rule.  On (0, r0) every direction gets a
-    Taylor-fitted stub (second differences drown in rounding noise there);
-    on [r0, r_far] one ``_adaptive_panels`` call integrates (a/2) D2
-    r^(-1-2s) over all (direction, geometric panel) pairs, panel bisection
-    resolving any kink sphere of the field; beyond r_far the u(x) term is
-    exact and the rest is bounded from the support/decay descriptor.
-    Levels double until two agree (``_angular_converge``).  The decay
-    bound first sets r_far for a target relative to |u(x)| + 1; when the
-    bound then exceeds a tenth of the tolerance of the result (which can be
-    far smaller than u(x)), r_far is set for that and the levels run again.
+    Taylor-fitted stub (second differences drown in rounding noise there).
+    The rest of the radius, [r0, inf), maps to t in (0, 1] by
+    r = r0 + (1 - t)/t, dr = dt/t^2, so one ``_adaptive_panels`` call
+    integrates (a/2) D2 r^(-1-2s) / t^2 over all (direction, panel) pairs
+    with no truncation radius, panel bisection resolving any kink sphere of
+    the field.  The panels start at the images of r0 8^k, k = 0 .. 5.  Near
+    t = 0, r^(-1-2s) / t^2 behaves like t^(2s-1), the weight of the first
+    panel's Gauss-Jacobi rule, and for decaying u the factor D2 tends to
+    2 u(x).  A field that grows at infinity makes the call raise, and one
+    that oscillates there without decay makes the panels bisect toward
+    t = 0 and may make it raise.  Levels double until two agree
+    (``_angular_converge``).
 
-    Raises ``ValueError`` for an x not of shape (N,), a field not tagged
-    C2, or one with neither a support radius nor a decay exponent and
-    bound.  Raises
-    ``ToleranceNotMet``, carrying the estimate and the error, when the
-    error (the final level's panel error plus the last level difference
-    plus the tail bound) exceeds 100 x tolerance.
+    Raises ``ValueError`` for an x not of shape (N,) or a field not tagged
+    C2, and ``ToleranceNotMet``, carrying the estimate and the error, when
+    the error (the final level's panel error plus the last level
+    difference) exceeds 100 x tolerance.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
     if u.smoothness != "C2":
@@ -386,33 +381,13 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     N, s = params.N, params.s
     half_a = 0.5 * normalization_a(params)
     ux = float(u(x))
-
-    if u.support_radius is not None:
-        r_far = float(u.support_radius) + float(np.linalg.norm(x)) + 1e-12
-        tail_err = 0.0
-    else:
-        p = u.decay_exponent
-        if p <= 0.0 or u.bound is None:
-            raise ValueError("unbounded field needs a decay exponent and bound")
-
-        def tail_radius(target):
-            r = (2.0 * u.bound / (target * (p + 2.0 * s))) ** (1.0 / (p + 2.0 * s))
-            return max(r, 10.0)
-
-        def tail_bound(r):
-            return 2.0 * u.bound * r ** (-(p + 2.0 * s)) / (p + 2.0 * s)
-
-        r_far = tail_radius(max(spec.abs_tol, spec.rel_tol * (abs(ux) + 1.0)) * 0.1)
-        tail_err = tail_bound(r_far)
-
     r0 = 1e-3
-    shell = half_a * sphere_surface(N)  # weight of a direction-independent radial term
+    # t = 1 / (1 + r - r0) at r = r0 8^k, k = 5 .. 0, after t = 0
+    edges = np.concatenate([[0.0], 1.0 / (1.0 + r0 * (8.0 ** np.arange(5.0, -1.0, -1.0) - 1.0))])
 
-    def run_level(m, r_far):
+    def run_level(m):
         dirs, wts = _sphere_rule(N, m, antipodal=True)
         wts = half_a * wts
-        edges = np.geomspace(r0, r_far, max(1, math.ceil(math.log(r_far / r0, 8.0))) + 1)
-        tail = 2.0 * ux * r_far ** (-2.0 * s) / (2.0 * s)
 
         def d2(r, d):
             step = r[:, None] * dirs[d]
@@ -425,25 +400,21 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
         c2 = (f1 - f2) / (0.75 * r0**2)
         c1 = f1 - c2 * r0**2
         stub = c1 * r0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * r0 ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-        mid, err = _adaptive_panels(
-            lambda r, d: d2(r, d) * r ** (-1.0 - 2.0 * s), np.tile(edges, (len(dirs), 1)), spec, wts
-        )
-        return float(wts @ stub) + shell * tail + mid, err
 
-    def levels(r_far):
-        # one point, so each level is one block of one call
-        value, err = _angular_converge(
-            lambda m: (1, lambda _: run_level(m, r_far)), spec, 4 if N == 2 else 2, 5 if N > 1 else 0
-        )
-        return float(value[0]), float(err[0])
+        def integrand(t, d):
+            r = r0 + (1.0 - t) / t
+            return d2(r, d) * r ** (-1.0 - 2.0 * s) / (t * t)
 
-    value, err = levels(r_far)
-    if shell * tail_err > 0.1 * spec.tolerance(value):
-        # the tail was cut for |u(x)| + 1; cut it again for the result itself
-        r_far = tail_radius(0.1 * spec.tolerance(value) / shell)
-        tail_err = tail_bound(r_far)
-        value, err = levels(r_far)
-    return _checked(value, err + shell * tail_err, spec, "fractional Laplacian")
+        far, err = _adaptive_panels(
+            integrand, np.tile(edges, (len(dirs), 1)), spec, wts, ends=(2.0 * s - 1.0, 0.0)
+        )
+        return float(wts @ stub) + far, err
+
+    # one point, so each level is one block of one call
+    value, err = _angular_converge(
+        lambda m: (1, lambda _: run_level(m)), spec, 4 if N == 2 else 2, 5 if N > 1 else 0
+    )
+    return _checked(value[0], err[0], spec, "fractional Laplacian")
 
 
 def getoor_field(params: FracParams) -> ScalarField:
@@ -455,7 +426,7 @@ def getoor_field(params: FracParams) -> ScalarField:
         r2 = np.sum(pts * pts, axis=-1)
         return np.maximum(1.0 - r2, 0.0) ** s
 
-    return ScalarField(func=f, smoothness="C2", support_radius=1.0, bound=1.0)
+    return ScalarField(func=f, smoothness="C2")
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +440,9 @@ def _angular_converge(level, spec, start, max_doublings, n_points=1):
     initial panels per point and ``run(pts) -> (values, errors)`` for the
     points with indices ``pts``.  Each point runs its own level sequence:
     it retires once two of its levels agree to 10 x its tolerance, or once
-    a doubled level's own error exceeds 100 x its tolerance (its panels
-    stalled; a finer level would not mend that), and the points still live
-    go on to the next level.  A level takes its live points in blocks of
+    a doubled level's own error exceeds 100 x its tolerance or is NaN (its
+    panels stalled; a finer level would not mend that), and the points
+    still live go on to the next level.  A level takes its live points in blocks of
     about ``_RAY_CHUNK`` panels, at least one point per block, so the
     engine's state is bounded whatever the number of points.
 
@@ -493,7 +464,7 @@ def _angular_converge(level, spec, start, max_doublings, n_points=1):
         if k:
             diff[live] = np.abs(new - value[live])
             tol = spec.tolerance(new)
-            done = (diff[live] <= 10.0 * tol) | (new_err > 100.0 * tol)
+            done = (diff[live] <= 10.0 * tol) | ~(new_err <= 100.0 * tol)
         value[live], err[live] = new, new_err
         if k:
             live = live[~done]
@@ -501,12 +472,12 @@ def _angular_converge(level, spec, start, max_doublings, n_points=1):
 
 
 def _misses(value, err, spec):
-    """Where ``err`` exceeds 100 x tolerance: the values ``_checked`` raises for."""
-    return err > 100.0 * spec.tolerance(value)
+    """Where ``err`` exceeds 100 x tolerance or either is NaN: the values ``_checked`` raises for."""
+    return ~(err <= 100.0 * spec.tolerance(value))
 
 
 def _checked(value, err, spec, what):
-    """``value``, unless ``err`` exceeds 100 x tolerance: then ``ToleranceNotMet``.
+    """``value``, unless ``_misses`` marks it: then ``ToleranceNotMet``.
 
     The one raise site of the panel integrals (ray, exterior, fractional
     Laplacian and the ``verify`` reductions); batch forms return arrays of
@@ -518,8 +489,18 @@ def _checked(value, err, spec, what):
     return value
 
 
+def _radius(R):
+    """``R`` as a float; ``ValueError`` unless it is positive and finite."""
+    R = float(R)
+    if not 0.0 < R < math.inf:
+        raise ValueError("ball radius must be positive and finite")
+    return R
+
+
 def _inside(params, R, xs):
-    """Points (n, N) and their squared norms; ``ValueError`` unless all lie inside B_R."""
+    """Points (n, N) and their squared norms; ``ValueError`` unless R is a
+    radius (``_radius``) and all lie inside B_R."""
+    R = _radius(R)
     xs = np.asarray(xs, dtype=float).reshape(-1, params.N)
     x2 = np.sum(xs * xs, axis=-1)
     if np.any(x2 >= R * R):
@@ -590,9 +571,11 @@ def ball_green_integral(
     singularity is the weight r^alpha of the first panel
     (``_end_rule_at_x``); at the sphere I(psi) is psi^s times an analytic
     function, so the last panel carries the weight (t_exit - r)^s.
-    ``x`` must have shape (N,).  Returns a value whose error (the final level's summed panel error plus
-    the last angular level difference) is within 100 x tolerance, or
-    raises ``ToleranceNotMet`` carrying the estimate and the error.
+    ``x`` must have shape (N,) and R be positive (``ValueError`` before any
+    evaluation).  Returns a value whose error (the final level's summed
+    panel error plus the last angular level difference) is within 100 x
+    tolerance, or raises ``ToleranceNotMet`` carrying the estimate and the
+    error.
     """
     spec = spec or QuadratureSpec()
     value, err = _ball_green_batch(params, R, f, _point(params, x), spec)
@@ -612,8 +595,6 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
     point's edges.
     """
     xs, x2 = _inside(params, R, xs)
-    if g.bound is None:
-        raise ValueError("exterior data needs a bound (weighted integrability tag)")
     N, s = params.N, params.s
     norm = np.sqrt(x2)
     axis = np.tile(np.eye(N)[0], (len(xs), 1))
@@ -701,8 +682,9 @@ def exterior_poisson_integral(
     R - |x| (sigma ~ 2 (rho - R)/R there).  Angular levels double from
     m = 16 (``_angular_converge``); N = 1 runs one level, its two
     directions being exact.  Raises ``ValueError`` for an x not of shape
-    (N,) or data without a ``bound``, and ``ToleranceNotMet``, carrying the estimate and the error,
-    when the error exceeds 100 x tolerance.
+    (N,) or a radius that is not positive, and ``ToleranceNotMet``,
+    carrying the estimate and the error, when the error exceeds 100 x
+    tolerance.
     """
     spec = spec or QuadratureSpec()
     value, err = _exterior_poisson_batch(params, R, g, _point(params, x), spec)
@@ -719,9 +701,11 @@ def poisson_extension_field(
     g itself, from one call of g.  A point whose integral misses its
     tolerance raises ``ToleranceNotMet`` as ``exterior_poisson_integral``
     would there (the first such point of the call).  The field is
-    C-infinity inside.
+    C-infinity inside.  Raises ``ValueError`` for a radius that is not
+    positive.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
+    R = _radius(R)
 
     def func(pts):
         pts = np.asarray(pts, dtype=float)
@@ -738,13 +722,7 @@ def poisson_extension_field(
             out[inside] = value
         return out.reshape(pts.shape[:-1])
 
-    return ScalarField(
-        func=func,
-        smoothness="C2",
-        support_radius=None,
-        decay_exponent=g.decay_exponent,
-        bound=g.bound,
-    )
+    return ScalarField(func=func, smoothness="C2")
 
 
 # ---------------------------------------------------------------------------

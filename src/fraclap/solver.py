@@ -29,6 +29,7 @@ from .quadrature import (  # noqa: F401
     _exterior_poisson_batch,
     _grid_nodes,
     _misses,
+    _radius,
     ball_green_integral,
     box_green_mass,
     exterior_poisson_integral,
@@ -159,7 +160,7 @@ class Nonlinearity:
 
     @classmethod
     def power(cls, q: float):
-        if q < 1.0:
+        if not q >= 1.0:
             raise ValueError("power nonlinearity needs q >= 1")
         return cls(func=lambda t: np.maximum(t, 0.0) ** q)
 
@@ -201,9 +202,11 @@ def solve_ball_dirichlet(
     integral misses its tolerance (where ``exterior_poisson_integral`` or
     ``ball_green_integral`` would raise ``ToleranceNotMet`` for that node)
     the node keeps its estimate in the sum and lands in ``node_errors``
-    (index -> (value, summed error of the integrals that missed)).
+    (index -> (value, summed error of the integrals that missed)).  A
+    radius that is not positive raises ``ValueError`` before any evaluation.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+    R = _radius(R)
     axes = _grid_axes(grid)
     shape = tuple(len(a) for a in axes)
     pts = _grid_nodes(axes)
@@ -505,8 +508,8 @@ def lambda0_estimate(params: FracParams, c_lip: float, n_samples: int = 64):
     n_samples ``strip_mass`` calls at rel_tol 1e-5, abs_tol 1e-8, no
     bracketing and no cap on lambda0.
     """
-    if c_lip <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
+    if not 0.0 < c_lip < np.inf:
+        raise ValueError("Lipschitz constant must be positive and finite")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)

@@ -553,12 +553,7 @@ def check_harmonicity_meanvalue(seed=42):
     """s-harmonic functions reproduce themselves under the regularized kernel."""
     params, eps_list, n_x = FracParams(1, 0.5), (0.2, 0.1, 0.05), 4
     rng = rng_for(seed, "harmonicity-meanvalue")
-    g = ScalarField(
-        func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)),
-        smoothness="C2",
-        decay_exponent=2.0,
-        bound=1.0,
-    )
+    g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)), smoothness="C2")
     u = poisson_extension_field(params, 1.0, g)
     per_eps = []
     for eps in eps_list:
@@ -641,14 +636,9 @@ def check_kernel_bounds(seed=42):
 
 
 def _bubble(n, s):
-    """w = (1+|x|^2)^(-e), e = (n-2s)/2, on R^n; w <= 2^e (1+|x|)^(-2e)."""
+    """w = (1+|x|^2)^(-e), e = (n-2s)/2, on R^n."""
     e = 0.5 * (n - 2.0 * s)
-    return ScalarField(
-        func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e),
-        smoothness="C2",
-        decay_exponent=2.0 * e,
-        bound=2.0**e,
-    )
+    return ScalarField(func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2")
 
 
 def check_critical_bubble(seed=42):

@@ -44,6 +44,13 @@ class TestSpecAndField:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_refinements=0)
+        for bad in ({"rel_tol": math.nan}, {"abs_tol": math.nan}, {"rel_tol": math.nan, "abs_tol": math.nan}):
+            with pytest.raises(ValueError, match="tolerances must be positive"):
+                QuadratureSpec(**bad)
+        for bad in (2.5, 3.0, math.nan, "4"):
+            with pytest.raises(ValueError, match="max_refinements must be an integer"):
+                QuadratureSpec(max_refinements=bad)
+        assert QuadratureSpec(max_refinements=np.int64(3)).max_refinements == 3
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -57,26 +64,17 @@ class TestSpecAndField:
 
 class TestFracLaplacian:
     def test_zero_field(self):
-        zero = ScalarField(
-            func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2", support_radius=1.0, bound=0.0
-        )
+        zero = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")
         v = frac_laplacian_point(P1, zero, np.array([0.1]))
         assert v == 0.0
 
     def test_requires_c2_tag(self):
-        rough = ScalarField(
-            func=lambda p: np.zeros(p.shape[:-1]), smoothness="continuous", support_radius=1.0
-        )
+        rough = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="continuous")
         with pytest.raises(ValueError):
             frac_laplacian_point(P1, rough, np.array([0.0]))
 
     def test_bump_max_is_positive(self):
-        bump = ScalarField(
-            func=lambda p: np.exp(-np.sum(p * p, axis=-1)),
-            smoothness="C2",
-            decay_exponent=4.0,
-            bound=1.0,
-        )
+        bump = ScalarField(func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2")
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-8)
         assert frac_laplacian_point(P1, bump, np.array([0.0]), spec) > 0.0
         assert frac_laplacian_point(P2, bump, np.array([0.0, 0.0]), spec) > 0.0
@@ -122,8 +120,6 @@ class TestFracLaplacian:
                 [u_profile(max(np.linalg.norm(q), 1e-9)) for q in np.atleast_2d(pts).reshape(-1, N)]
             ).reshape(np.asarray(pts).shape[:-1]),
             smoothness="C2",
-            decay_exponent=2.0,
-            bound=1.0,
         )
         spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-5)
         v = frac_laplacian_point(p, u, np.array([0.05, 0.0, 0.0]), spec)
@@ -136,12 +132,7 @@ class TestFracLaplacian:
                  (3, 0.25, 1.0), (3, 0.5, 2.0), (3, 0.75, 0.5)]
         for n, s, r in cases:
             e = 0.5 * (n - 2.0 * s)
-            w = ScalarField(
-                func=lambda y, e=e: (1.0 + np.sum(y * y, axis=-1)) ** (-e),
-                smoothness="C2",
-                decay_exponent=2.0 * e,
-                bound=2.0**e,
-            )
+            w = ScalarField(func=lambda y, e=e: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2")
             lam = 4.0**s * gamma(0.5 * n + s) / gamma(0.5 * n - s)
             x = np.zeros(n)
             x[0] = r
@@ -152,10 +143,7 @@ class TestFracLaplacian:
         # far out (-Delta)^s w is small against w(x): the tail is cut for the result, not for |w(x)| + 1
         n, s = 2, 0.75
         e = 0.5 * (n - 2.0 * s)
-        w = ScalarField(
-            func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2", decay_exponent=2.0 * e,
-            bound=2.0**e,
-        )
+        w = ScalarField(func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2")
         lam = 4.0**s * gamma(0.5 * n + s) / gamma(0.5 * n - s)
         for r in (2.0, 4.0):
             v = frac_laplacian_point(FracParams(n, s), w, np.array([r, 0.0]), QuadratureSpec(rel_tol=1e-6))
@@ -163,19 +151,28 @@ class TestFracLaplacian:
 
     def test_unreachable_tolerance_raises_with_estimate(self):
         # (-Delta)^(1/2) exp(-|x|^2) = 2 Gamma(N/2 + 1/2) / Gamma(N/2) at x = 0
-        bump = ScalarField(
-            func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0
-        )
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_refinements=2)
+        bump = ScalarField(func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2")
+        # one bisection pass cannot reach 1e-15 (two passes can)
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15, max_refinements=1)
         with pytest.raises(ToleranceNotMet) as err:
             frac_laplacian_point(P2, bump, np.zeros(2), spec)
         assert err.value.estimate == pytest.approx(2.0 * gamma(1.5), rel=1e-10)
         assert err.value.error > 100.0 * spec.tolerance(err.value.estimate)
 
-    def test_unbounded_field_needs_decay(self):
-        f = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")
-        with pytest.raises(ValueError):
-            frac_laplacian_point(P1, f, np.array([0.0]))
+    @pytest.mark.parametrize("g", ["2s", 2.0, 3.0])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_growing_field_raises_with_estimate(self, N, s, g):
+        # (1 + |y|^2)^(g/2) with g >= 2s makes the integral diverge at infinity;
+        # the untruncated radius must report that, not return a number
+        g = 2.0 * s if g == "2s" else g
+        f = ScalarField(func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (0.5 * g), smoothness="C2")
+        spec = QuadratureSpec()
+        with pytest.raises(ToleranceNotMet) as err:
+            frac_laplacian_point(FracParams(N, s), f, np.full(N, 0.3), spec)
+        estimate, error = err.value.estimate, err.value.error
+        assert math.isfinite(estimate) and math.isfinite(error)
+        assert error > 100.0 * spec.tolerance(estimate)
 
 
 BALL_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
@@ -280,9 +277,7 @@ class TestBallGreenIntegral:
     def test_angular_error_raises_with_estimate(self):
         # the jump of f along y2 = 0 passes 0.05 from x, so the last two
         # angular levels still differ by about 2e-5
-        half_plane = ScalarField(
-            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        half_plane = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
         with pytest.raises(ToleranceNotMet) as err:
             ball_green_integral(P2, 1.0, half_plane, np.array([0.3, 0.05]), BALL_SPEC)
         assert err.value.estimate == pytest.approx(0.3579293, abs=1e-5)
@@ -383,9 +378,7 @@ class TestExteriorPoisson:
         # g = 1{|y| < 1.5} jumps along the ray; at x = 0 and s = 1/2 the
         # integral is (2/pi) acos(R/1.5); a value off by more than the
         # tolerance must come with a ToleranceNotMet whose error covers it
-        ring = ScalarField(
-            func=lambda p: np.where(np.sum(p * p, axis=-1) < 2.25, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        ring = ScalarField(func=lambda p: np.where(np.sum(p * p, axis=-1) < 2.25, 1.0, 0.0), smoothness="continuous")
         ref = 2.0 / math.pi * math.acos(2.0 / 3.0)
         try:
             v = exterior_poisson_integral(FracParams(N, 0.5), 1.0, ring, np.zeros(N))
@@ -432,38 +425,22 @@ class TestExteriorPoisson:
     def test_off_centre_bump_near_the_sphere(self, N, x, c):
         params = FracParams(N, 0.5)
         x, c = np.array(x), np.array(c)
-        bump = ScalarField(
-            func=lambda p: np.exp(-4.0 * np.sum((p - c) ** 2, axis=-1)),
-            smoothness="C2",
-            decay_exponent=4.0,
-            bound=1.0,
-        )
+        bump = ScalarField(func=lambda p: np.exp(-4.0 * np.sum((p - c) ** 2, axis=-1)), smoothness="C2")
         v = exterior_poisson_integral(params, 1.0, bump, x, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12))
         assert v == pytest.approx(_exterior_bump_reference(params, x, c), rel=1e-9)
 
     def test_half_exterior_indicator(self):
-        half1 = ScalarField(
-            func=lambda p: np.where(p[..., 0] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        half1 = ScalarField(func=lambda p: np.where(p[..., 0] > 0.0, 1.0, 0.0), smoothness="continuous")
         v = exterior_poisson_integral(P1, 1.0, half1, np.array([0.0]))
         assert v == pytest.approx(0.5, abs=1e-6)
-        half2 = ScalarField(
-            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        half2 = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
         v = exterior_poisson_integral(P2, 1.0, half2, np.zeros(2))
         assert v == pytest.approx(0.5, abs=1e-6)
-
-    def test_requires_bound_tag(self):
-        g = ScalarField(func=lambda p: np.ones(p.shape[:-1]), smoothness="continuous")
-        with pytest.raises(ValueError):
-            exterior_poisson_integral(P1, 1.0, g, np.array([0.0]))
 
     def test_extension_raises_as_the_first_failing_point(self):
         # the half-plane data misses the extension's tolerance at (0.3, 0.2)
         # and (0.0, 0.5), not at (0.9, 0.0); (1.5, 0.3) copies g
-        half2 = ScalarField(
-            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        half2 = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
         u = poisson_extension_field(P2, 1.0, half2, spec)
         with pytest.raises(ToleranceNotMet) as batch:
@@ -476,12 +453,7 @@ class TestExteriorPoisson:
     def test_harmonic_extension_is_s_harmonic(self):
         # the Poisson extension of smooth decaying data has vanishing
         # fractional Laplacian inside the ball
-        g = ScalarField(
-            func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)),
-            smoothness="C2",
-            decay_exponent=2.0,
-            bound=1.0,
-        )
+        g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)), smoothness="C2")
         u = poisson_extension_field(P1, 1.0, g)
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-7)
         for x in (0.0, 0.5, 0.75):
@@ -491,16 +463,12 @@ class TestExteriorPoisson:
 
 class TestHalfspaceIntegral:
     def test_zero(self):
-        zero = ScalarField(
-            func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2", support_radius=1.0, bound=0.0
-        )
+        zero = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")
         assert halfspace_green_integral(P2, zero, np.array([0.5, 0.0]), box=([0.0, -1.0], [1.0, 1.0])) == 0.0
 
     INDICATOR = ScalarField(
         func=lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0),
         smoothness="continuous",
-        support_radius=3.0,
-        bound=1.0,
     )
 
     def test_positive_and_increasing_below_box_support(self):
@@ -661,8 +629,8 @@ class TestStripMass:
 
 
 TINY = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_refinements=1)
-BUMP = ScalarField(func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2", decay_exponent=4.0, bound=1.0)
-HALF_PLANE = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0)
+BUMP = ScalarField(func=lambda p: np.exp(-np.sum(p * p, axis=-1)), smoothness="C2")
+HALF_PLANE = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
 # every public integrator: a call under a spec, and an independent reference value
 CONTRACT_CASES = {
     "ball_green_integral": (
@@ -709,11 +677,31 @@ def test_one_point_integrators_reject_a_wrongly_shaped_point(name, x):
     # the batch forms take (n, N); a one-point call takes x of shape (N,) and
     # raises for any other shape before it evaluates anything
     evaluated = []
-    field = ScalarField(
-        func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2", support_radius=2.0, bound=1.0
-    )
+    field = ScalarField(func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2")
     with pytest.raises(ValueError, match=r"x needs shape \(N,\)"):
         ONE_POINT_CALLS[name](field, np.array(x))
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("name", list(ONE_POINT_CALLS))
+def test_nan_values_raise_with_their_estimate(name):
+    # a field that is NaN for y1 > 0.3 gives NaN panel values and errors;
+    # NaN is no error within tolerance, so every one-point call raises
+    field = ScalarField(func=lambda p: np.where(p[..., 0] > 0.3, np.nan, 1.0), smoothness="C2")
+    with pytest.raises(ToleranceNotMet) as err:
+        ONE_POINT_CALLS[name](field, np.array([0.2, 0.1]))
+    assert math.isnan(err.value.estimate) and math.isnan(err.value.error)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [ball_green_integral, exterior_poisson_integral, poisson_extension_field])
+def test_ball_calls_reject_a_radius_that_is_not_positive(call, R):
+    # the radius is checked before any evaluation; the extension when it is built
+    evaluated = []
+    field = ScalarField(func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2")
+    args = (field,) if call is poisson_extension_field else (field, np.array([0.2, 0.1]))
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        call(P2, R, *args)
     assert evaluated == []
 
 
@@ -784,7 +772,6 @@ class TestToleranceHandling:
         wild = ScalarField(
             func=lambda p: np.cos(40.0 * p[..., 0]) / np.sqrt(np.abs(p[..., 0]) + 1e-14),
             smoothness="continuous",
-            bound=1e7,
         )
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_refinements=1)
         with pytest.raises(ToleranceNotMet) as err:

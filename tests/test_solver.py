@@ -92,6 +92,11 @@ class TestNonlinearity:
         assert f(np.array([0.0, 2.0]))[1] == 4.0
         f.validate(10.0)
 
+    @pytest.mark.parametrize("q", [np.nan, 0.5, -np.inf])
+    def test_power_rejects_exponent_below_one(self, q):
+        with pytest.raises(ValueError, match="q >= 1"):
+            Nonlinearity.power(q)
+
     def test_zero(self):
         f = Nonlinearity.zero()
         assert np.all(f(np.linspace(0, 5, 7)) == 0.0)
@@ -128,12 +133,7 @@ class TestBallSolve:
     def test_eval_returns_exterior_data_outside_the_hull(self):
         # the solve stores g as the exterior field: outside the grid hull
         # (here, outside B_1) eval returns g, inside it interpolates the nodes
-        g = ScalarField(
-            func=lambda p: 1.0 / (1.0 + np.sum((p - 0.5) ** 2, axis=-1)),
-            smoothness="C2",
-            decay_exponent=2.0,
-            bound=1.0,
-        )
+        g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum((p - 0.5) ** 2, axis=-1)), smoothness="C2")
         grid = (np.linspace(-0.8, 0.8, 5),)
         gf = solve_ball_dirichlet(P1, 1.0, ONE, g, grid)
         outside = np.array([[-3.0], [-1.0], [1.0], [1.5]])
@@ -143,6 +143,15 @@ class TestBallSolve:
         np.testing.assert_allclose(gf.eval(inside), np.interp(inside[:, 0], grid[0], gf.values), rtol=1e-14)
         bare = GridFunction(domain=gf.domain, axes=gf.axes, values=gf.values)
         assert np.all(bare.eval(outside) == 0.0)
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, np.nan])
+    def test_rejects_radius_that_is_not_positive(self, R):
+        # checked before any node, inside or outside, evaluates f or g
+        evaluated = []
+        field = ScalarField(func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2")
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            solve_ball_dirichlet(P2, R, field, field, ([0.0, 0.5, 1.5], [0.0, 0.5]))
+        assert evaluated == []
 
     def test_exterior_nodes_copy_data(self):
         grid = (np.linspace(-1.5, 1.5, 7),)
@@ -156,9 +165,7 @@ class TestBallSolve:
         # (0.3, 0.6) and (0.3, 0.8) share its batch but meet their
         # tolerance: they are not flagged and keep their one-point values;
         # the other nodes lie outside the ball
-        half_plane = ScalarField(
-            func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous", bound=1.0
-        )
+        half_plane = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
         node_errors = {}
         grid = ([0.3, 1.5], [0.05, 0.6, 0.8, 1.5])
         gf = solve_ball_dirichlet(P2, 1.0, half_plane, ONE, grid, node_errors=node_errors)
@@ -198,13 +205,8 @@ class TestBallSolve:
         params = FracParams(N, s)
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
         c = 0.5 * np.eye(N)[0] if N < 3 else np.zeros(N)
-        f = ScalarField(func=lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1], smoothness="C2", bound=2.0)
-        g = ScalarField(
-            func=lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1)),
-            smoothness="C2",
-            decay_exponent=2.0,
-            bound=1.0,
-        )
+        f = ScalarField(func=lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1], smoothness="C2")
+        g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1)), smoothness="C2")
         node_errors = {}
         gf = solve_ball_dirichlet(params, 1.0, f, g, grid, spec, node_errors=node_errors)
         raised = set()
@@ -244,12 +246,7 @@ def halfspace_values(f, grid, spec, box, node_errors=None):
 
 class TestHalfspaceLinear:
     def test_zero(self):
-        zero = ScalarField(
-            func=lambda p: np.zeros(p.shape[:-1]),
-            smoothness="C2",
-            support_radius=1.0,
-            bound=0.0,
-        )
+        zero = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
         u = halfspace_values(zero, halfspace_grid(6, 8, 2.0, 2.0), spec, box=([0.0, -1.0], [1.0, 1.0]))
         assert np.max(np.abs(u)) == 0.0
@@ -257,11 +254,7 @@ class TestHalfspaceLinear:
     def test_tangential_invariance(self):
         # f depending on x1 only; the lateral box is wide enough that the
         # kernel's own decay puts the dropped tail below the tolerance
-        f = ScalarField(
-            func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0),
-            smoothness="continuous",
-            bound=1.0,
-        )
+        f = ScalarField(func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0), smoothness="continuous")
         box = (np.array([0.0, -1e8]), np.array([1.0, 1e8]))
         grid = (np.linspace(0.25, 1.75, 4), np.linspace(-0.5, 0.5, 3))
         u = halfspace_values(f, grid, QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9), box=box)
@@ -282,11 +275,7 @@ class TestHalfspaceLinear:
     def test_monotone_in_x1_in_reflection_range(self):
         # slab source 1 on {y1 < 1}: the reflection comparison proves
         # u(a) <= u(b) for a < b with a + b <= 1, so test x1 in (0, 1/2]
-        f = ScalarField(
-            func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0),
-            smoothness="continuous",
-            bound=1.0,
-        )
+        f = ScalarField(func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0), smoothness="continuous")
         box = (np.array([0.0, -8.0]), np.array([1.0, 8.0]))
         grid = (np.linspace(0.1, 0.5, 5), np.linspace(-0.1, 0.1, 2))
         profile = halfspace_values(f, grid, QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9), box=box)[:, 0]
@@ -300,8 +289,6 @@ class TestHalfspaceLinear:
         indicator = ScalarField(
             func=lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0),
             smoothness="continuous",
-            support_radius=3.0,
-            bound=1.0,
         )
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=4)
         grid = ([0.0, 0.2, 0.5], [0.0, 0.5])
@@ -668,9 +655,11 @@ class TestLambda0:
         lam0 = [lambda0_estimate(FracParams(N, s), 1.0) for N in (1, 2, 3)]
         assert lam0[0] == lam0[1] == lam0[2]
 
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            lambda0_estimate(P2, 0.0)
+    def test_rejects_bad_constant(self, monkeypatch):
+        monkeypatch.setattr(solver, "strip_mass", lambda *a: pytest.fail("strip_mass was called"))
+        for c_lip in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="Lipschitz constant must be positive and finite"):
+                lambda0_estimate(P2, c_lip)
 
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_rejects_no_samples(self, n_samples):
