@@ -14,16 +14,8 @@ fraclap and its submodules on a 2-vCPU host, and nothing needs it at
 import time.  The constants keep scipy's gamma and beta: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
-``incomplete_kernel_integral`` is the inner loop of every Green kernel.
-An input of at least two blocks of 2^16 values, in a process allowed at
-least two CPUs, is split into those blocks and evaluated on a thread pool
-with one worker per usable CPU (scipy's ``betainc`` and ``hyp2f1``, and
-NumPy's ufuncs, release the GIL); smaller inputs, or a one-CPU process,
-take one serial call.  The pool is created on the first such call, not at
-import, and a forked child starts a new one.  The body is elementwise, so the blocked result is
-bit-identical to the serial one.  Validation happens once, in the calling
-thread, and the workers run only the private body, never a public name,
-so a wrapper around the public function sees one call per batch.
+The module's thread pool (``_in_blocks``) runs elementwise bodies on
+blocks of ``_BLOCK`` values; ``kernels._green_from_psi`` is its one caller.
 """
 from __future__ import annotations
 
@@ -153,22 +145,17 @@ def incomplete_kernel_integral(params: FracParams, t):
       the u -> 0 connection formula B(s, 1/2-s) + x^s u^(1/2-s)/(s-1/2)
       2F1(1, 1/2; 3/2-s; u), again with u = 1/(1+t) kept exact; both 2F1
       are scipy's ``hyp2f1``.
-
-    An input of at least ``_MIN_BLOCKS * _BLOCK`` values, on a process
-    allowed at least two CPUs, is evaluated in blocks of ``_BLOCK`` on the
-    module's thread pool (see ``_in_blocks``).  Every branch is elementwise,
-    so the result is bit-identical to one serial call.  The input is
-    checked, and ``scipy.special`` loaded, here in the calling thread; the
-    workers run only the private body, never this public name.
     """
-    from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(np.isnan(t_arr)):
-        raise ValueError("incomplete_kernel_integral requires t >= 0")
-    if t_arr.size >= _MIN_BLOCKS * _BLOCK and _usable_cpus() >= 2:
-        return _in_blocks(_kernel_integral, params, t_arr)
-    out = _kernel_integral(params, np.atleast_1d(t_arr))
+    out = _kernel_integral(params, _checked(np.atleast_1d(t_arr)))
     return float(out[0]) if t_arr.ndim == 0 else out
+
+
+def _checked(t):
+    """``t``, after a ``ValueError`` if any value is negative or NaN."""
+    if not np.all(t >= 0.0):
+        raise ValueError("incomplete_kernel_integral requires t >= 0")
+    return t
 
 
 def _kernel_integral(params: FracParams, t_arr):
@@ -278,34 +265,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _in_blocks(func, params, t):
-    """``func(params, block)`` on consecutive blocks of ``_BLOCK`` values of ``t``.
+def _in_blocks(func, shape, *arrays):
+    """``func(*blocks)`` on consecutive blocks of ``_BLOCK`` values of ``arrays``
+    broadcast to ``shape`` and read in C order.
 
-    ``func`` must be elementwise and return an array of its block's shape.
+    ``func`` must be elementwise and return an array of its blocks' shape.
     The blocks run on the module's pool, created on first use with one
     worker per usable CPU, each in a copy of the caller's context so that
-    its ``np.errstate`` holds there too.  Returns the results in ``t``'s
-    shape.
+    its ``np.errstate`` holds there too.  Returns the results in ``shape``.
+    If a block raises, the first error is raised once every block is done.
     """
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     global _pool
     with _pool_lock:
         if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
             _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="fraclap-block")
         pool = _pool
-    flat = t.reshape(-1)
+    # views where the layout allows; a broadcast 2-D input is copied here once
+    flats = [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
     # each worker writes into one output array: concatenating per-block
     # results held a second copy and raised kernel-batch's peak RSS by 8 MB
-    out = np.empty_like(flat)
+    out = np.empty(shape)
+    flat_out = out.reshape(-1)
 
     def block(a):
-        out[a:a + _BLOCK] = func(params, flat[a:a + _BLOCK])
+        flat_out[a:a + _BLOCK] = func(*(f[a:a + _BLOCK] for f in flats))
 
-    futures = [pool.submit(contextvars.copy_context().run, block, a) for a in range(0, flat.size, _BLOCK)]
+    futures = [pool.submit(contextvars.copy_context().run, block, a) for a in range(0, out.size, _BLOCK)]
+    wait(futures)
     for f in futures:
         f.result()
-    return out.reshape(t.shape)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 import math
 import multiprocessing
 import queue
+import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+import fraclap
+import fraclap.solver  # loads fraclap.quadrature too, both read by tracing.boundaries
 from fraclap import core, kernels
 from fraclap.core import (
     CriticalExponents,
@@ -22,6 +27,12 @@ from fraclap.core import (
     poisson_constant_C,
 )
 from fraclap.kernels import _bump, _bump_norm
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+from fraclap_bench import tracing  # noqa: E402
 
 
 class TestFracParams:
@@ -248,40 +259,44 @@ class TestIncompleteKernelIntegral:
 BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (3, 0.5), (4, 0.5)]
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count for one test, on a fresh pool that is shut down after it."""
-    monkeypatch.setattr(core, "_pool", None)
-    yield lambda n: monkeypatch.setattr(core, "_usable_cpus", lambda: n)
-    if core._pool is not None:
-        core._pool.shutdown()
-
-
 def _record_body(monkeypatch):
-    """Wrap the private kernel-integral body; returns its calls as (thread id, size, errstate)."""
+    """Wrap the Green body; returns its calls as (thread id, broadcast size, errstate)."""
     calls = []
-    body = core._kernel_integral
+    body = kernels._green_body
 
-    def recorder(params, t):
-        calls.append((threading.get_ident(), t.size, np.geterr()))
-        return body(params, t)
+    def recorder(params, scale, integral, d2, fx, fy):
+        calls.append((threading.get_ident(), np.broadcast(d2, fx, fy).size, np.geterr()))
+        return body(params, scale, integral, d2, fx, fy)
 
-    monkeypatch.setattr(core, "_kernel_integral", recorder)
+    monkeypatch.setattr(kernels, "_green_body", recorder)
     return calls
 
 
-def _kernel_arguments(shape, seed=0):
+def _green_arguments(shape, seed=0):
+    """(d2, fx, fy) for ``_green_from_psi`` at scale 1/4: psi over many decades,
+    with zeros of d2 and fx and some fx < 0 (outside the zero set)."""
     rng = np.random.default_rng(seed)
-    t = rng.exponential(2.0, shape) ** 3
-    flat = t.reshape(-1)
-    flat[::997] = 0.0
-    flat[5::1009] = np.inf
-    flat[-1] = np.inf
-    return t
+    d2 = rng.exponential(2.0, shape) ** 3
+    fx = rng.uniform(-0.1, 2.0, shape)
+    fy = rng.exponential(1.0, shape) ** 2
+    d2.reshape(-1)[::997] = 0.0
+    fx.reshape(-1)[5::1009] = 0.0
+    return d2, fx, fy
+
+
+def _halfspace_points(n, N, seed=2):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n, N))
+    y = rng.uniform(-2.0, 2.0, (n, N))
+    x[:, 0] = rng.uniform(0.01, 2.0, n)
+    y[:, 0] = rng.uniform(0.01, 2.0, n)
+    return x, y
 
 
 class TestBlockedKernelIntegral:
-    """Large inputs run in blocks on the thread pool, bit-identical to one serial call."""
+    """A large Green batch runs ``kernels._green_body`` (the zero set, psi, the
+    kernel integral and the |x-y| power) in blocks on ``core``'s thread pool,
+    bit-identical to one serial call."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
@@ -295,72 +310,105 @@ class TestBlockedKernelIntegral:
         ],
     )
     def test_bit_identical_to_serial(self, cpus, monkeypatch, workers, N, s, shape):
-        if shape == "2d":  # a transposed, non-contiguous 2-D view
-            t = _kernel_arguments((3, core._BLOCK - 7)).T
+        if shape == "2d":  # transposed, non-contiguous 2-D views
+            args = [a.T for a in _green_arguments((3, core._BLOCK - 7))]
         else:
-            t = _kernel_arguments(shape)
+            args = _green_arguments(shape)
         p = FracParams(N, s)
         cpus(1)
-        ref = incomplete_kernel_integral(p, t)
+        ref = kernels._green_from_psi(p, *args, 0.25)
         cpus(workers)
         calls = _record_body(monkeypatch)
-        got = incomplete_kernel_integral(p, t)
-        assert got.shape == ref.shape == t.shape
+        got = kernels._green_from_psi(p, *args, 0.25)
+        size = args[0].size
+        assert got.shape == ref.shape == args[0].shape
         assert got.tobytes() == ref.tobytes()
-        blocked = workers >= 2 and t.size >= 2 * core._BLOCK
-        assert len(calls) == (-(-t.size // core._BLOCK) if blocked else 1)
-        assert sum(n for _, n, _ in calls) == t.size
+        blocked = workers >= 2 and size >= 2 * core._BLOCK
+        assert len(calls) == (-(-size // core._BLOCK) if blocked else 1)
+        assert sum(n for _, n, _ in calls) == size
+
+    @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
+    def test_broadcast_fx_and_scalar_fy(self, cpus, monkeypatch, N, s):
+        # PicardOperator's call: fx a broadcast view of a column, fy the scalar 1
+        d2, fx, _ = _green_arguments((4, core._BLOCK))
+        fx = np.broadcast_to(fx[:, :1], d2.shape)
+        p = FracParams(N, s)
+        cpus(1)
+        ref = kernels._green_from_psi(p, d2, fx, 1.0)
+        cpus(2)
+        calls = _record_body(monkeypatch)
+        got = kernels._green_from_psi(p, d2, fx, 1.0)
+        assert got.tobytes() == ref.tobytes()
+        assert len(calls) == 4
 
     def test_rejects_before_split(self, cpus, monkeypatch):
         cpus(2)
         calls = _record_body(monkeypatch)
-        t = _kernel_arguments(3 * core._BLOCK)
-        t[-1] = np.nan
-        with pytest.raises(ValueError):
-            incomplete_kernel_integral(FracParams(2, 0.5), t)
+        x, y = _halfspace_points(3 * core._BLOCK, 2)
+        x[-1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            kernels.green_halfspace(FracParams(2, 0.5), x, y)
         assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("N,s", [(1, 0.5), (2, 0.5), (3, 0.25)])
+    def test_overflowing_psi_raises(self, cpus, monkeypatch, workers, N, s):
+        # finite points whose products overflow: 4 x1 y1 = |x-y|^2 = inf, psi = NaN
+        cpus(workers)
+        x, y = _halfspace_points(2 * core._BLOCK + 3, N)
+        x[5, 0], y[5, 0] = 1e200, 3e200
+        finished = []
+        body = kernels._green_body
+
+        def late_unless_raising(params, scale, integral, d2, fx, fy):
+            if not np.isinf(d2).any():
+                time.sleep(0.1)
+            out = body(params, scale, integral, d2, fx, fy)
+            finished.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(kernels, "_green_body", late_unless_raising)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="t >= 0"):
+            kernels.green_halfspace(FracParams(N, s), x, y)
+        # the first block raised at once; the error surfaced only after the other two finished
+        assert len(finished) == (2 if workers == 2 else 0)
 
     def test_green_halfspace_symmetric(self, cpus):
         cpus(2)
-        rng = np.random.default_rng(1)
-        n = 2 * core._BLOCK + 5
-        x = rng.uniform(-2.0, 2.0, (n, 3))
-        y = rng.uniform(-2.0, 2.0, (n, 3))
-        x[:, 0] = rng.uniform(0.01, 2.0, n)
-        y[:, 0] = rng.uniform(0.01, 2.0, n)
+        x, y = _halfspace_points(2 * core._BLOCK + 5, 3, seed=1)
         p = FracParams(3, 0.75)
         g = kernels.green_halfspace(p, x, y)
         assert np.array_equal(g, kernels.green_halfspace(p, y, x))
 
     def test_one_traced_call_per_green_batch(self, cpus, monkeypatch):
-        # the benchmark tracer patches kernels.incomplete_kernel_integral and keeps a
-        # single-threaded span stack: the split must stay below that name
+        # the benchmark tracer patches every name in tracing.boundaries and keeps a
+        # single-threaded span stack: the workers must enter none of them
         cpus(2)
-        outer = []
-        public = kernels.incomplete_kernel_integral
+        entered = []
 
-        def recorder(params, t):
-            outer.append((threading.get_ident(), np.size(t)))
-            return public(params, t)
+        def recorder(layer, func):
+            def entry(*args, **kwargs):
+                entered.append((layer, threading.get_ident()))
+                return func(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "incomplete_kernel_integral", recorder)
+            return entry
+
+        for owner, name, layer, _ in tracing.boundaries(fraclap):
+            monkeypatch.setattr(owner, name, recorder(layer, getattr(owner, name)))
         blocks = _record_body(monkeypatch)
-        rng = np.random.default_rng(2)
-        n = 2**18
-        x = rng.uniform(0.01, 2.0, (n, 2))
-        y = rng.uniform(0.01, 2.0, (n, 2))
+        x, y = _halfspace_points(2**18, 2)
         kernels.green_halfspace(FracParams(2, 0.75), x, y)
-        assert outer == [(threading.get_ident(), n)]
-        assert len(blocks) == n // core._BLOCK
+        assert entered == [("kernels.green_halfspace", threading.get_ident())]
+        assert len(blocks) == 2**18 // core._BLOCK
         assert all(ident != threading.get_ident() for ident, _, _ in blocks)
 
     def test_blocks_see_callers_errstate(self, cpus, monkeypatch):
         cpus(2)
         calls = _record_body(monkeypatch)
-        t = _kernel_arguments(2 * core._BLOCK)
+        args = _green_arguments(2 * core._BLOCK)
         with np.errstate(over="raise"):
             caller = np.geterr()
-            incomplete_kernel_integral(FracParams(3, 0.25), t)
+            kernels._green_from_psi(FracParams(3, 0.25), *args, 0.25)
         assert caller["over"] == "raise"
         assert len(calls) == 2
         assert all(ident != threading.get_ident() and err == caller for ident, _, err in calls)
@@ -368,11 +416,11 @@ class TestBlockedKernelIntegral:
     def test_forked_child_gets_a_fresh_pool(self, cpus):
         cpus(2)
         p = FracParams(2, 0.5)
-        t = _kernel_arguments(2 * core._BLOCK)
-        ref = incomplete_kernel_integral(p, t)  # the parent's pool now has threads
+        x, y = _halfspace_points(2 * core._BLOCK, 2)
+        ref = kernels.green_halfspace(p, x, y)  # the parent's pool now has threads
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(incomplete_kernel_integral(p, t)))
+        child = ctx.Process(target=lambda: results.put(kernels.green_halfspace(p, x, y)))
         child.start()
         try:
             got = results.get(timeout=60)

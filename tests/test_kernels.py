@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import integrate
 
 from fraclap.core import FracParams, getoor_constant, green_constant_k, incomplete_kernel_integral
 from fraclap.kernels import (
+    _dist2,
     Ball,
     DiagonalSingularity,
     HalfSpace,
@@ -285,6 +287,23 @@ H_REFERENCES = {
         1.5798591368370392e-6, -2.3696871525101818e-8, 1.1847927998824024e-4, -1.7770114986737362e-6,
     ),
 }
+PARTIALS_REGIMES = [(1, 0.5), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (1, 0.75), (3, 0.5), (4, 0.5)]
+
+
+def _partials_from_h_function(params, r, t):
+    """(value, d_r, d_t, d_rt) with H from ``h_function`` and the closed forms
+    of ``h_function_partials``: the array path its scalar path replaces."""
+    value = h_function(params, r, t)
+    s, half_n = params.s, params.N / 2.0
+    r, t = np.float64(r), np.float64(t)
+    kt = 0.5 * green_constant_k(params) * (r + t) ** -half_n
+    with np.errstate(divide="ignore"):
+        d_t = kt * t ** (s - 1.0)
+    d_rt = -half_n * d_t / (r + t)
+    d_r = ((s - half_n) * value - kt * t**s) / r
+    return value, float(d_r), float(d_t), float(d_rt)
+
+
 H_PARAMS = sorted({FracParams(N, s) for N, s, _, _ in H_REFERENCES}, key=lambda p: (p.N, p.s))
 
 
@@ -330,6 +349,24 @@ class TestHFunction:
             h_function_partials(P2, 0.0, 1.0)
         with pytest.raises(ValueError):
             h_function_partials(P2, 1.0, -0.5)
+
+    @pytest.mark.parametrize("params", [P1, P2, FracParams(3, 0.25)], ids=str)
+    @pytest.mark.parametrize("r,t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)])
+    def test_rejects_nan(self, params, r, t):
+        # r = t = inf is psi = inf / inf
+        for h in (h_function, h_function_partials):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                h(params, r, t)
+
+    @pytest.mark.parametrize(
+        "params", [FracParams(N, s) for N, s in PARTIALS_REGIMES], ids=lambda p: f"N{p.N}-s{p.s:g}"
+    )
+    def test_partials_bit_identical_to_array_path(self, params):
+        # the benchmark's 30 x 30 grid and the row t = 0
+        rr = np.logspace(-2.0, 2.0, 30)
+        got = [astuple(h_function_partials(params, float(r), float(t))) for r in rr for t in [0.0, *rr]]
+        ref = [_partials_from_h_function(params, float(r), float(t)) for r in rr for t in [0.0, *rr]]
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
 
     @pytest.mark.parametrize("key", sorted(H_REFERENCES), ids=lambda k: "N{}-s{}-r{}-t{}".format(*k))
     def test_partials_match_mpmath(self, key):
@@ -469,3 +506,39 @@ class TestReflectionInequalities:
                 y[0] = 2.0 * lam + rng.uniform(0.0, 3.0)
                 xl = reflect_point(x, lam)
                 assert green_halfspace(params, xl, y) - green_halfspace(params, x, y) > 1e-14
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_dist2_column_sum_bit_identical_to_reduction(N):
+    rng = np.random.default_rng(N)
+    x = rng.normal(size=(2000, N)) * rng.choice([1e-8, 1.0, 1e8], size=(2000, N))
+    y = rng.normal(size=(2000, N))
+    y[::3] = x[::3]  # the same point
+    y[1::3, : (N + 1) // 2] = x[1::3, : (N + 1) // 2]  # shared coordinates
+    for a, b in ((x, y), (x, y[0]), (x[:, None, :], y[None, :50, :]), (x.T.copy().T, y)):
+        d = a - b
+        assert _dist2(a, b).tobytes() == np.sum(d * d, axis=-1).tobytes()
+
+
+PUBLIC_KERNELS = {
+    "poisson_ball": lambda p, x, y: poisson_ball(p, 1.0, x, y),
+    "poisson_shifted_ball": lambda p, x, y: poisson_shifted_ball(p, 1.0, x, y),
+    "green_ball": lambda p, x, y: green_ball(p, 1.0, x, y),
+    "green_shifted_ball": lambda p, x, y: green_shifted_ball(p, 1.0, x, y),
+    "green_halfspace": green_halfspace,
+    "riesz_potential": riesz_potential,
+    "regularized_poisson": lambda p, x, y: regularized_poisson(p, 0.5, x) + regularized_poisson(p, 0.5, y),
+}
+
+
+@pytest.mark.parametrize("kernel", PUBLIC_KERNELS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_public_kernels_reject_nonfinite_points(kernel, bad):
+    green = PUBLIC_KERNELS[kernel]
+    x, y = np.array([[0.3, 0.1], [0.4, -0.2]]), np.array([0.5, 0.2])
+    green(P2, x, y)  # finite: no error
+    for which in (0, 1):
+        pts = [x.copy(), y.copy()]
+        pts[which].flat[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            green(P2, *pts)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fraclap import solver
+from fraclap import core, solver
 from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace, reflect_point
 from fraclap.quadrature import (
@@ -451,6 +451,30 @@ class TestPicardOperator:
         # evaluated at d'_k >= 0 and i1 <= j1 only, then mirrored: bit for bit the full grid
         op = PicardOperator(FracParams(len(axes), s), axes)
         assert op._table.tobytes() == full_table(op).tobytes()
+
+    @pytest.mark.parametrize(
+        "params,axes",
+        [
+            (FracParams(1, 0.75), (np.linspace(0.05, 3.95, 520),)),  # 135,460 half-table values
+            (FracParams(2, 0.5), (np.linspace(0.1, 3.1, 24), np.linspace(-4.0, 4.0, 480))),  # 144,000
+        ],
+        ids=["N1", "N2"],
+    )
+    def test_table_bit_identical_on_the_thread_pool(self, cpus, monkeypatch, params, axes):
+        cpus(1)
+        op = PicardOperator(params, axes)
+        cpus(2)
+        blocks = []
+        green = solver._green_from_psi
+
+        def recorded(params, d2, fx, fy, scale=1.0):
+            blocks.append(np.size(d2))
+            return green(params, d2, fx, fy, scale)
+
+        monkeypatch.setattr(solver, "_green_from_psi", recorded)
+        table, _ = op._build_matrix()
+        assert blocks[0] >= 2 * core._BLOCK  # large enough to be split
+        assert table.tobytes() == op._table.tobytes()
 
     def test_large_three_dimensional_grid_rows(self):
         # 9216 nodes: the dense matrix would take 680 MB, the reference only 50 rows
