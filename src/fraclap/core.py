@@ -3,28 +3,36 @@
 Everything here is a closed-form function of the dimension N and the
 fractional order s in (0,1).  The three kernel regimes (N above, equal to,
 or below 2s) are decided once at parameter construction and drive branch
-selection in the kernel modules.  The Gauss-Legendre and Gauss-Jacobi rule
-table (``_gl``, ``_gj``) lives here so that ``kernels`` and
-``quadrature`` share it.
+selection in the kernel modules.  The kernel integral I(t) has closed forms
+at s = 1/2; at every other s it is x^s Q(x) or B - u^b (1/b + H(u)), with
+two polynomials Q and H fitted once per (N, s) on first use, not at import
+(``_kernel_fit``), and no special function per value.  The Gauss-Legendre
+and Gauss-Jacobi rule table (``_gl``, ``_gj``) lives here so that
+``kernels`` and ``quadrature`` share it.
 
 ``scipy.special`` is imported inside the functions that call it, so it
 loads on first use.  Importing it pulls in scipy's array-API layer
 (``numpy.f2py``, ``numpy.testing``), about 0.4 s of a 0.7 s import of
 fraclap and its submodules on a 2-vCPU host, and nothing needs it at
-import time.  The constants keep scipy's gamma and beta: ``math.gamma``
+import time.  The constants keep scipy's gamma: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
 The module's thread pool (``_in_blocks``) runs elementwise bodies on
-blocks of ``_BLOCK`` values; ``kernels._green_from_psi`` is its one caller.
+blocks of ``_BLOCK`` values; ``kernels._green_from_psi`` is its one caller,
+and fits the polynomials before it splits, so that the workers only read
+``_kernel_fit``'s cache.
 """
 from __future__ import annotations
 
 import contextvars
 import enum
+import itertools
 import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,12 +147,11 @@ def incomplete_kernel_integral(params: FracParams, t):
       theta = arctan(sqrt(t)), by a recursion in N, and above t = 99
       B(1/2, (N-1)/2) minus a nine-term series in u = 1/(1+t); see
       ``_half_order_integral``.
-    * other N > 2s: regularized incomplete Beta at x = t/(1+t); for x near 1
-      the complement is evaluated at u = 1/(1+t) so no precision is lost.
-    * N = 1 < 2s: x^s/s 2F1(s, s+1/2; s+1; x) for x <= 0.7, and above it
-      the u -> 0 connection formula B(s, 1/2-s) + x^s u^(1/2-s)/(s-1/2)
-      2F1(1, 1/2; 3/2-s; u), again with u = 1/(1+t) kept exact; both 2F1
-      are scipy's ``hyp2f1``.
+    * every other (N, s), N > 2s or N = 1 < 2s: with a = s, b = N/2 - s,
+      x = t/(1+t) and u = 1/(1+t), I = x^a Q(x) for t <= 1 and
+      I = B(a, b) - u^b (1/b + H(u)) above, where Q and H are power series
+      on [0, 1/2] fitted once per (N, s) by polynomials; see ``_kernel_fit``.
+      B is continued to b < 0, where u^b/b carries the divergence.
     """
     t_arr = np.asarray(t, dtype=float)
     out = _kernel_integral(params, _checked(np.atleast_1d(t_arr)))
@@ -160,45 +167,164 @@ def _checked(t):
 
 def _kernel_integral(params: FracParams, t_arr):
     """Body of ``incomplete_kernel_integral`` on a checked array of t >= 0."""
-    from scipy import special as _spec
-    N, s = params.N, params.s
-    regime = params.regime
-
-    if regime is Regime.N_EQ_2S:
+    if params.regime is Regime.N_EQ_2S:
         return 2.0 * np.arcsinh(np.sqrt(t_arr))
-    if s == 0.5:
-        return _half_order_integral(N, t_arr)
-    if regime is Regime.N_GT_2S:
-        b = N / 2.0 - s
-        B = _spec.beta(s, b)
-        with np.errstate(invalid="ignore"):
-            x = t_arr / (1.0 + t_arr)
-            u = 1.0 / (1.0 + t_arr)
-        inf = np.isinf(t_arr)
-        near1 = (x > 0.9) | inf
-        out = np.empty_like(t_arr)
-        out[~near1] = B * _spec.betainc(s, b, x[~near1])
-        out[near1] = B * (1.0 - _spec.betainc(b, s, u[near1]))
-        out[inf] = B
-        return out
-    # N = 1 < 2s: diverges like t^(s-1/2)/(s-1/2) as t -> infinity
-    with np.errstate(invalid="ignore"):
-        x = t_arr / (1.0 + t_arr)
-        u = 1.0 / (1.0 + t_arr)
+    if params.s == 0.5:
+        return _half_order_integral(params.N, t_arr)
+    return _fitted_integral(_kernel_fit(params), t_arr)
+
+
+def _fitted_integral(fit, t_arr):
+    """I(t) from the fitted pieces of ``_kernel_fit`` on an array of t >= 0."""
     out = np.empty_like(t_arr)
-    small = x <= 0.7
-    xs = x[small]
-    out[small] = np.where(
-        xs > 0.0, xs**s / s * _spec.hyp2f1(s, s + 0.5, s + 1.0, xs), 0.0
-    )
-    if np.any(~small):
-        ub = u[~small]
-        b_cont = _spec.gamma(s) * _spec.gamma(0.5 - s) / _spec.gamma(0.5)
-        x_pow_s = np.exp(s * np.log1p(-ub))
-        hyp = _spec.hyp2f1(1.0, 0.5, 1.5 - s, ub)
+    left = t_arr <= 1.0
+    right = ~left
+    t = t_arr[left]
+    x = t / (1.0 + t)
+    out[left] = x**fit.a * _horner(fit.q, 4.0 * x - 1.0)
+    t = t_arr[right]
+    u = 1.0 / (1.0 + t)
+    y = -fit.b * np.log1p(t)
+    e = np.expm1(y)  # u^b - 1, without the cancellation of u^b - 1 as b -> 0
+    if fit.b < 0.0:
+        # expm1 carries the rounding of y, up to 745|b| ulps where u is tiny
+        big = y > 1.0
         with np.errstate(divide="ignore"):  # u = 0 at t = inf gives +inf
-            out[~small] = b_cont + x_pow_s * ub ** (0.5 - s) / (s - 0.5) * hyp
+            e[big] = u[big] ** fit.b - 1.0
+    h = _horner(fit.h, 4.0 * u - 1.0)
+    out[right] = (fit.c - h) - e * (fit.r + h)
     return out
+
+
+def _kernel_integral_scalar(params: FracParams, t: float) -> float:
+    """``_kernel_integral`` at one float t >= 0 unless N = 1 = 2s, to the
+    same bits, in Python floats where s != 1/2.
+
+    The elementwise additions, products and quotients round as NumPy's do;
+    the powers, ``log1p`` and ``expm1`` are taken on 1-element arrays,
+    because on an AVX-512 host NumPy's array loops differ from the C
+    library's (``float.__pow__``, ``math.log1p``, ``math.expm1``) by 1 ulp
+    at 1-6% of arguments.  Python's float ``**`` would also raise at 0.0 to
+    a negative power, where t = inf and b < 0.
+    """
+    if params.s == 0.5:
+        return float(_half_order_integral(params.N, np.array([t]))[0])
+    fit = _kernel_fit(params)
+    if t <= 1.0:
+        x = t / (1.0 + t)
+        return float((np.array([x]) ** fit.a)[0]) * _horner(fit.q, 4.0 * x - 1.0)
+    u = 1.0 / (1.0 + t)
+    y = -fit.b * float(np.log1p(np.array([t]))[0])
+    if fit.b < 0.0 and y > 1.0:
+        with np.errstate(divide="ignore"):
+            e = float((np.array([u]) ** fit.b)[0]) - 1.0
+    else:
+        e = float(np.expm1(np.array([y]))[0])
+    h = _horner(fit.h, 4.0 * u - 1.0)
+    return (fit.c - h) - e * (fit.r + h)
+
+
+def _horner(coefficients, xi):
+    """The polynomial with ``coefficients`` (highest degree first) at ``xi``:
+    in place on an array, in Python floats on a float, to the same bits."""
+    p = coefficients[0] * xi
+    for c in coefficients[1:-1]:
+        p += c
+        p *= xi
+    p += coefficients[-1]
+    return p
+
+
+_TERMS = 24  # Chebyshev terms of Q and H; the last is below 1e-18 of the first
+
+
+class _KernelFit(NamedTuple):
+    a: float  # s
+    b: float  # N/2 - s
+    c: float  # B(a, b) - 1/b
+    r: float  # 1/b
+    q: tuple  # Q(x) in xi = 4x - 1, highest degree first
+    h: tuple  # H(u) in xi = 4u - 1, highest degree first
+
+
+@cache
+def _kernel_fit(params: FracParams) -> _KernelFit | None:
+    """The pieces of I(t) at s != 1/2, fitted once per (N, s); None at
+    s = 1/2, where I(t) has closed forms.
+
+    With a = s, b = N/2 - s, x = t/(1+t) and u = 1/(1+t), I(t) is the
+    incomplete Beta function B_x(a, b) = B(a, b) - B_u(b, a) (DLMF 8.17.4),
+    and B_x(a, b) = x^a Q(x) with (DLMF 8.17.7)
+
+        Q(x) = 2F1(a, 1-b; a+1; x) / a = sum_k (1-b)_k x^k / (k! (a+k)).
+
+    So I = x^a Q(x) for x <= 1/2 (t <= 1), and above
+
+        I = B - u^b (1/b + H(u)) = (c - H) - e (1/b + H),
+        H(u) = sum_(k>=1) (1-a)_k u^k / (k! (b+k)),
+
+    with e = u^b - 1 = expm1(-b log1p(t)) and c = B - 1/b: no term grows
+    like 1/b as b -> 0, and c is finite for the b < 0 of N = 1 < 2s.  Q and
+    H are analytic on the disc |z| < 1, so on [0, 1/2] (xi = 4z - 1 in
+    [-1, 1], the singularity at xi = 3) their Chebyshev coefficients fall
+    like (3 + sqrt 8)^-n: ``_TERMS`` = 24 reach 5.8^-24 = 4e-19 (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2).  They are
+    interpolated at the Chebyshev points from their series, in long double
+    (80-bit on x86: the fit is then exact to double precision), and stored
+    as monomials in xi for Horner's rule.  c comes from continuity at t = 1,
+    then is raised ulp by ulp until the evaluated right branch at t = 1+ is
+    not below the left one at t = 1, so that rounding makes no step down
+    where the branches meet.
+    """
+    if params.s == 0.5:
+        return None
+    ld = np.longdouble
+    a = ld(params.s)
+    b = ld(params.N) / 2 - a
+    half = np.array([0.5], dtype=ld)
+    h_half = _series(1 - a, b, half, 1)[0]
+    i_half = (half**a * _series(1 - b, a, half, 0))[0]
+    e_half = np.expm1(-b * np.log(ld(2)))
+    fit = _KernelFit(
+        a=params.s,
+        b=float(b),
+        c=float(i_half + e_half / b + (1 + e_half) * h_half),
+        r=1.0 / float(b),
+        q=_chebyshev_monomials(lambda x: _series(1 - b, a, x, 0)),
+        h=_chebyshev_monomials(lambda u: _series(1 - a, b, u, 1)),
+    )
+    ends = np.array([1.0, np.nextafter(1.0, 2.0)])
+    while True:
+        at_one, above = _fitted_integral(fit, ends)
+        if above >= at_one:
+            return fit
+        fit = fit._replace(c=float(np.nextafter(fit.c, math.inf)))
+
+
+def _series(c, d, z, k0):
+    """sum_(k>=k0) (c)_k z^k / (k! (d+k)) at z in [0, 1/2], to the last bit of ``z``'s dtype."""
+    term = np.ones_like(z)
+    for k in range(k0):
+        term *= (c + k) / (k + 1) * z
+    total = np.zeros_like(z)
+    for k in itertools.count(k0):
+        step = term / (d + k)
+        total += step
+        if np.all(np.abs(step) <= 1e-21 * np.abs(total)):
+            return total
+        term *= (c + k) / (k + 1) * z
+
+
+def _chebyshev_monomials(func):
+    """Monomial coefficients in xi = 4z - 1, highest degree first, of the
+    interpolant of ``func`` at ``_TERMS`` Chebyshev points of z in [0, 1/2],
+    computed in long double and rounded to floats."""
+    ld = np.longdouble
+    theta = (np.arange(_TERMS, dtype=ld) + ld(0.5)) * (4 * np.arctan(ld(1))) / _TERMS
+    values = func((np.cos(theta) + 1) / 4)
+    cheb = 2 * np.cos(np.outer(np.arange(_TERMS, dtype=ld), theta)) @ values / _TERMS
+    cheb[0] /= 2
+    return tuple(float(v) for v in np.polynomial.chebyshev.cheb2poly(cheb)[::-1])
 
 
 def _half_order_integral(N, t):
@@ -229,12 +355,13 @@ def _half_order_integral(N, t):
             B = (m - 1) / m * B
     out = 2.0 * J
     near = u < 0.01
-    b, un = (N - 1) / 2.0, u[near]
-    tail = np.zeros_like(un)
-    for k in range(8, -1, -1):
-        tail *= un
-        tail += math.comb(2 * k, k) / 4.0**k / (b + k)
-    out[near] = B - tail * un**b
+    if near.any():
+        b, un = (N - 1) / 2.0, u[near]
+        tail = np.zeros_like(un)
+        for k in range(8, -1, -1):
+            tail *= un
+            tail += math.comb(2 * k, k) / 4.0**k / (b + k)
+        out[near] = B - tail * un**b
     return out
 
 

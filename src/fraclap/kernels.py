@@ -17,13 +17,14 @@ of ``_green_from_psi`` on |x-y|^2 and the factors of psi = fx fy / (scale
 at least two blocks of 2^16 values, in a process allowed at least two
 CPUs, is split into those blocks, and each block runs the whole body (the
 zero set, psi, I(psi), the |x-y| power) on ``core``'s thread pool with one
-worker per usable CPU (scipy's ``betainc`` and ``hyp2f1``, and NumPy's
-ufuncs, release the GIL); smaller batches, or a one-CPU process, take one
-serial call.  The pool is created on the first such call, not at import,
-and a forked child starts a new one.  The body is elementwise, so the
-blocked result is bit-identical to the serial one.  The workers run only
-private names, never a public one, so a wrapper around a public function
-sees one call per batch.
+worker per usable CPU (NumPy's ufuncs release the GIL); smaller batches,
+or a one-CPU process, take one serial call.  The pool is created on the
+first such call, not at import, and a forked child starts a new one.  The
+body is elementwise, so the blocked result is bit-identical to the serial
+one.  The workers run only private names, never a public one, so a
+wrapper around a public function sees one call per batch.  They only read
+``core._kernel_fit``'s cache: the calling thread fills it before the
+split.
 """
 from __future__ import annotations
 
@@ -163,6 +164,7 @@ def _green_from_psi(params: FracParams, d2, fx, fy, scale=1.0):
     if batch.size >= core._MIN_BLOCKS * core._BLOCK and core._usable_cpus() >= 2:
         from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
 
+        core._kernel_fit(params)  # fitted here once; the workers read the cache
         return core._in_blocks(
             lambda *blocks: _green_body(params, scale, _private_integral, *blocks), batch.shape, d2, fx, fy
         )
@@ -295,7 +297,7 @@ def h_function_partials(params: FracParams, r: float, t: float) -> HDerivatives:
             # ndarray ** on a 0-d array, as in h_function: NumPy's power loop, which
             # on an AVX-512 host differs from np.float64 ** (the C library's pow)
             # by 1 ulp at about 5% of arguments
-            i_psi = float(core._kernel_integral(params, np.array([psi]))[0])
+            i_psi = core._kernel_integral_scalar(params, float(psi))
             value = float(0.5 * k * np.asarray(r) ** ((2.0 * s - N) / 2.0) * i_psi)
     kt = 0.5 * k * (r + t) ** -half_n
     with np.errstate(divide="ignore"):

@@ -172,6 +172,9 @@ class TestPoissonConstant:
             assert C * surface * (near + far) == pytest.approx(1.0, abs=1e-8)
 
 
+DENSE_REGIMES = [(N, s) for N in range(1, 6) for s in (0.02, 0.25, 0.6, 0.75, 0.98)]
+
+
 class TestIncompleteKernelIntegral:
     def test_zero(self):
         for N, s in [(1, 0.25), (1, 0.5), (1, 0.75), (2, 0.5), (3, 0.9)]:
@@ -191,10 +194,8 @@ class TestIncompleteKernelIntegral:
         val = incomplete_kernel_integral(FracParams(3, 0.5), 4.0)
         assert val == pytest.approx(2.0 * math.sqrt(4.0 / 5.0), rel=1e-12)
 
-    def test_against_mpmath_all_regimes(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        # t = 7/3 is x = t/(1+t) = 0.7, where N = 1 < 2s switches branch
+    def test_against_mpmath_all_regimes(self, kernel_integral_ref):
+        # t = 1 is x = t/(1+t) = 1/2, where the fitted regimes switch branch
         ts = [1e-10, 1e-4, 0.3, 1.0, 7.0 / 3.0, 2.5, 50.0, 1e4, 1e8, 1e12]
         regimes = [(1, 0.25), (1, 0.5), (1, 0.6), (1, 0.75), (1, 0.95), (2, 0.5), (2, 0.75), (3, 0.25), (3, 0.5),
                    (4, 0.9)]
@@ -203,35 +204,64 @@ class TestIncompleteKernelIntegral:
             # the ends t = 0 (x = 0) and t = inf (x = 1); I(inf) is finite for N > 2s
             ends = [0.0, math.inf] if N > 2 * s else []
             for t in ts + ends:
-                x = 1 if t == math.inf else mp.mpf(t) / (1 + mp.mpf(t))
-                ref = float(mp.betainc(s, mp.mpf(N) / 2 - s, 0, x))
+                ref = kernel_integral_ref(N, s, t)
                 got = incomplete_kernel_integral(p, t)
                 assert got == pytest.approx(ref, rel=1e-10), (N, s, t)
 
+    @pytest.mark.parametrize("N,s", DENSE_REGIMES)
+    def test_dense_against_mpmath(self, kernel_integral_ref, N, s):
+        # the fitted body: t over the whole float range, uniform on (0, 5), the
+        # switch t = 1 and its neighbours, and both ends
+        rng = np.random.default_rng(N * 100 + int(100 * s))
+        switch = 1.0 + np.arange(-4, 5) * 2.0**-52
+        ts = np.concatenate([np.logspace(-300, 300, 61), rng.uniform(0.0, 5.0, 40), switch, [0.0, math.inf]])
+        got = incomplete_kernel_integral(FracParams(N, s), ts)
+        for t, g in zip(ts, got):
+            ref = kernel_integral_ref(N, s, t)
+            if ref in (0.0, math.inf):
+                assert g == ref, (t, g)
+            else:
+                assert g == pytest.approx(ref, rel=1e-14, abs=0.0), t
+
+    @pytest.mark.parametrize("N,s", DENSE_REGIMES)
+    def test_monotone_and_continuous_at_the_switch(self, N, s):
+        # the fitted branches meet at t = 1: 64 ulps below, the switch, 1 and 64 ulps above
+        ts = [1.0 - 64 * 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 64 * 2.0**-52]
+        got = incomplete_kernel_integral(FracParams(N, s), ts)
+        assert np.all(np.diff(got) >= 0.0), got
+        assert got[2] - got[1] <= 4.0 * np.spacing(got[1])
+
+    @pytest.mark.parametrize("N,s", DENSE_REGIMES)
+    def test_scalar_path_bit_identical(self, N, s):
+        # h_function_partials' float path against the array body, on both branches,
+        # b < 0's power above y = 1, the switch and both ends
+        b = N / 2.0 - s
+        ts = [0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.7, 42.0, 1e6, 1e300, math.inf]
+        if b < 0.0:
+            t_y1 = math.expm1(-1.0 / b)
+            ts += [t_y1 * (1.0 + k * 2.0**-52) for k in range(-3, 4)]
+        p = FracParams(N, s)
+        got = np.array([core._kernel_integral_scalar(p, t) for t in ts])
+        assert got.tobytes() == core._kernel_integral(p, np.array(ts)).tobytes()
+
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-    def test_half_order_closed_form(self, N):
+    def test_half_order_closed_form(self, N, kernel_integral_ref):
         # s = 1/2: I = 2 int_0^theta cos^(N-2), theta = arctan(sqrt(t)); I(inf) = B(1/2, (N-1)/2)
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
         # t = 99 is the last point of the cosine recursion, 99.5 the first of the tail series
         ts = [0.0, 1e-10, 1e-4, 0.3, 1.0, 7.0 / 3.0, 2.5, 50.0, 99.0, 99.5, 1e4, 1e8, 1e12, math.inf]
         got = incomplete_kernel_integral(FracParams(N, 0.5), ts)
         assert got[0] == 0.0
         for t, g in zip(ts[1:], got[1:]):
-            x = 1 if t == math.inf else mp.mpf(t) / (1 + mp.mpf(t))
-            ref = float(mp.betainc(0.5, mp.mpf(N - 1) / 2, 0, x))
-            assert g == pytest.approx(ref, rel=1e-14), (N, t)
+            assert g == pytest.approx(kernel_integral_ref(N, 0.5, t), rel=1e-14), (N, t)
 
     @pytest.mark.parametrize("s", [0.55, 0.6, 0.75, 0.9, 0.95])
-    def test_large_t_branch_one_dimensional(self, s):
-        # N = 1 < 2s above x = 0.7: the connection formula with 2F1(1, 1/2; 3/2-s; u)
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
+    def test_large_t_branch_one_dimensional(self, s, kernel_integral_ref):
+        # N = 1 < 2s above t = 1: B - u^b (1/b + H(u)) with b = 1/2 - s < 0, and u^b
+        # by a power above y = -b log1p(t) = 1
         ts = np.concatenate([np.linspace(2.34, 60.0, 9), np.logspace(2, 12, 11)])
         got = incomplete_kernel_integral(FracParams(1, s), ts)
         for t, g in zip(ts, got):
-            ref = float(mp.betainc(s, mp.mpf(0.5) - s, 0, mp.mpf(t) / (1 + mp.mpf(t))))
-            assert g == pytest.approx(ref, rel=1e-13), (s, t)
+            assert g == pytest.approx(kernel_integral_ref(1, s, t), rel=1e-13), (s, t)
 
     def test_monotone_in_t(self):
         ts = np.logspace(-8, 12, 300)
@@ -256,7 +286,8 @@ class TestIncompleteKernelIntegral:
         assert got.tolist() == [0.0, np.inf]
 
 
-BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (3, 0.5), (4, 0.5)]
+BLOCK_REGIMES = [(1, 0.5), (1, 0.75), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (3, 0.5), (4, 0.5), (2, 0.75),
+                 (1, 0.6)]
 
 
 def _record_body(monkeypatch):
@@ -340,6 +371,18 @@ class TestBlockedKernelIntegral:
         got = kernels._green_from_psi(p, d2, fx, 1.0)
         assert got.tobytes() == ref.tobytes()
         assert len(calls) == 4
+
+    def test_kernel_fit_in_the_calling_thread(self, cpus, monkeypatch):
+        # the workers only read _kernel_fit's cache: the caller fills it before the split
+        cpus(2)
+        fitted = []
+        fit = core._chebyshev_monomials
+        monkeypatch.setattr(core, "_chebyshev_monomials", lambda func: fitted.append(threading.get_ident()) or fit(func))
+        core._kernel_fit.cache_clear()
+        calls = _record_body(monkeypatch)
+        kernels._green_from_psi(FracParams(3, 0.3), *_green_arguments(2 * core._BLOCK), 0.25)
+        assert len(calls) == 2
+        assert fitted == [threading.get_ident()] * 2  # Q and H, once
 
     def test_rejects_before_split(self, cpus, monkeypatch):
         cpus(2)

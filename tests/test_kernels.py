@@ -287,7 +287,8 @@ H_REFERENCES = {
         1.5798591368370392e-6, -2.3696871525101818e-8, 1.1847927998824024e-4, -1.7770114986737362e-6,
     ),
 }
-PARTIALS_REGIMES = [(1, 0.5), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (1, 0.75), (3, 0.5), (4, 0.5)]
+PARTIALS_REGIMES = [(1, 0.5), (2, 0.5), (3, 0.25), (3, 0.75), (1, 0.25), (1, 0.75), (3, 0.5), (4, 0.5), (2, 0.75),
+                    (1, 0.6)]
 
 
 def _partials_from_h_function(params, r, t):
