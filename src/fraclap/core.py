@@ -18,8 +18,10 @@ import time.  The constants keep scipy's gamma: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
 The module's thread pool (``_in_blocks``) runs elementwise bodies on
-blocks of ``_BLOCK`` values; ``kernels._green_from_psi`` is its one caller,
-and fits the polynomials before it splits, so that the workers only read
+blocks of at most ``_BLOCK`` values.  Its callers are the two Green
+pipelines of ``kernels``: ``_green_from_psi`` on a given |x-y|^2, and
+``_green_between``, whose blocks form |x-y|^2 from the point columns.  Both
+fit the polynomials before they split, so that the workers only read
 ``_kernel_fit``'s cache.
 """
 from __future__ import annotations
@@ -106,6 +108,7 @@ def normalization_a(params: FracParams) -> float:
     )
 
 
+@cache
 def green_constant_k(params: FracParams) -> float:
     """Normalization of the ball/half-space Green functions.
 
@@ -198,7 +201,7 @@ def _fitted_integral(fit, t_arr):
 
 def _kernel_integral_scalar(params: FracParams, t: float) -> float:
     """``_kernel_integral`` at one float t >= 0 unless N = 1 = 2s, to the
-    same bits, in Python floats where s != 1/2.
+    same bits, in Python floats.
 
     The elementwise additions, products and quotients round as NumPy's do;
     the powers, ``log1p`` and ``expm1`` are taken on 1-element arrays,
@@ -208,7 +211,7 @@ def _kernel_integral_scalar(params: FracParams, t: float) -> float:
     a negative power, where t = inf and b < 0.
     """
     if params.s == 0.5:
-        return float(_half_order_integral(params.N, np.array([t]))[0])
+        return _half_order_scalar(params.N, t)
     fit = _kernel_fit(params)
     if t <= 1.0:
         x = t / (1.0 + t)
@@ -338,7 +341,7 @@ def _half_order_integral(N, t):
     did not round monotonically (at N = 4 it stepped down 1 ulp near
     t = 3e10), so there I = B(1/2, b) minus the tail
     sum_k binom(2k, k) 4^-k u^(b+k) / (b+k), b = (N-1)/2, in nine terms (the
-    rest is below 1e-19 of it at u < 0.01).
+    rest is below 1e-19 of it at u < 0.01); see ``_half_order_tail``.
     """
     n = N - 2
     u = 1.0 / (1.0 + t)
@@ -348,21 +351,50 @@ def _half_order_integral(N, t):
         else:
             c = np.sqrt(t)  # tan = cos^-1 sin
             J = np.arctan(c)
-        B = 2.0 if n % 2 else math.pi  # 2 J_n(pi/2)
         for m in range(2 + n % 2, n + 1, 2):
             c = c * u  # cos^(m-1) sin
             J = c / m + (m - 1) / m * J
-            B = (m - 1) / m * B
     out = 2.0 * J
     near = u < 0.01
     if near.any():
-        b, un = (N - 1) / 2.0, u[near]
-        tail = np.zeros_like(un)
-        for k in range(8, -1, -1):
-            tail *= un
-            tail += math.comb(2 * k, k) / 4.0**k / (b + k)
-        out[near] = B - tail * un**b
+        B, b, tail = _half_order_tail(N)
+        un = u[near]
+        out[near] = B - _horner(tail, un) * un**b
     return out
+
+
+def _half_order_scalar(N, t):
+    """``_half_order_integral`` at one float t >= 0, to the same bits: the
+    recursion and the tail in Python floats, with ``arctan`` and the power
+    on 1-element arrays (see ``_kernel_integral_scalar``)."""
+    n = N - 2
+    u = 1.0 / (1.0 + t)
+    if u < 0.01:
+        B, b, tail = _half_order_tail(N)
+        return B - _horner(tail, u) * float((np.array([u]) ** b)[0])
+    if n % 2:
+        J = c = math.sqrt(t * u)
+    else:
+        c = math.sqrt(t)
+        J = float(np.arctan(np.array([c]))[0])
+    for m in range(2 + n % 2, n + 1, 2):
+        c = c * u
+        J = c / m + (m - 1) / m * J
+    return 2.0 * J
+
+
+@cache
+def _half_order_tail(N):
+    """(B, b, coefficients) of I(t) = B - u^b T(u) at s = 1/2 and u < 0.01:
+    B = B(1/2, b) = 2 J_(N-2)(pi/2) by the recursion of
+    ``_half_order_integral``, b = (N-1)/2 and the nine coefficients
+    binom(2k, k) 4^-k / (b+k) of T, highest degree first, for ``_horner``."""
+    n = N - 2
+    B = 2.0 if n % 2 else math.pi  # 2 J_n(pi/2)
+    for m in range(2 + n % 2, n + 1, 2):
+        B = (m - 1) / m * B
+    b = (N - 1) / 2.0
+    return B, b, tuple(math.comb(2 * k, k) / 4.0**k / (b + k) for k in range(8, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +425,15 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_blocks(func, shape, *arrays):
-    """``func(*blocks)`` on consecutive blocks of ``_BLOCK`` values of ``arrays``
-    broadcast to ``shape`` and read in C order.
+    """``func(*blocks)`` on the blocks (``_slabs``) of ``arrays`` broadcast to
+    ``shape``.
 
     ``func`` must be elementwise and return an array of its blocks' shape.
-    The blocks run on the module's pool, created on first use with one
-    worker per usable CPU, each in a copy of the caller's context so that
-    its ``np.errstate`` holds there too.  Returns the results in ``shape``.
-    If a block raises, the first error is raised once every block is done.
+    The blocks are views: a broadcast input is never copied to ``shape``.
+    They run on the module's pool, created on first use with one worker per
+    usable CPU, each in a copy of the caller's context so that its
+    ``np.errstate`` holds there too.  Returns the results in ``shape``.  If
+    a block raises, the first error is raised once every block is done.
     """
     from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -409,21 +442,35 @@ def _in_blocks(func, shape, *arrays):
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="fraclap-block")
         pool = _pool
-    # views where the layout allows; a broadcast 2-D input is copied here once
-    flats = [np.broadcast_to(a, shape).reshape(-1) for a in arrays]
+    views = [np.broadcast_to(a, shape) for a in arrays]
     # each worker writes into one output array: concatenating per-block
     # results held a second copy and raised kernel-batch's peak RSS by 8 MB
     out = np.empty(shape)
-    flat_out = out.reshape(-1)
 
-    def block(a):
-        flat_out[a:a + _BLOCK] = func(*(f[a:a + _BLOCK] for f in flats))
+    def block(index):
+        out[index] = func(*(v[index] for v in views))
 
-    futures = [pool.submit(contextvars.copy_context().run, block, a) for a in range(0, out.size, _BLOCK)]
+    futures = [pool.submit(contextvars.copy_context().run, block, index) for index in _slabs(shape)]
     wait(futures)
     for f in futures:
         f.result()
     return out
+
+
+def _slabs(shape):
+    """Index tuples of the blocks of ``shape`` in C order: runs of whole
+    subarrays along the first axis, as many as fit in ``_BLOCK`` values, or,
+    where one subarray holds more, the blocks of each subarray.  On one
+    axis, consecutive runs of ``_BLOCK`` values."""
+    inner = math.prod(shape[1:])
+    if inner > _BLOCK:
+        for i in range(shape[0]):
+            for rest in _slabs(shape[1:]):
+                yield (slice(i, i + 1), *rest)
+        return
+    step = _BLOCK // inner
+    for a in range(0, shape[0], step):
+        yield (slice(a, a + step),)
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,29 @@ floating point, vanishes outside its domain, and raises
 :class:`DiagonalSingularity` instead of overflowing when asked for a value
 on the diagonal inside the domain.
 
-Every Green value, here and in ``quadrature`` and ``solver``, is one call
-of ``_green_from_psi`` on |x-y|^2 and the factors of psi = fx fy / (scale
+Every Green value, here and in ``quadrature`` and ``solver``, is
+``_green_body`` on |x-y|^2 and the factors of psi = fx fy / (scale
 |x-y|^2): it is the one place where psi and its zero set are formed.
+``quadrature`` and ``solver`` reach it through ``_green_from_psi`` with
+|x-y|^2 in hand; the public Green kernels through ``_green_between``, which
+forms |x-y|^2 from the points.
 
-``_green_from_psi`` is the inner loop of every Green kernel.  A batch of
-at least two blocks of 2^16 values, in a process allowed at least two
-CPUs, is split into those blocks, and each block runs the whole body (the
-zero set, psi, I(psi), the |x-y| power) on ``core``'s thread pool with one
-worker per usable CPU (NumPy's ufuncs release the GIL); smaller batches,
-or a one-CPU process, take one serial call.  The pool is created on the
-first such call, not at import, and a forked child starts a new one.  The
-body is elementwise, so the blocked result is bit-identical to the serial
-one.  The workers run only private names, never a public one, so a
-wrapper around a public function sees one call per batch.  They only read
-``core._kernel_fit``'s cache: the calling thread fills it before the
-split.
+Both split a batch of at least two blocks of 2^16 values, in a process
+allowed at least two CPUs, into blocks of at most 2^16 (views of the
+inputs, see ``core._in_blocks``) and run each block whole on ``core``'s
+thread pool with one worker per usable CPU (NumPy's ufuncs release the
+GIL); smaller batches, or a one-CPU process, take one serial call of the
+same block function.  A ``_green_from_psi`` block runs the body (the zero
+set, psi, I(psi), the |x-y| power).  A ``_green_between`` block gets the
+point columns with fx and fy, and forms its |x-y|^2, scans it for the
+diagonal and runs the body in one pass: no array of the batch's size but
+the result is formed, and the calling thread only checks the points and
+forms fx and fy.  The pool is created on the first such call, not at
+import, and a forked child starts a new one.  The blocks are elementwise,
+so the blocked result is bit-identical to the serial one.  The workers run
+only private names, never a public one, so a wrapper around a public
+function sees one call per batch.  They only read ``core._kernel_fit``'s
+cache: the calling thread fills it before the split.
 """
 from __future__ import annotations
 
@@ -109,11 +116,17 @@ def _as_points(params, *arrays):
 
 
 def _dist2(x, y):
+    """|x-y|^2 for points ``x`` and ``y``."""
+    return _column_dist2(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
+
+
+def _column_dist2(xs, ys):
+    """|x-y|^2 from the coordinate columns: ``xs[i]`` is x[..., i], ``ys[i]`` is y[..., i]."""
     # a sum of columns, 2-5x faster than np.sum(d * d, axis=-1) over the short
     # last axis and bit-identical to it for N < 8, where NumPy adds in order
-    d2 = (x[..., 0] - y[..., 0]) ** 2
-    for i in range(1, x.shape[-1]):
-        d2 = d2 + (x[..., i] - y[..., i]) ** 2
+    d2 = (xs[0] - ys[0]) ** 2
+    for xi, yi in zip(xs[1:], ys[1:]):
+        d2 = d2 + (xi - yi) ** 2
     return d2
 
 
@@ -161,14 +174,23 @@ def _green_from_psi(params: FracParams, d2, fx, fy, scale=1.0):
     docstring).
     """
     batch = np.broadcast(d2, fx, fy)
-    if batch.size >= core._MIN_BLOCKS * core._BLOCK and core._usable_cpus() >= 2:
-        from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
-
-        core._kernel_fit(params)  # fitted here once; the workers read the cache
+    if _splits(params, batch.size):
         return core._in_blocks(
             lambda *blocks: _green_body(params, scale, _private_integral, *blocks), batch.shape, d2, fx, fy
         )
     return _green_body(params, scale, incomplete_kernel_integral, d2, fx, fy)
+
+
+def _splits(params, size):
+    """Whether a batch of ``size`` values runs in blocks on ``core``'s pool: at
+    least ``_MIN_BLOCKS * _BLOCK`` of them, in a process allowed at least two
+    CPUs.  If so, first loads in the calling thread what the workers share."""
+    if size < core._MIN_BLOCKS * core._BLOCK or core._usable_cpus() < 2:
+        return False
+    from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
+
+    core._kernel_fit(params)  # fitted here once; the workers read the cache
+    return True
 
 
 def _private_integral(params, t):
@@ -193,16 +215,44 @@ def _green_body(params, scale, integral, d2, fx, fy):
 
 
 def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
-    """``_green_from_psi`` at d2 = |x-y|^2 for checked points ``x`` and ``y``.
+    """``_green_from_psi``'s values at d2 = |x-y|^2 for checked points ``x`` and ``y``.
 
-    Raises ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0.
+    ``_green_pairs`` gets the point columns with fx and fy and forms d2
+    itself: in one call, or, on a batch that ``_green_from_psi`` would split,
+    in blocks on ``core``'s pool, each of which forms its d2, scans it for
+    the diagonal and runs ``_green_body`` in one pass.  Raises
+    ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0, also where
+    another block's NaN psi raised first.
     """
-    d2 = _dist2(x, y)
-    diagonal = d2 == 0.0
-    if np.any(diagonal) and np.any(diagonal & (fx > 0.0) & (fy > 0.0)):
+    columns = (*np.moveaxis(x, -1, 0), *np.moveaxis(y, -1, 0))
+    batch = np.broadcast(columns[0], columns[-1], fx, fy)
+    if not _splits(params, batch.size):
+        out = _green_pairs(params, scale, incomplete_kernel_integral, [], fx, fy, *columns)
+        return float(out) if out.ndim == 0 else out
+    diagonal = []  # one entry per block that holds a diagonal pair
+    try:
+        return core._in_blocks(
+            lambda *blocks: _green_pairs(params, scale, _private_integral, diagonal, *blocks),
+            batch.shape, fx, fy, *columns,
+        )
+    except ValueError:
+        if not diagonal:
+            raise
+        # a NaN psi in an earlier block: the diagonal pair decides, as in one call
+        raise DiagonalSingularity("Green kernel requested on the diagonal x = y") from None
+
+
+def _green_pairs(params, scale, integral, diagonal, fx, fy, *columns):
+    """``_green_body`` at d2 = |x-y|^2 from the N columns of x, then the N of
+    y.  At d2 = 0 where fx > 0 and fy > 0, appends to ``diagonal`` and raises
+    ``DiagonalSingularity``."""
+    n = len(columns) // 2
+    d2 = _column_dist2(columns[:n], columns[n:])
+    zero = d2 == 0.0
+    if np.any(zero) and np.any(zero & (fx > 0.0) & (fy > 0.0)):
+        diagonal.append(True)
         raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
-    out = _green_from_psi(params, d2, fx, fy, scale)
-    return float(out) if out.ndim == 0 else out
+    return _green_body(params, scale, integral, d2, fx, fy)
 
 
 def green_ball(params: FracParams, R: float, x, y):
@@ -244,15 +294,37 @@ def green_halfspace(params: FracParams, x, y):
 
 
 def h_function(params: FracParams, r, t):
-    """H(r,t) = r^(s - N/2) I(t/r) for r > 0, t >= 0."""
+    """H(r,t) = r^(s - N/2) I(t/r) for r > 0, t >= 0.
+
+    On scalar r and t, ``_h_value``: the same bits in Python and NumPy
+    scalars, without the array path's masks.
+    """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     if not np.all(r > 0.0):
         raise ValueError("H(r,t) requires r > 0")
     if not np.all(t >= 0.0):
         raise ValueError("H(r,t) requires t >= 0")
-    out = _green_from_psi(params, r, t, 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    if r.ndim == t.ndim == 0:
+        return _h_value(params, r[()], t[()])
+    return _green_from_psi(params, r, t, 1.0)
+
+
+def _h_value(params: FracParams, r, t) -> float:
+    """H at NumPy floats r > 0 and t >= 0: ``_green_from_psi``'s operations
+    on one value, to the same bits."""
+    if not t > 0.0:
+        return 0.0
+    psi = t / r
+    if psi != psi:
+        raise ValueError("H(r,t) is undefined at r = t = inf")
+    if params.regime is Regime.N_EQ_2S:
+        return float(np.arcsinh(np.sqrt(psi)) / np.pi)
+    # ndarray ** on a 0-d array, as in the array path: NumPy's power loop, which
+    # on an AVX-512 host differs from np.float64 ** (the C library's pow)
+    # by 1 ulp at about 5% of arguments
+    i_psi = core._kernel_integral_scalar(params, float(psi))
+    return float(0.5 * green_constant_k(params) * np.asarray(r) ** ((2.0 * params.s - params.N) / 2.0) * i_psi)
 
 
 @dataclass(frozen=True)
@@ -275,31 +347,16 @@ def h_function_partials(params: FracParams, r: float, t: float) -> HDerivatives:
     At t = 0 the true limits for s < 1 are returned: value = d_r = 0,
     d_t = +inf, d_rt = -inf.  Requires r > 0 and t >= 0.
 
-    H is ``h_function`` on scalars: the same operations on the same NumPy
-    types, so the same bits, without its array checks and masks.
+    H is ``h_function`` on scalars, the same bits.
     """
     if not r > 0.0:
         raise ValueError("H(r,t) requires r > 0")
     if not t >= 0.0:
         raise ValueError("H(r,t) requires t >= 0")
-    s, N = params.s, params.N
-    half_n = N / 2.0
-    k = green_constant_k(params)
+    s, half_n = params.s, params.N / 2.0
     r, t = np.float64(r), np.float64(t)  # 0.0 ** (s - 1) is inf, not ZeroDivisionError
-    value = 0.0
-    if t > 0.0:
-        psi = t / r
-        if psi != psi:
-            raise ValueError("H(r,t) is undefined at r = t = inf")
-        if params.regime is Regime.N_EQ_2S:
-            value = float(np.arcsinh(np.sqrt(psi)) / np.pi)
-        else:
-            # ndarray ** on a 0-d array, as in h_function: NumPy's power loop, which
-            # on an AVX-512 host differs from np.float64 ** (the C library's pow)
-            # by 1 ulp at about 5% of arguments
-            i_psi = core._kernel_integral_scalar(params, float(psi))
-            value = float(0.5 * k * np.asarray(r) ** ((2.0 * s - N) / 2.0) * i_psi)
-    kt = 0.5 * k * (r + t) ** -half_n
+    value = _h_value(params, r, t)
+    kt = 0.5 * green_constant_k(params) * (r + t) ** -half_n
     with np.errstate(divide="ignore"):
         d_t = kt * t ** (s - 1.0)
     d_rt = -half_n * d_t / (r + t)

@@ -4,6 +4,7 @@ import queue
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -245,6 +246,16 @@ class TestIncompleteKernelIntegral:
         assert got.tobytes() == core._kernel_integral(p, np.array(ts)).tobytes()
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_half_order_scalar_path_bit_identical(self, N):
+        # s = 1/2: the cosine recursion up to t = 99 (u = 0.01) and the tail series above, in floats
+        ts = [0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 7.0 / 3.0, 42.0, math.inf]
+        ts += [99.0 * (1.0 + k * 2.0**-52) for k in range(-3, 4)]
+        ts += list(np.random.default_rng(N).uniform(0.0, 99.0, 40)) + list(np.logspace(2.0, 300.0, 60))
+        p = FracParams(N, 0.5)
+        got = np.array([core._kernel_integral_scalar(p, t) for t in ts])
+        assert got.tobytes() == core._kernel_integral(p, np.array(ts)).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
     def test_half_order_closed_form(self, N, kernel_integral_ref):
         # s = 1/2: I = 2 int_0^theta cos^(N-2), theta = arctan(sqrt(t)); I(inf) = B(1/2, (N-1)/2)
         # t = 99 is the last point of the cosine recursion, 99.5 the first of the tail series
@@ -324,6 +335,44 @@ def _halfspace_points(n, N, seed=2):
     return x, y
 
 
+GREEN_KERNELS = {
+    "ball": lambda p, x, y: kernels.green_ball(p, 1.5, x, y),
+    "shifted_ball": lambda p, x, y: kernels.green_shifted_ball(p, 2.0, x, y),
+    "halfspace": kernels.green_halfspace,
+}
+BOUNDARY_POINTS = {"ball": [1.5, 0.0], "shifted_ball": [0.0, 0.0], "halfspace": [0.0, 0.7]}  # fx = 0
+PAIR_SHAPES = {  # pair batches and the number of Green body calls on two workers
+    (2 * core._BLOCK - 1,): 1,  # one short of the threshold: serial
+    (2 * core._BLOCK,): 2,
+    (2 * core._BLOCK + 12345,): 3,  # ragged last block
+    "2d": 3,  # blocks of 21845 rows of 3 pairs
+    "broadcast": 3,  # blocks of 218 rows of 300 pairs
+    "wide": 4,  # two rows of _BLOCK + 5 pairs, each in a block of _BLOCK and one of 5
+}
+
+
+def _point_pairs(shape, N, seed=4):
+    """x and y for the Green kernels on a batch of ``shape`` pairs, x1 in (-0.5, 2)
+    and the rest in (-2, 2): inside and outside each kernel's domain."""
+    if shape == "2d":  # transposed, non-contiguous views of a (B - 7) x 3 batch
+        flat = _point_pairs((3 * (core._BLOCK - 7),), N, seed)
+        return [np.moveaxis(a.reshape(3, core._BLOCK - 7, N), 0, 1) for a in flat]
+    if shape == "broadcast":  # every pair of 512 x and 300 y
+        x, y = _point_pairs((512,), N, seed)
+        return x[:, None, :], y[None, :300, :]
+    if shape == "wide":  # every pair of 2 x, in each domain, and _BLOCK + 5 y
+        x, y = _point_pairs((core._BLOCK + 5,), N, seed)
+        x = 0.3 * x[:2]
+        x[:, 0] = 0.5
+        return x[:, None, :], y[None, :, :]
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (*shape, N))
+    y = rng.uniform(-2.0, 2.0, (*shape, N))
+    x[..., 0] = rng.uniform(-0.5, 2.0, shape)
+    y[..., 0] = rng.uniform(-0.5, 2.0, shape)
+    return x, y
+
+
 class TestBlockedKernelIntegral:
     """A large Green batch runs ``kernels._green_body`` (the zero set, psi, the
     kernel integral and the |x-y| power) in blocks on ``core``'s thread pool,
@@ -383,6 +432,67 @@ class TestBlockedKernelIntegral:
         kernels._green_from_psi(FracParams(3, 0.3), *_green_arguments(2 * core._BLOCK), 0.25)
         assert len(calls) == 2
         assert fitted == [threading.get_ident()] * 2  # Q and H, once
+
+    @pytest.mark.parametrize("kernel", sorted(GREEN_KERNELS))
+    @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
+    @pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+    def test_green_kernels_bit_identical_to_serial(self, cpus, monkeypatch, kernel, N, s, shape):
+        # each block forms its own |x-y|^2 from the point columns and scans it for the diagonal
+        x, y = _point_pairs(shape, N)
+        p, green = FracParams(N, s), GREEN_KERNELS[kernel]
+        cpus(1)
+        ref = green(p, x, y)
+        cpus(2)
+        calls = _record_body(monkeypatch)
+        got = green(p, x, y)
+        size = ref.size
+        assert got.shape == ref.shape == np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        assert got.tobytes() == ref.tobytes()
+        assert 0 < np.count_nonzero(ref) < size
+        assert len(calls) == PAIR_SHAPES[shape]
+        assert sum(n for _, n, _ in calls) == size
+
+    @pytest.mark.parametrize("kernel", sorted(GREEN_KERNELS))
+    def test_diagonal_off_the_domain_in_a_late_block(self, cpus, kernel):
+        # x = y where fx = 0 is a zero of the kernel, not a singularity
+        x, y = _point_pairs((3 * core._BLOCK,), 2)
+        x[-5] = y[-5] = BOUNDARY_POINTS[kernel]
+        p, green = FracParams(2, 0.75), GREEN_KERNELS[kernel]
+        cpus(1)
+        ref = green(p, x, y)
+        cpus(2)
+        got = green(p, x, y)
+        assert got[-5] == 0.0
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("diagonal,overflow", [(0, 2), (2, 0), (1, 1)])
+    @pytest.mark.parametrize("N,s", [(1, 0.5), (2, 0.5), (3, 0.25)])
+    def test_diagonal_ahead_of_overflowing_psi(self, cpus, workers, diagonal, overflow, N, s):
+        # a diagonal pair raises DiagonalSingularity, as a scan of the whole batch
+        # before the split did, also where another block's NaN psi raised first
+        cpus(workers)
+        x, y = _halfspace_points(3 * core._BLOCK, N)
+        i = overflow * core._BLOCK + 5
+        x[i, 0], y[i, 0] = 1e200, 3e200
+        y[diagonal * core._BLOCK + 9] = x[diagonal * core._BLOCK + 9]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(kernels.DiagonalSingularity):
+            kernels.green_halfspace(FracParams(N, s), x, y)
+
+    def test_halfspace_batch_bounds_memory(self, cpus):
+        # one 2^20-pair call holds its 8 MB result and the temporaries of the two
+        # blocks in flight; |x-y|^2 formed whole before the split peaked at 26 MB
+        cpus(2)
+        x, y = _halfspace_points(2**20, 3)
+        p = FracParams(3, 0.25)
+        kernels.green_halfspace(p, x, y)  # the pool's threads and the kernel fit
+        tracemalloc.start()
+        try:
+            kernels.green_halfspace(p, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_rejects_before_split(self, cpus, monkeypatch):
         cpus(2)
