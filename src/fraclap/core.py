@@ -18,7 +18,7 @@ import time.  The constants keep scipy's gamma: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
 The module's thread pool (``_in_blocks``) runs elementwise bodies on
-blocks of at most ``_BLOCK`` values.  Its callers are the two Green
+blocks of whole rows, about ``_BLOCK`` values each.  Its callers are the two Green
 pipelines of ``kernels``: ``_green_from_psi`` on a given |x-y|^2, and
 ``_green_between``, whose blocks form |x-y|^2 from the point columns.  Both
 fit the polynomials before they split, so that the workers only read
@@ -425,8 +425,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_blocks(func, shape, *arrays):
-    """``func(*blocks)`` on the blocks (``_slabs``) of ``arrays`` broadcast to
-    ``shape``.
+    """``func(*blocks)`` on the blocks of ``arrays`` broadcast to ``shape``:
+    runs of whole subarrays along the first axis, as many as fit in
+    ``_BLOCK`` values and at least one (on one axis, runs of ``_BLOCK``
+    values).
 
     ``func`` must be elementwise and return an array of its blocks' shape.
     The blocks are views: a broadcast input is never copied to ``shape``.
@@ -447,30 +449,17 @@ def _in_blocks(func, shape, *arrays):
     # results held a second copy and raised kernel-batch's peak RSS by 8 MB
     out = np.empty(shape)
 
-    def block(index):
-        out[index] = func(*(v[index] for v in views))
+    def block(rows):
+        out[rows] = func(*(v[rows] for v in views))
 
-    futures = [pool.submit(contextvars.copy_context().run, block, index) for index in _slabs(shape)]
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    futures = [
+        pool.submit(contextvars.copy_context().run, block, slice(a, a + step)) for a in range(0, shape[0], step)
+    ]
     wait(futures)
     for f in futures:
         f.result()
     return out
-
-
-def _slabs(shape):
-    """Index tuples of the blocks of ``shape`` in C order: runs of whole
-    subarrays along the first axis, as many as fit in ``_BLOCK`` values, or,
-    where one subarray holds more, the blocks of each subarray.  On one
-    axis, consecutive runs of ``_BLOCK`` values."""
-    inner = math.prod(shape[1:])
-    if inner > _BLOCK:
-        for i in range(shape[0]):
-            for rest in _slabs(shape[1:]):
-                yield (slice(i, i + 1), *rest)
-        return
-    step = _BLOCK // inner
-    for a in range(0, shape[0], step):
-        yield (slice(a, a + step),)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ Every Green value, here and in ``quadrature`` and ``solver``, is
 forms |x-y|^2 from the points.
 
 Both split a batch of at least two blocks of 2^16 values, in a process
-allowed at least two CPUs, into blocks of at most 2^16 (views of the
+allowed at least two CPUs, into blocks of about 2^16 values (views of the
 inputs, see ``core._in_blocks``) and run each block whole on ``core``'s
 thread pool with one worker per usable CPU (NumPy's ufuncs release the
 GIL); smaller batches, or a one-CPU process, take one serial call of the
@@ -221,38 +221,47 @@ def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
     itself: in one call, or, on a batch that ``_green_from_psi`` would split,
     in blocks on ``core``'s pool, each of which forms its d2, scans it for
     the diagonal and runs ``_green_body`` in one pass.  Raises
-    ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0, also where
-    another block's NaN psi raised first.
+    ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0.  Where blocks
+    fail at different steps, the earliest step's error is raised, as one
+    call over the whole batch raises it: forming d2, then the diagonal
+    scan, then the body.
     """
     columns = (*np.moveaxis(x, -1, 0), *np.moveaxis(y, -1, 0))
     batch = np.broadcast(columns[0], columns[-1], fx, fy)
     if not _splits(params, batch.size):
         out = _green_pairs(params, scale, incomplete_kernel_integral, [], fx, fy, *columns)
         return float(out) if out.ndim == 0 else out
-    diagonal = []  # one entry per block that holds a diagonal pair
+    failures = []  # (step, error) of each block that raised
     try:
         return core._in_blocks(
-            lambda *blocks: _green_pairs(params, scale, _private_integral, diagonal, *blocks),
+            lambda *blocks: _green_pairs(params, scale, _private_integral, failures, *blocks),
             batch.shape, fx, fy, *columns,
         )
-    except ValueError:
-        if not diagonal:
+    except Exception as error:
+        if not failures:
             raise
-        # a NaN psi in an earlier block: the diagonal pair decides, as in one call
-        raise DiagonalSingularity("Green kernel requested on the diagonal x = y") from None
+        # the first block's error unless another block failed at an earlier step
+        raise min(failures, key=lambda f: (f[0], f[1] is not error))[1] from None
 
 
-def _green_pairs(params, scale, integral, diagonal, fx, fy, *columns):
+def _green_pairs(params, scale, integral, failures, fx, fy, *columns):
     """``_green_body`` at d2 = |x-y|^2 from the N columns of x, then the N of
-    y.  At d2 = 0 where fx > 0 and fy > 0, appends to ``diagonal`` and raises
-    ``DiagonalSingularity``."""
+    y; ``DiagonalSingularity`` at d2 = 0 where fx > 0 and fy > 0.  An error
+    is appended to ``failures`` with its step: 0 forming d2, 1 the diagonal
+    scan, 2 the body."""
     n = len(columns) // 2
-    d2 = _column_dist2(columns[:n], columns[n:])
-    zero = d2 == 0.0
-    if np.any(zero) and np.any(zero & (fx > 0.0) & (fy > 0.0)):
-        diagonal.append(True)
-        raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
-    return _green_body(params, scale, integral, d2, fx, fy)
+    step = 0
+    try:
+        d2 = _column_dist2(columns[:n], columns[n:])
+        step = 1
+        zero = d2 == 0.0
+        if np.any(zero) and np.any(zero & (fx > 0.0) & (fy > 0.0)):
+            raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
+        step = 2
+        return _green_body(params, scale, integral, d2, fx, fy)
+    except Exception as error:
+        failures.append((step, error))
+        raise
 
 
 def green_ball(params: FracParams, R: float, x, y):
@@ -294,25 +303,20 @@ def green_halfspace(params: FracParams, x, y):
 
 
 def h_function(params: FracParams, r, t):
-    """H(r,t) = r^(s - N/2) I(t/r) for r > 0, t >= 0.
-
-    On scalar r and t, ``_h_value``: the same bits in Python and NumPy
-    scalars, without the array path's masks.
-    """
+    """H(r,t) = r^(s - N/2) I(t/r) for r > 0, t >= 0."""
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     if not np.all(r > 0.0):
         raise ValueError("H(r,t) requires r > 0")
     if not np.all(t >= 0.0):
         raise ValueError("H(r,t) requires t >= 0")
-    if r.ndim == t.ndim == 0:
-        return _h_value(params, r[()], t[()])
-    return _green_from_psi(params, r, t, 1.0)
+    out = _green_from_psi(params, r, t, 1.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _h_value(params: FracParams, r, t) -> float:
     """H at NumPy floats r > 0 and t >= 0: ``_green_from_psi``'s operations
-    on one value, to the same bits."""
+    on one value, to the same bits, without the array path's masks."""
     if not t > 0.0:
         return 0.0
     psi = t / r

@@ -347,7 +347,13 @@ PAIR_SHAPES = {  # pair batches and the number of Green body calls on two worker
     (2 * core._BLOCK + 12345,): 3,  # ragged last block
     "2d": 3,  # blocks of 21845 rows of 3 pairs
     "broadcast": 3,  # blocks of 218 rows of 300 pairs
-    "wide": 4,  # two rows of _BLOCK + 5 pairs, each in a block of _BLOCK and one of 5
+}
+
+
+OVERFLOWS = {  # errstate, x1 and y1 of a pair whose products overflow, and what a diagonal pair elsewhere meets
+    "nan_psi": ({"over": "ignore", "invalid": "ignore"}, 1e200, 3e200, kernels.DiagonalSingularity),
+    "raising_psi": ({"over": "raise"}, 1e160, math.nextafter(1e160, 2e160), kernels.DiagonalSingularity),  # finite d2
+    "raising_d2": ({"over": "raise"}, 1e200, 3e200, FloatingPointError),  # raised forming |x-y|^2, before the scan
 }
 
 
@@ -360,11 +366,6 @@ def _point_pairs(shape, N, seed=4):
     if shape == "broadcast":  # every pair of 512 x and 300 y
         x, y = _point_pairs((512,), N, seed)
         return x[:, None, :], y[None, :300, :]
-    if shape == "wide":  # every pair of 2 x, in each domain, and _BLOCK + 5 y
-        x, y = _point_pairs((core._BLOCK + 5,), N, seed)
-        x = 0.3 * x[:2]
-        x[:, 0] = 0.5
-        return x[:, None, :], y[None, :, :]
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, (*shape, N))
     y = rng.uniform(-2.0, 2.0, (*shape, N))
@@ -468,15 +469,17 @@ class TestBlockedKernelIntegral:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("diagonal,overflow", [(0, 2), (2, 0), (1, 1)])
     @pytest.mark.parametrize("N,s", [(1, 0.5), (2, 0.5), (3, 0.25)])
-    def test_diagonal_ahead_of_overflowing_psi(self, cpus, workers, diagonal, overflow, N, s):
-        # a diagonal pair raises DiagonalSingularity, as a scan of the whole batch
-        # before the split did, also where another block's NaN psi raised first
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_diagonal_ahead_of_overflowing_psi(self, cpus, workers, diagonal, overflow, N, s, case):
+        # one call over the whole batch forms |x-y|^2, scans it for the diagonal, then
+        # forms psi: the blocks raise what it raises, whichever block holds each pair
+        errstate, x1, y1, raised = OVERFLOWS[case]
         cpus(workers)
         x, y = _halfspace_points(3 * core._BLOCK, N)
         i = overflow * core._BLOCK + 5
-        x[i, 0], y[i, 0] = 1e200, 3e200
+        x[i, 0], y[i, 0] = x1, y1
         y[diagonal * core._BLOCK + 9] = x[diagonal * core._BLOCK + 9]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(kernels.DiagonalSingularity):
+        with np.errstate(**errstate), pytest.raises(raised):
             kernels.green_halfspace(FracParams(N, s), x, y)
 
     def test_halfspace_batch_bounds_memory(self, cpus):

@@ -369,16 +369,6 @@ class TestHFunction:
         ref = [_partials_from_h_function(params, float(r), float(t)) for r in rr for t in [0.0, *rr]]
         assert np.array(got).tobytes() == np.array(ref).tobytes()
 
-    @pytest.mark.parametrize(
-        "params", [FracParams(N, s) for N, s in PARTIALS_REGIMES], ids=lambda p: f"N{p.N}-s{p.s:g}"
-    )
-    def test_scalar_bit_identical_to_array(self, params):
-        # 0-d r and t take the float path of h_function_partials' value
-        rr = np.array([*np.logspace(-2.0, 2.0, 30), 1e300])
-        r, t = (a.ravel() for a in np.meshgrid(rr, [0.0, 5e-324, *rr, 250.0]))
-        got = np.array([h_function(params, float(a), float(b)) for a, b in zip(r, t)])
-        assert got.tobytes() == h_function(params, r, t).tobytes()
-
     @pytest.mark.parametrize("key", sorted(H_REFERENCES), ids=lambda k: "N{}-s{}-r{}-t{}".format(*k))
     def test_partials_match_mpmath(self, key):
         N, s, r, t = key
