@@ -199,18 +199,21 @@ def _private_integral(params, t):
 
 
 def _green_body(params, scale, integral, d2, fx, fy):
-    """``_green_from_psi`` with I(psi) from ``integral(params, psi)``."""
+    """``_green_from_psi`` with I(psi) from ``integral(params, psi)``; the
+    integral's t >= 0 check finds a NaN psi (inf / inf), raised naming psi."""
     s, N = params.s, params.N
     live = (fx > 0.0) & (fy > 0.0) & (d2 > 0.0)
     d2 = np.where(live, d2, 1.0)
     psi = np.where(live, fx * fy / (scale * d2), 0.0)
-    if params.regime is Regime.N_EQ_2S:
-        # (1/pi) log(sqrt(psi) + sqrt(1+psi)); |x-y|^(2s-N) = 1
-        return np.where(live, np.arcsinh(np.sqrt(core._checked(psi))) / np.pi, 0.0)
-    k = green_constant_k(params)
-    # I(psi) is a temporary, freed before the where allocates the result: on
-    # large batches the result then reuses its memory instead of growing the heap
-    val = 0.5 * k * d2 ** ((2.0 * s - N) / 2.0) * integral(params, psi)
+    try:
+        if params.regime is Regime.N_EQ_2S:
+            # (1/pi) log(sqrt(psi) + sqrt(1+psi)); |x-y|^(2s-N) = 1
+            return np.where(live, np.arcsinh(np.sqrt(core._checked(psi))) / np.pi, 0.0)
+        # I(psi) is a temporary, freed before the where allocates the result: on
+        # large batches the result then reuses its memory instead of growing the heap
+        val = 0.5 * green_constant_k(params) * d2 ** ((2.0 * s - N) / 2.0) * integral(params, psi)
+    except ValueError as error:
+        raise ValueError("psi = fx fy / (scale |x-y|^2) is NaN: its factors are infinite or overflow") from error
     return np.where(live, val, 0.0)
 
 

@@ -26,7 +26,8 @@ of the kernel |x - rho w|^(-N), whose angular mass is known in closed
 form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions.
 ``frac_laplacian_point`` runs the engine on the symmetrized second
 difference, with a Taylor stub at 0 and r = r0 + (1 - t)/t mapping the rest
-of the radius onto t in (0, 1], so it has no truncation radius either.
+of the radius onto t in (0, 1], so it has no truncation radius either (the
+stub halves its radius until two fits agree, and carries an error).
 Levels double until two agree (``_angular_converge``), point by point: a
 point that converges, or whose level error stalls above 100 x tolerance or
 is NaN, retires while the others go on, and a level runs its live points in
@@ -57,14 +58,14 @@ raises for the first box that still misses its tolerance when ``_refine``
 stops, carrying that box's estimate and error, which are its one-box
 call's.  Batched evaluations take a bounded number of values at a time:
 ``_RAY_CHUNK`` integrand nodes, and ``_TILE_CHUNK`` (2^14) kernel values
-of whole tiles.  Field callables must accept ``(..., N)`` arrays.
+of whole tiles.  A field is a function of an ``(..., N)`` float array; one
+too rough for an integrator makes it raise ``ToleranceNotMet``.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -80,7 +81,6 @@ from .kernels import _green_from_psi
 
 __all__ = [
     "QuadratureSpec",
-    "ScalarField",
     "ToleranceNotMet",
     "constant_field",
     "getoor_field",
@@ -92,9 +92,6 @@ __all__ = [
     "box_green_mass",
     "strip_mass",
 ]
-
-_SMOOTHNESS = ("C2", "continuous")
-
 
 class ToleranceNotMet(ArithmeticError):
     """Requested tolerance could not be reached; carries the best estimate."""
@@ -121,30 +118,10 @@ class QuadratureSpec:
         return np.maximum(self.abs_tol, self.rel_tol * np.abs(scale))
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar field and its smoothness tag.
-
-    ``func`` must be vectorized over points of shape (..., N).  The tag is
-    "C2" or "continuous"; ``frac_laplacian_point`` needs "C2".  No decay is
-    declared: the unbounded integrals take their whole domain, and data
-    that grows too fast makes them raise ``ToleranceNotMet``.
-    """
-
-    func: Callable
-    smoothness: str = "continuous"
-
-    def __post_init__(self):
-        if self.smoothness not in _SMOOTHNESS:
-            raise ValueError(f"unknown smoothness tag {self.smoothness!r}")
-
-    def __call__(self, pts):
-        return self.func(np.asarray(pts, dtype=float))
-
-
-def constant_field(value: float) -> ScalarField:
+def constant_field(value: float):
+    """The field equal to ``value`` everywhere."""
     value = float(value)
-    return ScalarField(func=lambda pts: np.full(np.asarray(pts).shape[:-1], value), smoothness="C2")
+    return lambda pts: np.full(np.shape(pts)[:-1], value)
 
 
 # ---------------------------------------------------------------------------
@@ -350,65 +327,87 @@ def _sphere_rule(N, m, antipodal=False):
 # pointwise fractional Laplacian
 
 
-def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: QuadratureSpec | None = None):
+_STUB_R0 = 1e-3  # the Taylor stub's first radius
+_STUB_HALVINGS = 30  # it halves at most this often, down to 1e-3 2^-30 ~ 9e-13
+
+
+def frac_laplacian_point(params: FracParams, u, x, spec: QuadratureSpec | None = None):
     """(a/2) * integral of (2u(x)-u(x+z)-u(x-z)) |z|^(-N-2s) dz.
 
     The symmetrized second difference D2(r, w) removes the principal value
-    for C^2 fields and is even in the direction w, so each angular level
-    runs the antipodal sphere rule.  On (0, r0) every direction gets a
-    Taylor-fitted stub (second differences drown in rounding noise there).
-    The rest of the radius, [r0, inf), maps to t in (0, 1] by
-    r = r0 + (1 - t)/t, dr = dt/t^2, so one ``_adaptive_panels`` call
+    and is even in w, so each angular level runs the antipodal sphere rule.
+    On (0, r0) a Taylor stub takes every direction, since D2 drowns in
+    rounding noise there: c1 + c2 r^2 through D2(r)/r^2 at r0 and r0/2,
+    checked over (0, r0/2) by the fit through r0/2 and r0/4.  r0 halves
+    from 1e-3 while the two differ by more than a tenth of the stub's
+    tolerance and its rounding noise eps U (r0/2)^(-2s) is below that, U
+    the weighted size of the values D2 cancels plus |x| times the slope;
+    the difference plus the noise is the stub's error.  [r0, inf) maps to
+    t in (0, 1] by r = r0 + (1 - t)/t, so one ``_adaptive_panels`` call
     integrates (a/2) D2 r^(-1-2s) / t^2 over all (direction, panel) pairs
-    with no truncation radius, panel bisection resolving any kink sphere of
-    the field.  The panels start at the images of r0 8^k, k = 0 .. 5.  Near
-    t = 0, r^(-1-2s) / t^2 behaves like t^(2s-1), the weight of the first
-    panel's Gauss-Jacobi rule, and for decaying u the factor D2 tends to
-    2 u(x).  A field that grows at infinity makes the call raise, and one
-    that oscillates there without decay makes the panels bisect toward
-    t = 0 and may make it raise.  Levels double until two agree
-    (``_angular_converge``).
+    with no truncation radius, bisection resolving any kink sphere beyond
+    r0; the panels start at the images of r0 8^k, up to r ~ 33.  Near t = 0
+    the factor r^(-1-2s) / t^2 ~ t^(2s-1) is the first panel's Gauss-Jacobi
+    weight.  A field that grows at infinity makes the call raise, and one
+    that oscillates there without decay may.  Levels double until two
+    agree (``_angular_converge``).
 
-    Raises ``ValueError`` for an x not of shape (N,) or a field not tagged
-    C2, and ``ToleranceNotMet``, carrying the estimate and the error, when
-    the error (the final level's panel error plus the last level
-    difference) exceeds 100 x tolerance.
+    Raises ``ValueError`` for an x not of shape (N,), and
+    ``ToleranceNotMet``, carrying the estimate and the error, when the
+    error (the final level's panel and stub errors plus the last level
+    difference) exceeds 100 x tolerance, as at a jump of u at x.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
-    if u.smoothness != "C2":
-        raise ValueError("frac_laplacian_point requires a C2-tagged field")
     x = _point(params, x)
     N, s = params.N, params.s
     half_a = 0.5 * normalization_a(params)
     ux = float(u(x))
-    r0 = 1e-3
-    # t = 1 / (1 + r - r0) at r = r0 8^k, k = 5 .. 0, after t = 0
-    edges = np.concatenate([[0.0], 1.0 / (1.0 + r0 * (8.0 ** np.arange(5.0, -1.0, -1.0) - 1.0))])
+    eps, size = float(np.finfo(float).eps), float(np.sqrt(x @ x))
+
+    def fit(r, f1, f2, top):
+        # c1 + c2 r^2 through f1 at r and f2 at r/2, integrated against r^(1-2s) over (0, top)
+        c2 = (f1 - f2) / (0.75 * r**2)
+        c1 = f1 - c2 * r**2
+        return c1 * top ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * top ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
 
     def run_level(m):
         dirs, wts = _sphere_rule(N, m, antipodal=True)
         wts = half_a * wts
 
-        def d2(r, d):
+        def pair(r, d):
             step = r[:, None] * dirs[d]
-            return 2.0 * ux - u(np.concatenate([x + step, x - step])).reshape(2, -1).sum(axis=0)
+            return u(np.concatenate([x + step, x - step])).reshape(2, -1)
 
-        # Taylor stub: D2(r)/r^2 ~ c1 + c2 r^2 near 0
-        every = np.arange(len(dirs))
-        f1 = d2(np.full(len(dirs), r0), every) / r0**2
-        f2 = d2(np.full(len(dirs), 0.5 * r0), every) / (0.5 * r0) ** 2
-        c2 = (f1 - f2) / (0.75 * r0**2)
-        c1 = f1 - c2 * r0**2
-        stub = c1 * r0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) + c2 * r0 ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
+        def quotient(r):
+            # D2(r)/r^2 in every direction, and the size of the values D2 cancels
+            up, down = pair(np.full(len(dirs), r), np.arange(len(dirs)))
+            cancelled = 2.0 * abs(ux) + np.abs(up) + np.abs(down) + size * np.abs(up - down) / r
+            return (2.0 * ux - (up + down)) / r**2, cancelled
+
+        r0 = _STUB_R0
+        samples = [quotient(r0), quotient(0.5 * r0), quotient(0.25 * r0)]
+        for halvings in range(_STUB_HALVINGS + 1):
+            (f1, cancelled), (f2, _), (f3, _) = samples
+            stub = float(wts @ fit(r0, f1, f2, r0))
+            diff = float(wts @ np.abs(fit(r0, f1, f2, 0.5 * r0) - fit(0.5 * r0, f2, f3, 0.5 * r0)))
+            noise = eps * float(wts @ cancelled) * (0.5 * r0) ** (-2.0 * s)
+            tol = float(spec.tolerance(stub))
+            if halvings == _STUB_HALVINGS or not (diff > 0.1 * tol and noise < tol):
+                break
+            r0 = 0.5 * r0
+            samples = samples[1:] + [quotient(0.25 * r0)]
+        # t = 1 / (1 + r - r0) at r = r0 8^k, k = 5 + ceil(halvings / 3) .. 0, after t = 0
+        k = np.arange(5.0 + -(-halvings // 3), -1.0, -1.0)
+        edges = np.concatenate([[0.0], 1.0 / (1.0 + r0 * (8.0**k - 1.0))])
 
         def integrand(t, d):
             r = r0 + (1.0 - t) / t
-            return d2(r, d) * r ** (-1.0 - 2.0 * s) / (t * t)
+            return (2.0 * ux - pair(r, d).sum(axis=0)) * r ** (-1.0 - 2.0 * s) / (t * t)
 
         far, err = _adaptive_panels(
             integrand, np.tile(edges, (len(dirs), 1)), spec, wts, ends=(2.0 * s - 1.0, 0.0)
         )
-        return float(wts @ stub) + far, err
+        return stub + far, err + diff + noise
 
     # one point, so each level is one block of one call
     value, err = _angular_converge(
@@ -417,16 +416,14 @@ def frac_laplacian_point(params: FracParams, u: ScalarField, x, spec: Quadrature
     return _checked(value[0], err[0], spec, "fractional Laplacian")
 
 
-def getoor_field(params: FracParams) -> ScalarField:
+def getoor_field(params: FracParams):
     """(1 - |x|^2)_+^s, whose fractional Laplacian is constant in the unit ball."""
     s = params.s
 
     def f(pts):
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
-        return np.maximum(1.0 - r2, 0.0) ** s
+        return np.maximum(1.0 - np.sum(pts * pts, axis=-1), 0.0) ** s
 
-    return ScalarField(func=f, smoothness="C2")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +552,7 @@ def _ball_green_batch(params, R, f, xs, spec):
     return _angular_converge(level, spec, 8, 4 if N > 1 else 0, len(xs))
 
 
-def ball_green_integral(
-    params: FracParams, R: float, f: ScalarField, x, spec: QuadratureSpec | None = None
-):
+def ball_green_integral(params: FracParams, R: float, f, x, spec: QuadratureSpec | None = None):
     """int_{B_R} G_R(x, y) f(y) dy for x inside B_R.
 
     Polar rays around x: one ``_adaptive_panels`` call takes all (point,
@@ -654,9 +649,7 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
     return _angular_converge(level, spec, 16, 6 if N > 1 else 0, len(xs))
 
 
-def exterior_poisson_integral(
-    params: FracParams, R: float, g: ScalarField, x, spec: QuadratureSpec | None = None
-):
+def exterior_poisson_integral(params: FracParams, R: float, g, x, spec: QuadratureSpec | None = None):
     """int_{|y|>R} Poisson_R(x, y) g(y) dy for x inside B_R.
 
     The radius maps to sigma = 1 - (R/rho)^2 in [0, 1), which takes the
@@ -691,9 +684,7 @@ def exterior_poisson_integral(
     return _checked(value[0], err[0], spec, "exterior integral")
 
 
-def poisson_extension_field(
-    params: FracParams, R: float, g: ScalarField, spec: QuadratureSpec | None = None
-) -> ScalarField:
+def poisson_extension_field(params: FracParams, R: float, g, spec: QuadratureSpec | None = None):
     """The s-harmonic extension of exterior data g into B_R, as a field.
 
     Inside the ball the value is the exterior Poisson integral of g, from
@@ -708,7 +699,6 @@ def poisson_extension_field(
     R = _radius(R)
 
     def func(pts):
-        pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, params.N)
         inside = np.sum(flat * flat, axis=-1) < R * R
         out = np.empty(len(flat))
@@ -722,7 +712,7 @@ def poisson_extension_field(
             out[inside] = value
         return out.reshape(pts.shape[:-1])
 
-    return ScalarField(func=func, smoothness="C2")
+    return func
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +950,7 @@ def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = 
 
 def halfspace_green_integral(
     params: FracParams,
-    f: ScalarField,
+    f,
     x,
     spec: QuadratureSpec | None = None,
     *,

@@ -14,6 +14,7 @@ n1 (n1 + 1)/2 prod n_k kernel values and mirrored.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .kernels import Ball, HalfSpace, _green_from_psi
 # names of this module: bench/fraclap_bench patches them on it to trace and lap
 from .quadrature import (  # noqa: F401
     QuadratureSpec,
-    ScalarField,
     _ball_green_batch,
     _exterior_poisson_batch,
     _grid_nodes,
@@ -73,7 +73,7 @@ class GridFunction:
     domain: Ball | HalfSpace
     axes: tuple
     values: np.ndarray
-    exterior_field: ScalarField | None = None
+    exterior_field: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.axes = _grid_axes(self.axes)
@@ -188,8 +188,8 @@ class Nonlinearity:
 def solve_ball_dirichlet(
     params: FracParams,
     R: float,
-    f: ScalarField,
-    g: ScalarField,
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     grid,
     spec: QuadratureSpec | None = None,
     node_errors: dict | None = None,

@@ -33,7 +33,6 @@ from .kernels import (
 )
 from .quadrature import (
     QuadratureSpec,
-    ScalarField,
     _adaptive_panels,
     _checked,
     _graded_edges,
@@ -509,8 +508,8 @@ def check_dimension_reduction(seed=42):
     )
 
 
-def meanvalue_convolution(params, u: ScalarField, x, eps: float):
-    """(regularized kernel_eps * u)(x) for x in the eps-interior of the ball."""
+def meanvalue_convolution(params, u, x, eps: float):
+    """(regularized kernel_eps * u)(x) for x in the eps-interior of the ball; u takes (..., N) arrays."""
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
     if 1.0 - float(np.linalg.norm(x)) <= eps:
@@ -553,8 +552,7 @@ def check_harmonicity_meanvalue(seed=42):
     """s-harmonic functions reproduce themselves under the regularized kernel."""
     params, eps_list, n_x = FracParams(1, 0.5), (0.2, 0.1, 0.05), 4
     rng = rng_for(seed, "harmonicity-meanvalue")
-    g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)), smoothness="C2")
-    u = poisson_extension_field(params, 1.0, g)
+    u = poisson_extension_field(params, 1.0, lambda p: 1.0 / (1.0 + np.sum(p * p, axis=-1)))
     per_eps = []
     for eps in eps_list:
         worst = 0.0
@@ -638,7 +636,7 @@ def check_kernel_bounds(seed=42):
 def _bubble(n, s):
     """w = (1+|x|^2)^(-e), e = (n-2s)/2, on R^n."""
     e = 0.5 * (n - 2.0 * s)
-    return ScalarField(func=lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e), smoothness="C2")
+    return lambda y: (1.0 + np.sum(y * y, axis=-1)) ** (-e)
 
 
 def check_critical_bubble(seed=42):

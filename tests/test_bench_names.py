@@ -1,9 +1,12 @@
 """The library names the benchmark under ``bench/`` reaches.
 
-Its tracer and lap sites patch module attributes by name, and its
+Its tracer and lap sites patch module attributes by name, its
 ``halfspace-picard`` workload builds a ``GridFunction`` over a
-``HalfSpace``.  A deletion that would break the benchmark run fails here.
+``HalfSpace``, and its ``ball-dirichlet`` workload passes
+``constant_field(1.0)`` to the ball calls.  A deletion or an API change
+that would break the benchmark run fails here.
 """
+import math
 import sys
 from pathlib import Path
 
@@ -68,3 +71,19 @@ def test_green_evals_count_one_kernel_value_per_entry(monkeypatch):
         assert calls, name
         assert all(arg == out for _, arg, out in calls), name
     assert {owner for owner, *_ in calls} == {"fraclap.quadrature", "fraclap.solver"}
+
+
+def test_ball_dirichlet_workload_calls_take_constant_fields():
+    # the ball-dirichlet workload passes quadrature.constant_field(1.0) as f and g to
+    # these three calls; at N = 1, s = 1/2 the solution is 1 + sqrt(1 - x^2)
+    quad = fraclap.quadrature
+    params, one = fraclap.FracParams(1, 0.5), quad.constant_field(1.0)
+    spec = quad.QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+    axes = (np.linspace(-0.9, 0.9, 5),)
+    node_errors = {}
+    gf = fraclap.solver.solve_ball_dirichlet(params, 1.0, one, one, axes, spec, node_errors=node_errors)
+    assert node_errors == {}
+    np.testing.assert_allclose(gf.values, 1.0 + np.sqrt(1.0 - axes[0] ** 2), rtol=1e-7)
+    x = np.array([0.3])
+    assert abs(quad.exterior_poisson_integral(params, 1.0, one, x, spec) - 1.0) <= 1e-7
+    assert abs(quad.ball_green_integral(params, 1.0, one, x, spec) - math.sqrt(0.91)) <= 1e-7 * math.sqrt(0.91)

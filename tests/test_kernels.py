@@ -359,6 +359,12 @@ class TestHFunction:
             with pytest.raises(ValueError), np.errstate(invalid="ignore"):
                 h(params, r, t)
 
+    @pytest.mark.parametrize("params", [P1, P2, FracParams(3, 0.25)], ids=str)
+    def test_infinite_pair_on_arrays_names_psi(self, params):
+        # r = t = inf is psi = inf / inf; the error names psi, not the kernel integral's t
+        with pytest.raises(ValueError, match="psi = .* is NaN"), np.errstate(invalid="ignore"):
+            h_function(params, np.array([1.0, math.inf]), np.array([1.0, math.inf]))
+
     @pytest.mark.parametrize(
         "params", [FracParams(N, s) for N, s in PARTIALS_REGIMES], ids=lambda p: f"N{p.N}-s{p.s:g}"
     )

@@ -7,7 +7,6 @@ from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace, reflect_point
 from fraclap.quadrature import (
     QuadratureSpec,
-    ScalarField,
     ToleranceNotMet,
     ball_green_integral,
     box_green_mass,
@@ -133,7 +132,7 @@ class TestBallSolve:
     def test_eval_returns_exterior_data_outside_the_hull(self):
         # the solve stores g as the exterior field: outside the grid hull
         # (here, outside B_1) eval returns g, inside it interpolates the nodes
-        g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum((p - 0.5) ** 2, axis=-1)), smoothness="C2")
+        g = lambda p: 1.0 / (1.0 + np.sum((p - 0.5) ** 2, axis=-1))
         grid = (np.linspace(-0.8, 0.8, 5),)
         gf = solve_ball_dirichlet(P1, 1.0, ONE, g, grid)
         outside = np.array([[-3.0], [-1.0], [1.0], [1.5]])
@@ -148,7 +147,7 @@ class TestBallSolve:
     def test_rejects_radius_that_is_not_positive(self, R):
         # checked before any node, inside or outside, evaluates f or g
         evaluated = []
-        field = ScalarField(func=lambda p: evaluated.append(p) or np.ones(p.shape[:-1]), smoothness="C2")
+        field = lambda p: evaluated.append(p) or np.ones(p.shape[:-1])
         with pytest.raises(ValueError, match="ball radius must be positive"):
             solve_ball_dirichlet(P2, R, field, field, ([0.0, 0.5, 1.5], [0.0, 0.5]))
         assert evaluated == []
@@ -165,7 +164,7 @@ class TestBallSolve:
         # (0.3, 0.6) and (0.3, 0.8) share its batch but meet their
         # tolerance: they are not flagged and keep their one-point values;
         # the other nodes lie outside the ball
-        half_plane = ScalarField(func=lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0), smoothness="continuous")
+        half_plane = lambda p: np.where(p[..., 1] > 0.0, 1.0, 0.0)
         node_errors = {}
         grid = ([0.3, 1.5], [0.05, 0.6, 0.8, 1.5])
         gf = solve_ball_dirichlet(P2, 1.0, half_plane, ONE, grid, node_errors=node_errors)
@@ -205,8 +204,8 @@ class TestBallSolve:
         params = FracParams(N, s)
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
         c = 0.5 * np.eye(N)[0] if N < 3 else np.zeros(N)
-        f = ScalarField(func=lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1], smoothness="C2")
-        g = ScalarField(func=lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1)), smoothness="C2")
+        f = lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1]
+        g = lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1))
         node_errors = {}
         gf = solve_ball_dirichlet(params, 1.0, f, g, grid, spec, node_errors=node_errors)
         raised = set()
@@ -246,7 +245,7 @@ def halfspace_values(f, grid, spec, box, node_errors=None):
 
 class TestHalfspaceLinear:
     def test_zero(self):
-        zero = ScalarField(func=lambda p: np.zeros(p.shape[:-1]), smoothness="C2")
+        zero = lambda p: np.zeros(p.shape[:-1])
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)
         u = halfspace_values(zero, halfspace_grid(6, 8, 2.0, 2.0), spec, box=([0.0, -1.0], [1.0, 1.0]))
         assert np.max(np.abs(u)) == 0.0
@@ -254,7 +253,7 @@ class TestHalfspaceLinear:
     def test_tangential_invariance(self):
         # f depending on x1 only; the lateral box is wide enough that the
         # kernel's own decay puts the dropped tail below the tolerance
-        f = ScalarField(func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0), smoothness="continuous")
+        f = lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0)
         box = (np.array([0.0, -1e8]), np.array([1.0, 1e8]))
         grid = (np.linspace(0.25, 1.75, 4), np.linspace(-0.5, 0.5, 3))
         u = halfspace_values(f, grid, QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9), box=box)
@@ -275,7 +274,7 @@ class TestHalfspaceLinear:
     def test_monotone_in_x1_in_reflection_range(self):
         # slab source 1 on {y1 < 1}: the reflection comparison proves
         # u(a) <= u(b) for a < b with a + b <= 1, so test x1 in (0, 1/2]
-        f = ScalarField(func=lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0), smoothness="continuous")
+        f = lambda p: np.where(p[..., 0] < 1.0, 1.0, 0.0)
         box = (np.array([0.0, -8.0]), np.array([1.0, 8.0]))
         grid = (np.linspace(0.1, 0.5, 5), np.linspace(-0.1, 0.1, 2))
         profile = halfspace_values(f, grid, QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9), box=box)[:, 0]
@@ -286,10 +285,7 @@ class TestHalfspaceLinear:
         # [0, 3] x [-3, 3], which four passes do not resolve to 1e-6: every
         # node with x1 > 0 keeps its estimate, within its reported error of
         # the integral over the indicator's own box, and lands in node_errors
-        indicator = ScalarField(
-            func=lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0),
-            smoothness="continuous",
-        )
+        indicator = lambda p: np.where((p[..., 0] > 1.0) & (p[..., 0] < 2.0) & (np.abs(p[..., 1]) < 1.0), 1.0, 0.0)
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinements=4)
         grid = ([0.0, 0.2, 0.5], [0.0, 0.5])
         node_errors = {}
