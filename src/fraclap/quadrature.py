@@ -23,7 +23,9 @@ and at y1 = 0).
 in [0, 1) with the weights sigma^(-s) and (1 - sigma)^(s-1), so the whole
 exterior is integrated without a truncation radius; its row 0 is the peak
 of the kernel |x - rho w|^(-N), whose angular mass is known in closed
-form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions.
+form, and the other rows sum only g(rho w) - g(rho x/|x|) over directions;
+a point whose remainder is exactly zero at every node of its initial
+panels in every direction of a level (radial data) runs row 0 alone there.
 ``frac_laplacian_point`` runs the engine on the symmetrized second
 difference, with a Taylor stub at 0 and r = r0 + (1 - t)/t mapping the rest
 of the radius onto t in (0, 1], so it has no truncation radius either (the
@@ -581,13 +583,22 @@ def ball_green_integral(params: FracParams, R: float, f, x, spec: QuadratureSpec
 # exterior Poisson integral
 
 
+def _ranks(counts):
+    """(group, rank) of every item of groups of ``counts`` items laid end to end."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _exterior_poisson_batch(params, R, g, xs, spec):
     """(values, errors) of ``exterior_poisson_integral`` at every point of ``xs`` (n, N).
 
-    A point's rows are its axis row and the directions of the level.  Its
-    sigma edges depend on its distance to the sphere, so the rows of a
-    block go to the engine as flat panels, read from one table of every
-    point's edges.
+    At each level a point's rows are its axis row and the directions of the
+    level, or its axis row alone where its remainder g(rho w) - g(rho x^)
+    is 0.0 at every node of its initial sigma panels in every direction:
+    the engine samples exactly those nodes first, and rows that are zero
+    there never bisect, so they would add exactly 0.0.  Its sigma edges
+    depend on its distance to the sphere, so the rows of a block go to the
+    engine as flat panels, read from one table of every point's edges.
     """
     xs, x2 = _inside(params, R, xs)
     N, s = params.N, params.s
@@ -601,6 +612,11 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
     i, h = np.arange(halvings.max(initial=0) + 4), halvings[:, None]
     edges = np.where(i <= h, layer[:, None] * 2.0 ** (i - 1), np.array([0.5, 0.75, 1.0])[np.clip(i - h - 1, 0, 2)])
     edges[:, 0] = 0.0
+    # the engine's 8- and 16-point nodes on [-1, 1]: Gauss-Legendre, then the
+    # Gauss-Jacobi rules of a row's first panel and of its last
+    rule_nodes = np.array(
+        [np.concatenate([_gj(8, *e)[0], _gj(16, *e)[0]]) for e in ((0.0, 0.0), (-s, 0.0), (0.0, s - 1.0))]
+    )
     # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
     # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
     # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
@@ -611,37 +627,63 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
         dirs, wts = _sphere_rule(N, m)
         n = len(dirs) + 1
 
+        def vanishes(pts, sigma, owner):
+            """Per point of ``pts``, whether g(rho w) - g(rho x^) is 0.0 at each of its
+            nodes ``sigma`` (``owner``: each node's place in ``pts``) in every direction w."""
+            rho = R / np.sqrt(1.0 - sigma)  # as the integrand forms it, bit for bit
+            zero = np.ones(len(rho), dtype=bool)
+            step = max(1, _RAY_CHUNK // len(dirs))  # nodes per call of g, with every direction
+            for i in range(0, len(rho), step):
+                r = rho[i : i + step, None, None]
+                at_axis = np.asarray(g(axis[pts[owner[i : i + step]]] * r[:, 0]), dtype=float)
+                for k in range(0, len(dirs), _RAY_CHUNK):
+                    y = dirs[k : k + _RAY_CHUNK] * r
+                    rest = np.asarray(g(y.reshape(-1, N)), dtype=float).reshape(y.shape[:2]) - at_axis[:, None]
+                    zero[i : i + step] &= np.all(rest == 0.0, axis=1)
+            ok = np.ones(len(pts), dtype=bool)
+            ok[owner[~zero]] = False
+            return ok
+
         def run(pts):
-            # per row: its direction (the axis on row 0 of a point), its point's axis, x and |x|^2
-            rows = np.concatenate([axis[pts][:, None, :], np.broadcast_to(dirs, (len(pts),) + dirs.shape)], axis=1)
-            rows = rows.reshape(-1, N)
-            row_axis, row_x, row_x2 = (np.repeat(v[pts], n, axis=0) for v in (axis, xs, x2))
-            first = np.arange(len(rows)) % n == 0
+            # the nodes of every point's initial panels, formed as the engine forms them
+            count = halvings[pts] + 3
+            owner, j = _ranks(count)
+            at = pts[owner] * edges.shape[1] + j
+            pa, pb = np.take(edges, at), np.take(edges, at + 1)
+            rule = np.where(j == 0, 1, np.where(j == count[owner] - 1, 2, 0))
+            sigma = ((0.5 * (pa + pb))[:, None] + (0.5 * (pb - pa))[:, None] * rule_nodes[rule]).ravel()
+            owner = np.repeat(owner, rule_nodes.shape[1])
+            # each point's first node, then every node of the points that pass there
+            radial = vanishes(pts, sigma[owner.searchsorted(np.arange(len(pts)))], np.arange(len(pts)))
+            probed = radial[owner]
+            radial &= vanishes(pts, sigma[probed], owner[probed])
+            # per row: its point, its place there (0 the axis row), its direction, the point's axis, x and |x|^2
+            row_point, k = _ranks(np.where(radial, 1, n))
+            p = pts[row_point]
+            first = k == 0
+            rows = np.where(first[:, None], axis[p], dirs[np.maximum(k - 1, 0)])
+            row_axis, row_x, row_x2 = axis[p], xs[p], x2[p]
             # flat panels: row d holds panel j = 0 .. halvings + 2 of its point's edges
-            per_row = np.repeat(halvings[pts] + 3, n)
-            d = np.repeat(np.arange(len(rows)), per_row)
-            j = np.arange(len(d)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-            at = np.repeat(pts, n * (halvings[pts] + 3)) * edges.shape[1] + j
+            d, j = _ranks(halvings[p] + 3)
+            at = p[d] * edges.shape[1] + j
             panels = (np.take(edges, at), np.take(edges, at + 1), d)
 
             def integrand(sigma, d):
                 t = np.sqrt(1.0 - sigma)  # R / rho
-                on_axis, x2d, w = first[d], row_x2[d], np.take(rows, d, axis=0)
+                x2d, w = row_x2[d], np.take(rows, d, axis=0)
                 g_axis = np.asarray(g(np.take(row_axis, d, axis=0) * (R / t)[:, None]), dtype=float)
-                out = np.where(on_axis, peak * g_axis / (R * R - x2d + x2d * sigma), 0.0)
                 rest = np.asarray(g(w * (R / t)[:, None]), dtype=float) - g_axis
-                if np.any(rest[~on_axis]):  # a zero remainder (radial data) adds exactly 0.0
-                    kernel = np.sum((w - np.take(row_x, d, axis=0) * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
-                    out = np.where(on_axis, out, kernel * rest)
+                kernel = np.sum((w - np.take(row_x, d, axis=0) * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
+                out = np.where(first[d], peak * g_axis / (R * R - x2d + x2d * sigma), kernel * rest)
                 return sigma**-s * (1.0 - sigma) ** (s - 1.0) * out
 
             return _adaptive_panels(
                 integrand,
                 panels,
                 spec,
-                (scale[pts][:, None] * np.concatenate([[1.0], wts])).ravel(),
+                scale[p] * np.concatenate([[1.0], wts])[k],
                 ends=(-s, s - 1.0),
-                point=np.repeat(np.arange(len(pts)), n),
+                point=row_point,
             )
 
         return n * (halvings.max(initial=0) + 3), run
@@ -664,13 +706,18 @@ def exterior_poisson_integral(params: FracParams, R: float, g, x, spec: Quadratu
 
     so row 0 of one ``_adaptive_panels`` call integrates g(rho x^) times
     that mass, x^ = x/|x| (e_1 at x = 0), and the rows of a sphere rule
-    integrate only |x - rho w|^(-N) (g(rho w) - g(rho x^)); a chunk whose
-    remainder is exactly zero (radial data) skips the kernel.  Both decay
-    like rho^(-N) = R^(-N) (1 - sigma)^(N/2), so every row is
-    sigma^(-s) (1 - sigma)^(s-1) times a function smooth at both ends for
-    data smooth in 1/|y|^2 at infinity, and both ends are Gauss-Jacobi
-    weights.  Data that is not (a jump, slow or oscillating decay) makes
-    the panels bisect or the call raise; it is never truncated.  The sigma
+    integrate only |x - rho w|^(-N) (g(rho w) - g(rho x^)).  At each level
+    the points of a block are tested at once, one sigma node in every
+    direction and then every node of the points that pass: a point whose
+    remainder is 0.0 at every node of its initial panels in every direction
+    (radial data) runs row 0 alone.  Its direction rows would add exactly
+    0.0, since those are the nodes they sample first and a zero row never
+    bisects.  Row 0 and the direction rows decay like rho^(-N) =
+    R^(-N) (1 - sigma)^(N/2), so every row is sigma^(-s) (1 - sigma)^(s-1)
+    times a function smooth at both ends for data smooth in 1/|y|^2 at
+    infinity, and both ends are Gauss-Jacobi weights.  Data that is not (a
+    jump, slow or oscillating decay) makes the panels bisect or the call
+    raise; it is never truncated.  The sigma
     edges halve from 1/2 down to 2 (R - |x|)/R, the kernel's boundary layer
     R - |x| (sigma ~ 2 (rho - R)/R there).  Angular levels double from
     m = 16 (``_angular_converge``); N = 1 runs one level, its two

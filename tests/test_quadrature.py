@@ -228,6 +228,25 @@ class TestFracLaplacianStub:
         v = frac_laplacian_point(FracParams(1, s), _heaviside, np.array([x1]))
         assert abs(v - exact) <= 100.0 * self.SPEC.tolerance(exact)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            0.25,
+            pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason="miss 5.6e-2 against error 2.0e-2")),
+            pytest.param(0.75, marks=pytest.mark.xfail(strict=True, reason="miss 1.64 against error 5.6e-2")),
+        ],
+    )
+    def test_heaviside_near_its_jump_in_the_plane(self, s):
+        # 1{y1 > 0} depends on y1 alone, so at N = 2 its value is the N = 1 one,
+        # a1 x1^(-2s) / (2s).  The call raises, and at s >= 1/2 its error does
+        # not cover the miss: per direction the radial integral is
+        # |w1|^(2s) x1^(-2s) / s, not smooth at w1 = 0, and the last angular
+        # level difference underestimates the error of the direction rule
+        x1 = 1e-3
+        exact = normalization_a(FracParams(1, s)) * x1 ** (-2.0 * s) / (2.0 * s)
+        call = lambda: frac_laplacian_point(FracParams(2, s), _heaviside, np.array([x1, 0.0]))
+        _meets_or_covers(call, exact, self.SPEC)
+
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("N", [1, 2])
     def test_heaviside_at_its_jump_raises(self, N, s):
@@ -529,6 +548,62 @@ class TestExteriorPoisson:
         for x in (0.0, 0.5, 0.75):
             v = frac_laplacian_point(P1, u, np.array([x]), spec)
             assert abs(v) <= 1e-4
+
+    def test_radial_at_one_level_only(self):
+        # g = 2 + cos(64 theta) at x = (1/2, 0): the level-16 directions sit at
+        # theta = (k + 1/2) pi / 16, where the remainder is exactly 0, and the
+        # level-32 ones where it is exactly -2, so level 32 must run its
+        # direction rows; a point judged radial once for all returns 3.  The
+        # cos(64 theta) mode adds below 0.5^64 at |x| = 1/2, so the value is 2
+        g = lambda p: 2.0 + np.cos(64.0 * np.arctan2(p[..., 1], p[..., 0]))
+        rho = 1.0 / np.sqrt(1.0 - np.linspace(0.0, 1.0, 4097)[:-1])
+        for m, rest in ((16, 0.0), (32, -2.0)):
+            dirs, _ = quadrature._sphere_rule(2, m)
+            y = dirs * rho[:, None, None]
+            assert np.all(g(y) - g(np.stack([rho, 0.0 * rho], axis=-1))[:, None] == rest)
+        value, err = quadrature._exterior_poisson_batch(P2, 1.0, g, np.array([0.5, 0.0]), QuadratureSpec())
+        assert value[0] == pytest.approx(1.9999999999999973, rel=0.0, abs=1e-14)
+        assert abs(value[0] - 2.0) <= err[0]
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_radial_near_the_sphere_only(self, N):
+        # g = (1 - 4/|y|^2)_+^4 y1/|y| vanishes for |y| <= 2, so its remainder is
+        # 0.0 at nodes near the sphere but not on the last sigma panel; it is
+        # odd in y1, so the value at x = 0 is 0, where the axis row alone
+        # (g(rho e1) times the kernel's mass) gives 0.13
+        def g(p):
+            r2 = np.sum(p * p, axis=-1)
+            return np.maximum(1.0 - 4.0 / r2, 0.0) ** 4 * p[..., 0] / np.sqrt(r2)
+
+        assert abs(exterior_poisson_integral(FracParams(N, 0.5), 1.0, g, np.zeros(N))) <= 1e-12
+
+    @pytest.mark.parametrize("data", ["constant", "bump"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_calls_of_g_take_at_most_a_chunk(self, N, data, monkeypatch):
+        # every call of g, the radial test's included, takes at most _RAY_CHUNK
+        # points, and a smaller chunk (below the 512 level-16 directions at
+        # N = 3) leaves every value and error as they were
+        pts = {1: [[0.0], [0.5], [-0.97]], 2: [[0.0, 0.0], [0.5, -0.3], [-0.2, 0.9]], 3: [[0.0, 0.0, 0.0], [0.3, 0.0, -0.2]]}
+        c = 0.5 * np.eye(N)[0]
+        field = ONE if data == "constant" else lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1))
+        spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
+        runs = []
+        for chunk in (quadrature._RAY_CHUNK, 200):
+            monkeypatch.setattr(quadrature, "_RAY_CHUNK", chunk)
+            sizes = []
+
+            def g(p):
+                sizes.append(math.prod(p.shape[:-1]))
+                return field(p)
+
+            runs.append(quadrature._exterior_poisson_batch(FracParams(N, 0.5), 1.0, g, np.array(pts[N]), spec))
+            assert max(sizes) <= chunk
+        for before, after in zip(*runs):
+            assert before.tobytes() == after.tobytes()
+        value, err = runs[0]
+        assert not np.any(quadrature._misses(value, err, spec))
+        if data == "constant":
+            assert np.all(np.abs(value - 1.0) <= 1e-12)
 
 
 class TestHalfspaceIntegral:

@@ -185,27 +185,28 @@ class TestBallSolve:
             assert gf.values[0, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
-        "N, s, grid",
+        "N, s, grid, constant",
         [
-            (1, 0.5, ([-0.98, -0.4, 0.0, 0.55, 0.97, 1.2],)),
-            (1, 0.75, ([-0.99, -0.3, 0.2, 0.97],)),
-            (2, 0.25, ([0.0, 0.5, 0.97], [-0.2, 0.0])),
-            (2, 0.5, ([-0.6, 0.0, 0.99], [0.0, 0.4])),
-            (3, 0.5, ([0.0, 0.97], [0.0, 0.5], [0.0, 0.5])),
+            (1, 0.5, ([-0.98, -0.4, 0.0, 0.55, 0.97, 1.2],), False),
+            (1, 0.75, ([-0.99, -0.3, 0.2, 0.97],), False),
+            (2, 0.25, ([0.0, 0.5, 0.97], [-0.2, 0.0]), False),
+            (2, 0.5, ([-0.6, 0.0, 0.99], [0.0, 0.4]), False),
+            (3, 0.5, ([0.0, 0.97], [0.0, 0.5], [0.0, 0.5]), False),
+            (2, 0.5, ([-0.6, 0.0, 0.99], [0.0, 0.4]), True),
         ],
-        ids=["N1-s0.5", "N1-s0.75", "N2-s0.25", "N2-s0.5", "N3-s0.5"],
+        ids=["N1-s0.5", "N1-s0.75", "N2-s0.25", "N2-s0.5", "N3-s0.5", "N2-s0.5-constant"],
     )
-    def test_grid_matches_one_point_calls(self, N, s, grid):
+    def test_grid_matches_one_point_calls(self, N, s, grid, constant):
         # one batched evaluation per integral gives every node the value of
         # its own one-point calls, and flags exactly the nodes where one of
         # them raises; each grid has a node with |x| >= 0.97.  The data are
-        # not radial, except g at N = 3 (the direction remainder there costs
-        # seconds per node)
+        # not radial, except g at N = 3 (1/(1 + |y|^2)) and the constant g,
+        # whose points run the exterior integral's axis row alone
         params = FracParams(N, s)
         spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
         c = 0.5 * np.eye(N)[0] if N < 3 else np.zeros(N)
         f = lambda p: 1.0 + 0.5 * p[..., 0] * p[..., -1]
-        g = lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1))
+        g = constant_field(1.0) if constant else lambda p: 1.0 / (1.0 + np.sum((p - c) ** 2, axis=-1))
         node_errors = {}
         gf = solve_ball_dirichlet(params, 1.0, f, g, grid, spec, node_errors=node_errors)
         raised = set()
