@@ -17,21 +17,15 @@ fraclap and its submodules on a 2-vCPU host, and nothing needs it at
 import time.  The constants keep scipy's gamma: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
-The module's thread pool (``_in_blocks``) runs elementwise bodies on
-blocks of whole rows, about ``_BLOCK`` values each.  Its callers are the two Green
-pipelines of ``kernels``: ``_green_from_psi`` on a given |x-y|^2, and
-``_green_between``, whose blocks form |x-y|^2 from the point columns.  Both
-fit the polynomials before they split, so that the workers only read
+Nothing here starts a thread: the one pooled pipeline, the point batches of
+the public Green kernels, lives in ``kernels``, and its workers only read
 ``_kernel_fit``'s cache.
 """
 from __future__ import annotations
 
-import contextvars
 import enum
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -397,71 +391,6 @@ def _half_order_tail(N):
     return B, b, tuple(math.comb(2 * k, k) / 4.0**k / (b + k) for k in range(8, -1, -1))
 
 
-# ---------------------------------------------------------------------------
-# Blocked evaluation on a thread pool
-
-_BLOCK = 1 << 16  # values per pool task
-_MIN_BLOCKS = 2  # smaller inputs run in one serial call
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _usable_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _reset_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _in_blocks(func, shape, *arrays):
-    """``func(*blocks)`` on the blocks of ``arrays`` broadcast to ``shape``:
-    runs of whole subarrays along the first axis, as many as fit in
-    ``_BLOCK`` values and at least one (on one axis, runs of ``_BLOCK``
-    values).
-
-    ``func`` must be elementwise and return an array of its blocks' shape.
-    The blocks are views: a broadcast input is never copied to ``shape``.
-    They run on the module's pool, created on first use with one worker per
-    usable CPU, each in a copy of the caller's context so that its
-    ``np.errstate`` holds there too.  Returns the results in ``shape``.  If
-    a block raises, the first error is raised once every block is done.
-    """
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="fraclap-block")
-        pool = _pool
-    views = [np.broadcast_to(a, shape) for a in arrays]
-    # each worker writes into one output array: concatenating per-block
-    # results held a second copy and raised kernel-batch's peak RSS by 8 MB
-    out = np.empty(shape)
-
-    def block(rows):
-        out[rows] = func(*(v[rows] for v in views))
-
-    step = max(1, _BLOCK // math.prod(shape[1:]))
-    futures = [
-        pool.submit(contextvars.copy_context().run, block, slice(a, a + step)) for a in range(0, shape[0], step)
-    ]
-    wait(futures)
-    for f in futures:
-        f.result()
-    return out
-
-
 @dataclass(frozen=True)
 class CriticalExponents:
     """Critical powers for the half-space and full-space Liouville theorems.
@@ -502,16 +431,12 @@ def dimension_reduction_ratio(params: FracParams) -> float:
 # ---------------------------------------------------------------------------
 # Gauss rules
 
-_GL_CACHE = {}
-_GJ_CACHE = {}
-
-
+@cache
 def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
+@cache
 def _gj(n, alpha=0.0, beta=0.0):
     """n-point rule on [-1, 1] for int (1+u)^alpha (1-u)^beta g(u) du, the weight
     divided out of its weights: sum f(u_i) w_i integrates f itself.
@@ -521,21 +446,16 @@ def _gj(n, alpha=0.0, beta=0.0):
     C / ((1 - u^2) P_n'(u)^2): at n = 16 the moments of the weights
     ``roots_jacobi`` returns are off by up to 1.2e-13, these by 4e-14.
     """
-    key = (n, float(alpha), float(beta))
-    if key not in _GJ_CACHE:
-        if alpha == beta == 0.0:
-            _GJ_CACHE[key] = _gl(n)
-        else:
-            from scipy import special as _spec
-            # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b; at a + b = -1
-            # roots_jacobi divides by zero in a branch its np.where discards
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = _spec.roots_jacobi(n, beta, alpha)[0]
-                dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
-            c = math.exp(
-                (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
-                + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)
-            )
-            _GJ_CACHE[key] = (u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp))
-    return _GJ_CACHE[key]
-
+    if alpha == beta == 0.0:
+        return _gl(n)
+    from scipy import special as _spec
+    # scipy's P_n^(a, b) has the weight (1-u)^a (1+u)^b; at a + b = -1
+    # roots_jacobi divides by zero in a branch its np.where discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = _spec.roots_jacobi(n, beta, alpha)[0]
+        dp = 0.5 * (n + alpha + beta + 1.0) * _spec.eval_jacobi(n - 1, beta + 1.0, alpha + 1.0, u)
+    c = math.exp(
+        (alpha + beta + 1.0) * math.log(2.0) + _spec.gammaln(n + alpha + 1.0)
+        + _spec.gammaln(n + beta + 1.0) - _spec.gammaln(n + alpha + beta + 1.0) - _spec.gammaln(n + 1.0)
+    )
+    return u, c / ((1.0 + u) ** (alpha + 1.0) * (1.0 - u) ** (beta + 1.0) * dp * dp)

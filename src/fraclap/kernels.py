@@ -13,28 +13,26 @@ Every Green value, here and in ``quadrature`` and ``solver``, is
 ``_green_body`` on |x-y|^2 and the factors of psi = fx fy / (scale
 |x-y|^2): it is the one place where psi and its zero set are formed.
 ``quadrature`` and ``solver`` reach it through ``_green_from_psi`` with
-|x-y|^2 in hand; the public Green kernels through ``_green_between``, which
-forms |x-y|^2 from the points.
+|x-y|^2 in hand, one call in the calling thread; the public Green kernels
+through ``_green_between``, which forms |x-y|^2 from the points.
 
-Both split a batch of at least two blocks of 2^16 values, in a process
-allowed at least two CPUs, into blocks of about 2^16 values (views of the
-inputs, see ``core._in_blocks``) and run each block whole on ``core``'s
-thread pool with one worker per usable CPU (NumPy's ufuncs release the
-GIL); smaller batches, or a one-CPU process, take one serial call of the
-same block function.  A ``_green_from_psi`` block runs the body (the zero
-set, psi, I(psi), the |x-y| power).  A ``_green_between`` block gets the
-point columns with fx and fy, and forms its |x-y|^2, scans it for the
-diagonal and runs the body in one pass: no array of the batch's size but
-the result is formed, and the calling thread only checks the points and
-forms fx and fy.  The pool is created on the first such call, not at
-import, and a forked child starts a new one.  The blocks are elementwise,
-so the blocked result is bit-identical to the serial one.  The workers run
-only private names, never a public one, so a wrapper around a public
-function sees one call per batch.  They only read ``core._kernel_fit``'s
-cache: the calling thread fills it before the split.
+``_green_between`` is the one pooled pipeline: a batch of at least two
+blocks of 2^16 pairs, in a process allowed at least two CPUs, runs in
+blocks on the module's thread pool, one worker per usable CPU (NumPy's
+ufuncs release the GIL), each block forming its |x-y|^2, scanning it for
+the diagonal and running the body in one pass (``_in_blocks``),
+bit-identical to one serial call.  The pool is created on the first split,
+not at import, and a forked child starts a new one.  The workers run only
+private names, so a wrapper around a public function sees one call per
+batch, and only read ``core._kernel_fit``'s cache, which the calling
+thread fills before the split.
 """
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -86,13 +84,20 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
+        _radius(self.radius)
 
 
 @dataclass(frozen=True)
 class HalfSpace:
     """Open half-space x1 > 0."""
+
+
+def _radius(R):
+    """``R`` as a float; ``ValueError`` unless it is positive and finite."""
+    R = float(R)
+    if not 0.0 < R < math.inf:
+        raise ValueError("ball radius must be positive and finite")
+    return R
 
 
 def shifted_center(N: int, R: float):
@@ -136,6 +141,7 @@ def _column_dist2(xs, ys):
 
 def poisson_ball(params: FracParams, R: float, x, y):
     """Exit density C ((R^2-|x|^2)/(|y|^2-R^2))^s |x-y|^(-N); zero unless |x|<R<|y|."""
+    R = _radius(R)
     x, y = _as_points(params, x, y)
     C = poisson_constant_C(params)
     s, N = params.s, params.N
@@ -153,6 +159,7 @@ def poisson_ball(params: FracParams, R: float, x, y):
 
 def poisson_shifted_ball(params: FracParams, R: float, x, y):
     """Poisson kernel of the ball centered at P_R = (R, 0, ..., 0)."""
+    R = _radius(R)
     x, y = _as_points(params, x, y)
     p = shifted_center(params.N, R)
     return poisson_ball(params, R, x - p, y - p)
@@ -166,31 +173,11 @@ def _green_from_psi(params: FracParams, d2, fx, fy, scale=1.0):
     """(k/2) d2^(s-N/2) I(psi) at psi = fx fy / (scale d2), with the exact log
     form when N = 1 = 2s, where fx > 0, fy > 0 and d2 > 0; 0 elsewhere.
 
-    ``d2`` is |x-y|^2.  The one place where psi and its zero set are formed.
-    A NaN psi (from products that overflow) raises ``ValueError``.  A
-    broadcast batch of at least ``_MIN_BLOCKS * _BLOCK`` values, in a
-    process allowed at least two CPUs, runs ``_green_body`` in blocks on
-    ``core``'s thread pool, bit-identical to one serial call (see the module
-    docstring).
+    ``d2`` is |x-y|^2.  One ``_green_body`` call in the calling thread,
+    whatever the batch's size.  A NaN psi (from products that overflow)
+    raises ``ValueError``.
     """
-    batch = np.broadcast(d2, fx, fy)
-    if _splits(params, batch.size):
-        return core._in_blocks(
-            lambda *blocks: _green_body(params, scale, _private_integral, *blocks), batch.shape, d2, fx, fy
-        )
     return _green_body(params, scale, incomplete_kernel_integral, d2, fx, fy)
-
-
-def _splits(params, size):
-    """Whether a batch of ``size`` values runs in blocks on ``core``'s pool: at
-    least ``_MIN_BLOCKS * _BLOCK`` of them, in a process allowed at least two
-    CPUs.  If so, first loads in the calling thread what the workers share."""
-    if size < core._MIN_BLOCKS * core._BLOCK or core._usable_cpus() < 2:
-        return False
-    from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
-
-    core._kernel_fit(params)  # fitted here once; the workers read the cache
-    return True
 
 
 def _private_integral(params, t):
@@ -200,7 +187,8 @@ def _private_integral(params, t):
 
 def _green_body(params, scale, integral, d2, fx, fy):
     """``_green_from_psi`` with I(psi) from ``integral(params, psi)``; the
-    integral's t >= 0 check finds a NaN psi (inf / inf), raised naming psi."""
+    integral's t >= 0 check finds a NaN psi (inf / inf), raised naming psi.
+    The one place where psi and its zero set are formed."""
     s, N = params.s, params.N
     live = (fx > 0.0) & (fy > 0.0) & (d2 > 0.0)
     d2 = np.where(live, d2, 1.0)
@@ -217,34 +205,89 @@ def _green_body(params, scale, integral, d2, fx, fy):
     return np.where(live, val, 0.0)
 
 
+_BLOCK = 1 << 16  # values per pool task
+_MIN_BLOCKS = 2  # smaller batches run in one serial call
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _reset_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
 def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
     """``_green_from_psi``'s values at d2 = |x-y|^2 for checked points ``x`` and ``y``.
 
     ``_green_pairs`` gets the point columns with fx and fy and forms d2
-    itself: in one call, or, on a batch that ``_green_from_psi`` would split,
-    in blocks on ``core``'s pool, each of which forms its d2, scans it for
-    the diagonal and runs ``_green_body`` in one pass.  Raises
-    ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0.  Where blocks
-    fail at different steps, the earliest step's error is raised, as one
-    call over the whole batch raises it: forming d2, then the diagonal
-    scan, then the body.
+    itself: in one call, or, on a batch of at least ``_MIN_BLOCKS *
+    _BLOCK`` pairs in a process allowed at least two CPUs, in blocks on the
+    module's pool (``_in_blocks``).  Raises ``DiagonalSingularity`` at x = y
+    where fx > 0 and fy > 0.
     """
     columns = (*np.moveaxis(x, -1, 0), *np.moveaxis(y, -1, 0))
     batch = np.broadcast(columns[0], columns[-1], fx, fy)
-    if not _splits(params, batch.size):
+    if batch.size < _MIN_BLOCKS * _BLOCK or _usable_cpus() < 2:
         out = _green_pairs(params, scale, incomplete_kernel_integral, [], fx, fy, *columns)
         return float(out) if out.ndim == 0 else out
+    return _in_blocks(params, scale, batch.shape, fx, fy, *columns)
+
+
+def _in_blocks(params, scale, shape, *arrays):
+    """``_green_pairs`` on the blocks of ``arrays`` (fx, fy and the point
+    columns) broadcast to ``shape``, bit-identical to one call over the batch.
+
+    A block is a run of whole subarrays along the first axis, as many as fit
+    in ``_BLOCK`` values and at least one, of views: a broadcast input is
+    never copied to ``shape``.  The blocks run on the module's pool, created
+    on first use with one worker per usable CPU, each in a copy of the
+    caller's context so that its ``np.errstate`` holds there too.  Once
+    every block is done, the error of the earliest step at which a block
+    failed is raised, as one call over the whole batch raises it: forming
+    d2, then the diagonal scan, then the body; of those, the first block's.
+    """
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
+
+    global _pool
+    core._kernel_fit(params)  # fitted here once; the workers read the cache
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="fraclap-block")
+        pool = _pool
+    views = [np.broadcast_to(a, shape) for a in arrays]
+    # each worker writes into one output array: concatenating per-block
+    # results held a second copy and raised kernel-batch's peak RSS by 8 MB
+    out = np.empty(shape)
     failures = []  # (step, error) of each block that raised
-    try:
-        return core._in_blocks(
-            lambda *blocks: _green_pairs(params, scale, _private_integral, failures, *blocks),
-            batch.shape, fx, fy, *columns,
-        )
-    except Exception as error:
-        if not failures:
-            raise
-        # the first block's error unless another block failed at an earlier step
-        raise min(failures, key=lambda f: (f[0], f[1] is not error))[1] from None
+
+    def block(rows):
+        out[rows] = _green_pairs(params, scale, _private_integral, failures, *(v[rows] for v in views))
+
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    futures = [
+        pool.submit(contextvars.copy_context().run, block, slice(a, a + step)) for a in range(0, shape[0], step)
+    ]
+    wait(futures)
+    errors = [f.exception() for f in futures if f.exception() is not None]
+    if errors:
+        steps = {id(error): k for k, error in failures}
+        raise min(errors, key=lambda error: steps.get(id(error), -1))
+    return out
 
 
 def _green_pairs(params, scale, integral, failures, fx, fy, *columns):
@@ -273,6 +316,7 @@ def green_ball(params: FracParams, R: float, x, y):
     The kernel-integral form with psi = (R^2-|x|^2)(R^2-|y|^2)/(R^2 |x-y|^2)
     (for N = 1 = 2s, ``_green_from_psi``'s log form).
     """
+    R = _radius(R)
     x, y = _as_points(params, x, y)
     R2 = R * R
     return _green_between(params, x, y, R2 - np.sum(x * x, axis=-1), R2 - np.sum(y * y, axis=-1), R2)
@@ -284,6 +328,7 @@ def green_shifted_ball(params: FracParams, R: float, x, y):
     psi = (2 x1 - |x|^2/R)(2 y1 - |y|^2/R)/|x-y|^2 stays accurate as
     R -> infinity, where the centered form loses all digits.
     """
+    R = _radius(R)
     x, y = _as_points(params, x, y)
     qx = 2.0 * x[..., 0] - np.sum(x * x, axis=-1) / R
     qy = 2.0 * y[..., 0] - np.sum(y * y, axis=-1) / R

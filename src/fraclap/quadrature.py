@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -78,7 +79,7 @@ from .core import (
     normalization_a,
     poisson_constant_C,
 )
-from .kernels import _green_from_psi
+from .kernels import _green_from_psi, _radius
 
 
 __all__ = [
@@ -130,6 +131,7 @@ def constant_field(value: float):
 # panel engines
 
 _RAY_CHUNK = 1 << 12  # integrand nodes per call of a ray rule, initial panels per block of points
+_N_LOW, _N_HIGH = 8, 16  # nodes of a panel's error rule and of its value rule
 
 
 def _refine(cells, n, spec: QuadratureSpec, evaluate, bisect, chunk):
@@ -213,32 +215,17 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
         a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         d = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
     rows = int(d[-1]) + 1
-    new_row = d[1:] != d[:-1]
-    first, last = np.concatenate(([True], new_row)), np.concatenate((new_row, [True]))
     weights = np.asarray(weights, dtype=float)
     point = np.zeros(rows, dtype=int) if point is None else np.asarray(point)
-    # a panel's rule indexes (0, *alphas) at its left end and (0, *betas) at its right
-    (alphas, ia), (betas, ib) = (
-        np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
-    )
-    nb = len(betas) + 1
-    rule = np.where(first, ia[d] + 1, 0) * nb + np.where(last, ib[d] + 1, 0)
-    n_low, n_high = 8, 16
-    low, high = (
-        [_gj(n, ka, kb) for ka in (0.0, *alphas) for kb in (0.0, *betas)] for n in (n_low, n_high)
-    )
-    u = np.array([np.concatenate([lo[0], hi[0]]) for lo, hi in zip(low, high)])
-    w_low = np.array([lo[1] for lo in low])
-    w_high = np.array([hi[1] for hi in high])
+    rule, nb, u, w_low, w_high = _panel_rules(d, ends)
 
     def evaluate(_, pa, pb, pd, pr):
-        half = 0.5 * (pb - pa)
+        nodes = _panel_nodes(pa, pb, u, pr)
+        f = fvec(nodes.ravel(), np.repeat(pd, _N_LOW + _N_HIGH)).reshape(nodes.shape)
         # np.take: row gathers of small 2-D tables, much faster than fancy indexing
-        nodes = (0.5 * (pa + pb))[:, None] + half[:, None] * np.take(u, pr, axis=0)
-        f = fvec(nodes.ravel(), np.repeat(pd, n_low + n_high)).reshape(nodes.shape)
-        vl = np.sum(f[:, :n_low] * np.take(w_low, pr, axis=0), axis=-1)
-        vh = np.sum(f[:, n_low:] * np.take(w_high, pr, axis=0), axis=-1)
-        w = weights[pd] * half
+        vl = np.sum(f[:, :_N_LOW] * np.take(w_low, pr, axis=0), axis=-1)
+        vh = np.sum(f[:, _N_LOW:] * np.take(w_high, pr, axis=0), axis=-1)
+        w = weights[pd] * (0.5 * (pb - pa))
         return vh * w, np.abs(vh - vl) * w
 
     def bisect(owner, sa, sb, sd, sr, *_):
@@ -248,7 +235,37 @@ def _adaptive_panels(fvec, edges, spec: QuadratureSpec, weights=(1.0,), ends=(0.
         return tuple(np.concatenate(pair) for pair in pairs)
 
     panels = (point[d], a, b, d, rule)
-    return _refine(panels, int(point.max()) + 1, spec, evaluate, bisect, _RAY_CHUNK // (n_low + n_high))[:2]
+    return _refine(panels, int(point.max()) + 1, spec, evaluate, bisect, _RAY_CHUNK // (_N_LOW + _N_HIGH))[:2]
+
+
+def _panel_rules(d, ends):
+    """Each panel's rule, and the rule tables, of ``_adaptive_panels`` on
+    panels of rows ``d`` (each row's panels adjacent and in order) with the
+    endpoint exponents ``ends``.
+
+    Returns (rule, nb, u, w_low, w_high).  A rule indexes (0, *alphas) at
+    its panel's left end and (0, *betas) at its right, as ``nb`` times the
+    one plus the other, 0 being Gauss-Legendre and the exponents the
+    distinct ones of the rows; ``u`` holds each rule's 8- then 16-point
+    nodes on [-1, 1], and ``w_low`` and ``w_high`` their weights.
+    """
+    rows = int(d[-1]) + 1
+    new_row = d[1:] != d[:-1]
+    first, last = np.concatenate(([True], new_row)), np.concatenate((new_row, [True]))
+    (alphas, ia), (betas, ib) = (
+        np.unique(np.broadcast_to(np.asarray(e, dtype=float), (rows,)), return_inverse=True) for e in ends
+    )
+    nb = len(betas) + 1
+    rule = np.where(first, ia[d] + 1, 0) * nb + np.where(last, ib[d] + 1, 0)
+    low, high = ([_gj(n, ka, kb) for ka in (0.0, *alphas) for kb in (0.0, *betas)] for n in (_N_LOW, _N_HIGH))
+    u = np.array([np.concatenate([lo[0], hi[0]]) for lo, hi in zip(low, high)])
+    return rule, nb, u, np.array([lo[1] for lo in low]), np.array([hi[1] for hi in high])
+
+
+def _panel_nodes(a, b, u, rule):
+    """The nodes (panels, 24) that ``_adaptive_panels`` evaluates on
+    panels [a, b] with the rules ``rule`` of the table ``u``."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * np.take(u, rule, axis=0)
 
 
 def _graded_edges(depth, n_coarse=6):
@@ -488,30 +505,29 @@ def _checked(value, err, spec, what):
     return value
 
 
-def _radius(R):
-    """``R`` as a float; ``ValueError`` unless it is positive and finite."""
-    R = float(R)
-    if not 0.0 < R < math.inf:
-        raise ValueError("ball radius must be positive and finite")
-    return R
-
-
 def _inside(params, R, xs):
     """Points (n, N) and their squared norms; ``ValueError`` unless R is a
-    radius (``_radius``) and all lie inside B_R."""
+    radius (``_radius``) and all lie inside B_R (a NaN point does not)."""
     R = _radius(R)
     xs = np.asarray(xs, dtype=float).reshape(-1, params.N)
     x2 = np.sum(xs * xs, axis=-1)
-    if np.any(x2 >= R * R):
+    if not np.all(x2 < R * R):
         raise ValueError("evaluation point must lie inside the ball")
     return xs, x2
 
 
+def _finite(*arrays):
+    """``ValueError`` unless every coordinate of ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("points and box corners must be finite")
+
+
 def _point(params, x):
-    """``x`` as a float array; ``ValueError`` unless it is one point, shape (N,)."""
+    """``x`` as a float array; ``ValueError`` unless it is one finite point, shape (N,)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.N,):
         raise ValueError("x needs shape (N,)")
+    _finite(x)
     return x
 
 
@@ -612,16 +628,12 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
     i, h = np.arange(halvings.max(initial=0) + 4), halvings[:, None]
     edges = np.where(i <= h, layer[:, None] * 2.0 ** (i - 1), np.array([0.5, 0.75, 1.0])[np.clip(i - h - 1, 0, 2)])
     edges[:, 0] = 0.0
-    # the engine's 8- and 16-point nodes on [-1, 1]: Gauss-Legendre, then the
-    # Gauss-Jacobi rules of a row's first panel and of its last
-    rule_nodes = np.array(
-        [np.concatenate([_gj(8, *e)[0], _gj(16, *e)[0]]) for e in ((0.0, 0.0), (-s, 0.0), (0.0, s - 1.0))]
-    )
     # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
     # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
     # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
     scale = 0.5 * poisson_constant_C(params) * (1.0 - x2 / (R * R)) ** s
     peak = sphere_surface(N) * R * R
+    ends = (-s, s - 1.0)  # the weights sigma^(-s) and (1 - sigma)^(s-1)
 
     def level(m):
         dirs, wts = _sphere_rule(N, m)
@@ -645,14 +657,12 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
             return ok
 
         def run(pts):
-            # the nodes of every point's initial panels, formed as the engine forms them
-            count = halvings[pts] + 3
-            owner, j = _ranks(count)
+            # the nodes of every point's initial panels, as the engine forms them
+            owner, j = _ranks(halvings[pts] + 3)
             at = pts[owner] * edges.shape[1] + j
-            pa, pb = np.take(edges, at), np.take(edges, at + 1)
-            rule = np.where(j == 0, 1, np.where(j == count[owner] - 1, 2, 0))
-            sigma = ((0.5 * (pa + pb))[:, None] + (0.5 * (pb - pa))[:, None] * rule_nodes[rule]).ravel()
-            owner = np.repeat(owner, rule_nodes.shape[1])
+            rule, _, u, _, _ = _panel_rules(owner, ends)
+            sigma = _panel_nodes(np.take(edges, at), np.take(edges, at + 1), u, rule).ravel()
+            owner = np.repeat(owner, _N_LOW + _N_HIGH)
             # each point's first node, then every node of the points that pass there
             radial = vanishes(pts, sigma[owner.searchsorted(np.arange(len(pts)))], np.arange(len(pts)))
             probed = radial[owner]
@@ -682,7 +692,7 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
                 panels,
                 spec,
                 scale[p] * np.concatenate([[1.0], wts])[k],
-                ends=(-s, s - 1.0),
+                ends=ends,
                 point=row_point,
             )
 
@@ -768,7 +778,6 @@ def poisson_extension_field(params: FracParams, R: float, g, spec: QuadratureSpe
 
 _TILE_ORDER = {1: 8, 2: 6, 3: 4}  # GL(n) per tile axis, checked against GL(2n)
 _TILE_CHUNK = 1 << 14  # kernel evaluations per call; bounds the tile arrays of a batch
-_TILE_RULES = {}
 
 
 def _grid_nodes(axes):
@@ -776,6 +785,7 @@ def _grid_nodes(axes):
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
+@cache
 def _tile_rule(N):
     """Tensor GL(2n) and GL(n) nodes on [-1, 1]^N stacked in one array.
 
@@ -784,14 +794,12 @@ def _tile_rule(N):
     ``w_low``, and ``modes`` holds the two highest Legendre polynomials at
     the m GL(2n) nodes of one axis, one polynomial per row.
     """
-    if N not in _TILE_RULES:
-        n = _TILE_ORDER[N]
-        rules = [_gl(m) for m in (2 * n, n)]
-        nodes = np.concatenate([_grid_nodes([t] * N) for t, _ in rules])
-        w_high, w_low = (np.prod(_grid_nodes([w] * N), axis=-1) for _, w in rules)
-        modes = np.polynomial.legendre.legvander(rules[0][0], 2 * n - 1)[:, -2:].T.copy()
-        _TILE_RULES[N] = (nodes, w_high, w_low, modes)
-    return _TILE_RULES[N]
+    n = _TILE_ORDER[N]
+    rules = [_gl(m) for m in (2 * n, n)]
+    nodes = np.concatenate([_grid_nodes([t] * N) for t, _ in rules])
+    w_high, w_low = (np.prod(_grid_nodes([w] * N), axis=-1) for _, w in rules)
+    modes = np.polynomial.legendre.legvander(rules[0][0], 2 * n - 1)[:, -2:].T.copy()
+    return nodes, w_high, w_low, modes
 
 
 def _edges_about_foot(a, b, h):
@@ -987,6 +995,7 @@ def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = 
     x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
     if not (x.shape == lo.shape == hi.shape and x.ndim in (1, 2) and x.shape[-1] == params.N):
         raise ValueError("x, lo and hi need one shape, (N,) or (n, N)")
+    _finite(x, lo, hi)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate")
     if np.any(x < lo) or np.any(x > hi):
@@ -1015,6 +1024,7 @@ def halfspace_green_integral(
     lo, hi = (np.array(v, dtype=float) for v in box)
     if lo.shape != x.shape or hi.shape != x.shape:
         raise ValueError("box corners need shape (N,)")
+    _finite(lo, hi)
     lo[0] = max(lo[0], 0.0)
     if np.any(lo >= hi):
         raise ValueError("box needs lo < hi in every coordinate, and hi1 > 0")
@@ -1044,8 +1054,8 @@ def strip_mass(params: FracParams, lam: float, x, spec: QuadratureSpec | None = 
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
     x1 = float(_point(params, x)[0])
-    if not (0.0 < x1 < lam):
-        raise ValueError("strip_mass needs 0 < x1 < lam")
+    if not (0.0 < x1 < lam < math.inf):
+        raise ValueError("strip_mass needs 0 < x1 < lam, lam finite")
     line = FracParams(1, params.s)
     alpha, depth = _end_rule_at_x(1, params.s, spec)
     sign = np.array([1.0, -1.0])  # the rays toward y1 = lam and toward y1 = 0

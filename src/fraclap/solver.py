@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FracParams
-from .kernels import Ball, HalfSpace, _green_from_psi
+from .kernels import Ball, HalfSpace, _green_from_psi, _radius
 # ball_green_integral and exterior_poisson_integral are not called here, but stay
 # names of this module: bench/fraclap_bench patches them on it to trace and lap
 from .quadrature import (  # noqa: F401
@@ -29,7 +29,6 @@ from .quadrature import (  # noqa: F401
     _exterior_poisson_batch,
     _grid_nodes,
     _misses,
-    _radius,
     ball_green_integral,
     box_green_mass,
     exterior_poisson_integral,
@@ -52,10 +51,12 @@ __all__ = [
 
 
 def _grid_axes(axes):
-    """``axes`` as float arrays, each with at least two strictly increasing nodes."""
+    """``axes`` as float arrays, each with at least two finite, strictly increasing nodes."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if any(len(a) < 2 for a in axes):
         raise ValueError("grid axes need at least two nodes")
+    if not all(np.isfinite(a).all() for a in axes):
+        raise ValueError("grid axes must be finite")
     if any(np.any(np.diff(a) <= 0.0) for a in axes):
         raise ValueError("grid axes must be strictly increasing")
     return axes

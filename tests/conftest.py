@@ -2,16 +2,16 @@ import math
 
 import pytest
 
-from fraclap import core
+from fraclap import kernels
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPU count for one test, on a fresh pool that is shut down after it."""
-    monkeypatch.setattr(core, "_pool", None)
-    yield lambda n: monkeypatch.setattr(core, "_usable_cpus", lambda: n)
-    if core._pool is not None:
-        core._pool.shutdown()
+    """Set the usable CPU count for one test, on a fresh ``kernels`` pool that is shut down after it."""
+    monkeypatch.setattr(kernels, "_pool", None)
+    yield lambda n: monkeypatch.setattr(kernels, "_usable_cpus", lambda: n)
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -342,9 +342,9 @@ GREEN_KERNELS = {
 }
 BOUNDARY_POINTS = {"ball": [1.5, 0.0], "shifted_ball": [0.0, 0.0], "halfspace": [0.0, 0.7]}  # fx = 0
 PAIR_SHAPES = {  # pair batches and the number of Green body calls on two workers
-    (2 * core._BLOCK - 1,): 1,  # one short of the threshold: serial
-    (2 * core._BLOCK,): 2,
-    (2 * core._BLOCK + 12345,): 3,  # ragged last block
+    (2 * kernels._BLOCK - 1,): 1,  # one short of the threshold: serial
+    (2 * kernels._BLOCK,): 2,
+    (2 * kernels._BLOCK + 12345,): 3,  # ragged last block
     "2d": 3,  # blocks of 21845 rows of 3 pairs
     "broadcast": 3,  # blocks of 218 rows of 300 pairs
 }
@@ -361,8 +361,8 @@ def _point_pairs(shape, N, seed=4):
     """x and y for the Green kernels on a batch of ``shape`` pairs, x1 in (-0.5, 2)
     and the rest in (-2, 2): inside and outside each kernel's domain."""
     if shape == "2d":  # transposed, non-contiguous views of a (B - 7) x 3 batch
-        flat = _point_pairs((3 * (core._BLOCK - 7),), N, seed)
-        return [np.moveaxis(a.reshape(3, core._BLOCK - 7, N), 0, 1) for a in flat]
+        flat = _point_pairs((3 * (kernels._BLOCK - 7),), N, seed)
+        return [np.moveaxis(a.reshape(3, kernels._BLOCK - 7, N), 0, 1) for a in flat]
     if shape == "broadcast":  # every pair of 512 x and 300 y
         x, y = _point_pairs((512,), N, seed)
         return x[:, None, :], y[None, :300, :]
@@ -375,52 +375,37 @@ def _point_pairs(shape, N, seed=4):
 
 
 class TestBlockedKernelIntegral:
-    """A large Green batch runs ``kernels._green_body`` (the zero set, psi, the
-    kernel integral and the |x-y| power) in blocks on ``core``'s thread pool,
-    bit-identical to one serial call."""
+    """``kernels._green_from_psi`` runs ``kernels._green_body`` (the zero set,
+    psi, the kernel integral and the |x-y| power) whole in the calling
+    thread; a large batch of a public Green kernel runs it in blocks on
+    ``kernels``'s thread pool, bit-identical to one serial call."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            (2 * core._BLOCK - 1,),  # one short of the threshold: serial
-            (2 * core._BLOCK,),
-            (2 * core._BLOCK + 12345,),  # ragged last block
-            "2d",
-        ],
-    )
-    def test_bit_identical_to_serial(self, cpus, monkeypatch, workers, N, s, shape):
+    @pytest.mark.parametrize("shape", [(5,), (2**18,), "2d", "broadcast"], ids=str)
+    def test_green_from_psi_runs_whole(self, cpus, monkeypatch, workers, N, s, shape):
         if shape == "2d":  # transposed, non-contiguous 2-D views
-            args = [a.T for a in _green_arguments((3, core._BLOCK - 7))]
+            args = [a.T for a in _green_arguments((3, kernels._BLOCK - 7))]
+        elif shape == "broadcast":  # PicardOperator's call: fx a broadcast view of a column, fy the scalar 1
+            d2, fx, _ = _green_arguments((4, kernels._BLOCK))
+            args = [d2, np.broadcast_to(fx[:, :1], d2.shape), 1.0]
         else:
             args = _green_arguments(shape)
         p = FracParams(N, s)
-        cpus(1)
-        ref = kernels._green_from_psi(p, *args, 0.25)
+        # the body block by block, as a split of the batch would run it
+        views = np.broadcast_arrays(*args)
+        step = max(1, kernels._BLOCK // math.prod(views[0].shape[1:]))
+        ref = np.concatenate([
+            kernels._green_body(p, 0.25, kernels._private_integral, *(v[a : a + step] for v in views))
+            for a in range(0, len(views[0]), step)
+        ])
         cpus(workers)
         calls = _record_body(monkeypatch)
         got = kernels._green_from_psi(p, *args, 0.25)
-        size = args[0].size
-        assert got.shape == ref.shape == args[0].shape
+        assert got.shape == views[0].shape
         assert got.tobytes() == ref.tobytes()
-        blocked = workers >= 2 and size >= 2 * core._BLOCK
-        assert len(calls) == (-(-size // core._BLOCK) if blocked else 1)
-        assert sum(n for _, n, _ in calls) == size
-
-    @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
-    def test_broadcast_fx_and_scalar_fy(self, cpus, monkeypatch, N, s):
-        # PicardOperator's call: fx a broadcast view of a column, fy the scalar 1
-        d2, fx, _ = _green_arguments((4, core._BLOCK))
-        fx = np.broadcast_to(fx[:, :1], d2.shape)
-        p = FracParams(N, s)
-        cpus(1)
-        ref = kernels._green_from_psi(p, d2, fx, 1.0)
-        cpus(2)
-        calls = _record_body(monkeypatch)
-        got = kernels._green_from_psi(p, d2, fx, 1.0)
-        assert got.tobytes() == ref.tobytes()
-        assert len(calls) == 4
+        assert [(ident, size) for ident, size, _ in calls] == [(threading.get_ident(), got.size)]
+        assert kernels._pool is None
 
     def test_kernel_fit_in_the_calling_thread(self, cpus, monkeypatch):
         # the workers only read _kernel_fit's cache: the caller fills it before the split
@@ -430,8 +415,9 @@ class TestBlockedKernelIntegral:
         monkeypatch.setattr(core, "_chebyshev_monomials", lambda func: fitted.append(threading.get_ident()) or fit(func))
         core._kernel_fit.cache_clear()
         calls = _record_body(monkeypatch)
-        kernels._green_from_psi(FracParams(3, 0.3), *_green_arguments(2 * core._BLOCK), 0.25)
+        kernels.green_halfspace(FracParams(3, 0.3), *_halfspace_points(2 * kernels._BLOCK, 3))
         assert len(calls) == 2
+        assert all(ident != threading.get_ident() for ident, _, _ in calls)
         assert fitted == [threading.get_ident()] * 2  # Q and H, once
 
     @pytest.mark.parametrize("kernel", sorted(GREEN_KERNELS))
@@ -456,7 +442,7 @@ class TestBlockedKernelIntegral:
     @pytest.mark.parametrize("kernel", sorted(GREEN_KERNELS))
     def test_diagonal_off_the_domain_in_a_late_block(self, cpus, kernel):
         # x = y where fx = 0 is a zero of the kernel, not a singularity
-        x, y = _point_pairs((3 * core._BLOCK,), 2)
+        x, y = _point_pairs((3 * kernels._BLOCK,), 2)
         x[-5] = y[-5] = BOUNDARY_POINTS[kernel]
         p, green = FracParams(2, 0.75), GREEN_KERNELS[kernel]
         cpus(1)
@@ -475,10 +461,10 @@ class TestBlockedKernelIntegral:
         # forms psi: the blocks raise what it raises, whichever block holds each pair
         errstate, x1, y1, raised = OVERFLOWS[case]
         cpus(workers)
-        x, y = _halfspace_points(3 * core._BLOCK, N)
-        i = overflow * core._BLOCK + 5
+        x, y = _halfspace_points(3 * kernels._BLOCK, N)
+        i = overflow * kernels._BLOCK + 5
         x[i, 0], y[i, 0] = x1, y1
-        y[diagonal * core._BLOCK + 9] = x[diagonal * core._BLOCK + 9]
+        y[diagonal * kernels._BLOCK + 9] = x[diagonal * kernels._BLOCK + 9]
         with np.errstate(**errstate), pytest.raises(raised):
             kernels.green_halfspace(FracParams(N, s), x, y)
 
@@ -500,7 +486,7 @@ class TestBlockedKernelIntegral:
     def test_rejects_before_split(self, cpus, monkeypatch):
         cpus(2)
         calls = _record_body(monkeypatch)
-        x, y = _halfspace_points(3 * core._BLOCK, 2)
+        x, y = _halfspace_points(3 * kernels._BLOCK, 2)
         x[-1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             kernels.green_halfspace(FracParams(2, 0.5), x, y)
@@ -511,7 +497,7 @@ class TestBlockedKernelIntegral:
     def test_overflowing_psi_raises(self, cpus, monkeypatch, workers, N, s):
         # finite points whose products overflow: 4 x1 y1 = |x-y|^2 = inf, psi = NaN
         cpus(workers)
-        x, y = _halfspace_points(2 * core._BLOCK + 3, N)
+        x, y = _halfspace_points(2 * kernels._BLOCK + 3, N)
         x[5, 0], y[5, 0] = 1e200, 3e200
         finished = []
         body = kernels._green_body
@@ -531,7 +517,7 @@ class TestBlockedKernelIntegral:
 
     def test_green_halfspace_symmetric(self, cpus):
         cpus(2)
-        x, y = _halfspace_points(2 * core._BLOCK + 5, 3, seed=1)
+        x, y = _halfspace_points(2 * kernels._BLOCK + 5, 3, seed=1)
         p = FracParams(3, 0.75)
         g = kernels.green_halfspace(p, x, y)
         assert np.array_equal(g, kernels.green_halfspace(p, y, x))
@@ -555,16 +541,16 @@ class TestBlockedKernelIntegral:
         x, y = _halfspace_points(2**18, 2)
         kernels.green_halfspace(FracParams(2, 0.75), x, y)
         assert entered == [("kernels.green_halfspace", threading.get_ident())]
-        assert len(blocks) == 2**18 // core._BLOCK
+        assert len(blocks) == 2**18 // kernels._BLOCK
         assert all(ident != threading.get_ident() for ident, _, _ in blocks)
 
     def test_blocks_see_callers_errstate(self, cpus, monkeypatch):
         cpus(2)
         calls = _record_body(monkeypatch)
-        args = _green_arguments(2 * core._BLOCK)
+        x, y = _halfspace_points(2 * kernels._BLOCK, 3)
         with np.errstate(over="raise"):
             caller = np.geterr()
-            kernels._green_from_psi(FracParams(3, 0.25), *args, 0.25)
+            kernels.green_halfspace(FracParams(3, 0.25), x, y)
         assert caller["over"] == "raise"
         assert len(calls) == 2
         assert all(ident != threading.get_ident() and err == caller for ident, _, err in calls)
@@ -572,7 +558,7 @@ class TestBlockedKernelIntegral:
     def test_forked_child_gets_a_fresh_pool(self, cpus):
         cpus(2)
         p = FracParams(2, 0.5)
-        x, y = _halfspace_points(2 * core._BLOCK, 2)
+        x, y = _halfspace_points(2 * kernels._BLOCK, 2)
         ref = kernels.green_halfspace(p, x, y)  # the parent's pool now has threads
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()

@@ -549,3 +549,20 @@ def test_public_kernels_reject_nonfinite_points(kernel, bad):
         pts[which].flat[-1] = bad
         with pytest.raises(ValueError, match="finite"):
             green(P2, *pts)
+
+
+BALL_KERNELS = {
+    "Ball": lambda p, R, x, y: Ball(R),
+    "poisson_ball": poisson_ball,
+    "poisson_shifted_ball": poisson_shifted_ball,
+    "green_ball": green_ball,
+    "green_shifted_ball": green_shifted_ball,
+}
+
+
+@pytest.mark.parametrize("kernel", BALL_KERNELS)
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+def test_ball_kernels_reject_a_radius_that_is_not_positive(kernel, R):
+    # green_ball(P2, -1.0, ...) returned the R = 1 value and R = NaN returned 0
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        BALL_KERNELS[kernel](P2, R, [0.3, 0.1], [0.5, 0.2])

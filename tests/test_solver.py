@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fraclap import core, solver
+from fraclap import solver
 from fraclap.core import FracParams, getoor_constant
 from fraclap.kernels import HalfSpace, _green_from_psi, green_halfspace, reflect_point
 from fraclap.quadrature import (
@@ -449,30 +449,6 @@ class TestPicardOperator:
         op = PicardOperator(FracParams(len(axes), s), axes)
         assert op._table.tobytes() == full_table(op).tobytes()
 
-    @pytest.mark.parametrize(
-        "params,axes",
-        [
-            (FracParams(1, 0.75), (np.linspace(0.05, 3.95, 520),)),  # 135,460 half-table values
-            (FracParams(2, 0.5), (np.linspace(0.1, 3.1, 24), np.linspace(-4.0, 4.0, 480))),  # 144,000
-        ],
-        ids=["N1", "N2"],
-    )
-    def test_table_bit_identical_on_the_thread_pool(self, cpus, monkeypatch, params, axes):
-        cpus(1)
-        op = PicardOperator(params, axes)
-        cpus(2)
-        blocks = []
-        green = solver._green_from_psi
-
-        def recorded(params, d2, fx, fy, scale=1.0):
-            blocks.append(np.size(d2))
-            return green(params, d2, fx, fy, scale)
-
-        monkeypatch.setattr(solver, "_green_from_psi", recorded)
-        table, _ = op._build_matrix()
-        assert blocks[0] >= 2 * core._BLOCK  # large enough to be split
-        assert table.tobytes() == op._table.tobytes()
-
     def test_large_three_dimensional_grid_rows(self):
         # 9216 nodes: the dense matrix would take 680 MB, the reference only 50 rows
         lat = np.linspace(-3.0, 3.0, 24)
@@ -520,13 +496,18 @@ class TestPicardOperator:
             PicardOperator(P2, (x1, np.array([0.0])))
 
 
+def _unevaluated(p):
+    raise AssertionError("field evaluated before the axes were checked")
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda axes: GridFunction(domain=HalfSpace(), axes=axes, values=np.zeros([len(a) for a in axes])),
         lambda axes: PicardOperator(P2, axes),
+        lambda axes: solve_ball_dirichlet(P2, 1.0, _unevaluated, _unevaluated, axes),
     ],
-    ids=["GridFunction", "PicardOperator"],
+    ids=["GridFunction", "PicardOperator", "solve_ball_dirichlet"],
 )
 @pytest.mark.parametrize(
     "axes, message",
@@ -534,10 +515,13 @@ class TestPicardOperator:
         ((np.linspace(0.1, 1.0, 4), np.array([0.5])), "grid axes need at least two nodes"),
         ((np.linspace(0.1, 1.0, 4), np.linspace(1.0, -1.0, 3)), "grid axes must be strictly increasing"),
         ((np.array([0.1, 0.4, 0.4, 1.0]), np.linspace(-1.0, 1.0, 3)), "grid axes must be strictly increasing"),
+        ((np.linspace(0.1, 1.0, 4), np.array([-0.5, np.nan, 0.5])), "grid axes must be finite"),
+        ((np.array([0.1, 0.4, np.inf]), np.linspace(-1.0, 1.0, 3)), "grid axes must be finite"),
     ],
-    ids=["one-node", "descending", "repeated-node"],
+    ids=["one-node", "descending", "repeated-node", "nan-node", "inf-node"],
 )
 def test_one_axes_rule(build, axes, message):
+    # a NaN node passed the strict-increase test, np.diff(a) <= 0 being False at NaN
     with pytest.raises(ValueError) as info:
         build(axes)
     assert str(info.value) == message
