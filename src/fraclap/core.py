@@ -173,24 +173,28 @@ def _kernel_integral(params: FracParams, t_arr):
 
 def _fitted_integral(fit, t_arr):
     """I(t) from the fitted pieces of ``_kernel_fit`` on an array of t >= 0."""
-    out = np.empty_like(t_arr)
-    left = t_arr <= 1.0
-    right = ~left
-    t = t_arr[left]
+    flat = t_arr.ravel()
+    out = np.empty_like(flat)
+    left = flat <= 1.0
+    # gathered and scattered by index: psi puts t on both sides of 1 in random
+    # order, where a boolean compaction mispredicts its branch on each value
+    idx = np.flatnonzero(left)
+    t = np.take(flat, idx)
     x = t / (1.0 + t)
-    out[left] = x**fit.a * _horner(fit.q, 4.0 * x - 1.0)
-    t = t_arr[right]
+    out[idx] = x**fit.a * _horner(fit.q, 4.0 * x - 1.0)
+    idx = np.flatnonzero(~left)
+    t = np.take(flat, idx)
     u = 1.0 / (1.0 + t)
     y = -fit.b * np.log1p(t)
     e = np.expm1(y)  # u^b - 1, without the cancellation of u^b - 1 as b -> 0
     if fit.b < 0.0:
         # expm1 carries the rounding of y, up to 745|b| ulps where u is tiny
-        big = y > 1.0
+        big = np.flatnonzero(y > 1.0)
         with np.errstate(divide="ignore"):  # u = 0 at t = inf gives +inf
-            e[big] = u[big] ** fit.b - 1.0
+            e[big] = np.take(u, big) ** fit.b - 1.0
     h = _horner(fit.h, 4.0 * u - 1.0)
-    out[right] = (fit.c - h) - e * (fit.r + h)
-    return out
+    out[idx] = (fit.c - h) - e * (fit.r + h)
+    return out.reshape(t_arr.shape)
 
 
 def _kernel_integral_scalar(params: FracParams, t: float) -> float:

@@ -750,13 +750,14 @@ def poisson_extension_field(params: FracParams, R: float, g, spec: QuadratureSpe
     tolerance raises ``ToleranceNotMet`` as ``exterior_poisson_integral``
     would there (the first such point of the call).  The field is
     C-infinity inside.  Raises ``ValueError`` for a radius that is not
-    positive.
+    positive, and the field raises it for a point that is not finite.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-11)
     R = _radius(R)
 
     def func(pts):
         flat = pts.reshape(-1, params.N)
+        _finite(flat)
         inside = np.sum(flat * flat, axis=-1) < R * R
         out = np.empty(len(flat))
         if not np.all(inside):

@@ -27,6 +27,7 @@ from .quadrature import (  # noqa: F401
     QuadratureSpec,
     _ball_green_batch,
     _exterior_poisson_batch,
+    _finite,
     _grid_nodes,
     _misses,
     ball_green_integral,
@@ -116,12 +117,13 @@ class GridFunction:
         return out, inside
 
     def eval(self, pts):
-        """Evaluate at points of shape (N,) or (..., N), else ``ValueError``:
-        multilinear inside the hull; outside it the exterior field, or 0
-        where none is stored."""
+        """Evaluate at finite points of shape (N,) or (..., N), else
+        ``ValueError``: multilinear inside the hull; outside it the exterior
+        field, or 0 where none is stored."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 0 or pts.shape[-1] != self.ndim:
             raise ValueError(f"points need a last axis of length {self.ndim}")
+        _finite(pts)
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
         out, inside = self._interp(pts)

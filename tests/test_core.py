@@ -245,6 +245,40 @@ class TestIncompleteKernelIntegral:
         got = np.array([core._kernel_integral_scalar(p, t) for t in ts])
         assert got.tobytes() == core._kernel_integral(p, np.array(ts)).tobytes()
 
+    @pytest.mark.parametrize("N,s", DENSE_REGIMES)
+    def test_branch_split_keeps_bits(self, N, s):
+        # 2^17 + 3 values of t on both sides of the switch in random order, with
+        # both ends, the switch and b < 0's power above y = 1 among them
+        rng = np.random.default_rng(N * 100 + int(100 * s))
+        special = [0.0, 5e-324, 1e-300, 1e300, math.inf] + [1.0 + k * 2.0**-52 for k in range(-3, 4)]
+        special += [1.0 - k * 2.0**-53 for k in (1, 3)]
+        b = N / 2.0 - s
+        if b < 0.0:
+            t_y1 = math.expm1(-1.0 / b)
+            special += [t_y1 * (1.0 + k * 2.0**-52) for k in range(-3, 4)]
+        n = 2**17 + 3  # 245 x 535
+        wide_range = np.exp(rng.uniform(-40.0, 40.0, n // 2))
+        draws = np.concatenate([wide_range, rng.uniform(0.0, 3.0, n - n // 2 - len(special))])
+        order = rng.permutation(n)
+        t = np.concatenate([special, draws])[order]
+        p = FracParams(N, s)
+        got = incomplete_kernel_integral(p, t)
+        left = t <= 1.0
+        assert 0.3 < left.mean() < 0.7
+        perm = rng.permutation(n)
+        assert incomplete_kernel_integral(p, t[perm]).tobytes() == got[perm].tobytes()
+        table = t.reshape(245, 535)
+        assert incomplete_kernel_integral(p, table.T).tobytes() == got.reshape(245, 535).T.tobytes()
+        wide = np.zeros((245, 2 * 535))
+        wide[:, ::2] = table
+        assert incomplete_kernel_integral(p, wide[:, ::2]).tobytes() == got.reshape(245, 535).tobytes()
+        for part in (left, ~left, slice(0, 1), slice(0, 0)):
+            assert incomplete_kernel_integral(p, t[part]).tobytes() == got[part].tobytes()
+        # every special value and random others against the float path
+        sample = np.concatenate([np.argsort(order)[: len(special)], rng.choice(n, 500 - len(special), replace=False)])
+        scalar = np.array([core._kernel_integral_scalar(p, float(t[i])) for i in sample])
+        assert scalar.tobytes() == got[sample].tobytes()
+
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
     def test_half_order_scalar_path_bit_identical(self, N):
         # s = 1/2: the cosine recursion up to t = 99 (u = 0.01) and the tail series above, in floats

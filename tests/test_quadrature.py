@@ -914,6 +914,17 @@ def test_one_point_integrators_reject_a_point_that_is_not_finite(name, bad):
     assert evaluated == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extension_field_rejects_a_point_that_is_not_finite(bad):
+    # checked before g or the exterior batch sees any point of the call
+    evaluated = []
+    field = lambda p: evaluated.append(p) or np.ones(p.shape[:-1])
+    u = poisson_extension_field(P2, 1.0, field)
+    with pytest.raises(ValueError, match="must be finite"):
+        u(np.array([[bad, 0.0], [0.2, 0.1], [2.0, 0.0]]))
+    assert evaluated == []
+
+
 @pytest.mark.parametrize("batch", [quadrature._ball_green_batch, quadrature._exterior_poisson_batch])
 def test_batches_reject_a_nan_point(batch):
     # a NaN point is not inside the ball, whatever the comparison's order

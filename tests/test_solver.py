@@ -72,6 +72,14 @@ class TestGridFunction:
         with pytest.raises(ValueError, match=f"last axis of length {ndim}"):
             gf.eval(pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eval_rejects_a_point_that_is_not_finite(self, bad):
+        # neither inside the hull nor outside it: clipping keeps NaN, and +-inf clips to the hull
+        gf = GridFunction(domain=HalfSpace(), axes=(np.linspace(0.0, 1.0, 3),) * 2, values=np.ones((3, 3)))
+        for pts in ([[bad, 0.0], [0.5, 0.0]], [0.5, bad]):
+            with pytest.raises(ValueError, match="must be finite"):
+                gf.eval(pts)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridFunction(domain=HalfSpace(), axes=(np.array([1.0, 0.5]),), values=np.zeros(2))
@@ -142,6 +150,17 @@ class TestBallSolve:
         np.testing.assert_allclose(gf.eval(inside), np.interp(inside[:, 0], grid[0], gf.values), rtol=1e-14)
         bare = GridFunction(domain=gf.domain, axes=gf.axes, values=gf.values)
         assert np.all(bare.eval(outside) == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eval_rejects_a_point_that_is_not_finite(self, bad):
+        # the exterior field g is not called for the point, nor for the finite ones beside it
+        evaluated = []
+        g = lambda p: evaluated.append(p) or np.ones(p.shape[:-1])
+        gf = solve_ball_dirichlet(P1, 1.0, ZERO, g, (np.linspace(-0.8, 0.8, 5),))
+        evaluated.clear()
+        with pytest.raises(ValueError, match="must be finite"):
+            gf.eval(np.array([[bad], [0.2], [1.5]]))
+        assert evaluated == []
 
     @pytest.mark.parametrize("R", [-1.0, 0.0, np.nan])
     def test_rejects_radius_that_is_not_positive(self, R):
