@@ -18,8 +18,9 @@ import time.  The constants keep scipy's gamma: ``math.gamma``
 differs from scipy's by 1-2 ulp at some quarter-integer arguments.
 
 Nothing here starts a thread: the one pooled pipeline, the point batches of
-the public Green kernels, lives in ``kernels``, and its workers only read
-``_kernel_fit``'s cache.
+the public Green kernels, lives in ``kernels``.  Its calling thread fills
+the caches of ``_kernel_fit`` and ``green_constant_k`` (and so loads
+``scipy.special``) before the split, and its workers only read them.
 """
 from __future__ import annotations
 

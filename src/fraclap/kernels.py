@@ -18,21 +18,22 @@ through ``_green_between``, which forms |x-y|^2 from the points.
 
 ``_green_between`` is the one pooled pipeline: a batch of at least two
 blocks of 2^16 pairs, in a process allowed at least two CPUs, runs in
-blocks on the module's thread pool, one worker per usable CPU (NumPy's
-ufuncs release the GIL), each block forming its |x-y|^2, scanning it for
-the diagonal and running the body in one pass (``_in_blocks``),
-bit-identical to one serial call.  The pool is created on the first split,
-not at import, and a forked child starts a new one.  The workers run only
-private names, so a wrapper around a public function sees one call per
-batch, and only read ``core._kernel_fit``'s cache, which the calling
-thread fills before the split.
+blocks on a thread pool, one worker per usable CPU (NumPy's ufuncs
+release the GIL), each block forming its |x-y|^2, scanning it for the
+diagonal and running the body in one pass, bit-identical to one serial
+call.  If a block raises, the whole batch runs again in one serial call,
+which raises what that call raises.  The pool is ``_pool``'s cached
+executor, made on the first split, not at import; a forked child clears
+the cache and makes its own.  The workers run only private names, so a
+wrapper around a public function sees one call per batch, and only read
+the caches of ``core._kernel_fit`` and ``green_constant_k``, which the
+calling thread fills before the split.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 import os
-import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cache
 
@@ -205,10 +206,7 @@ def _green_body(params, scale, integral, d2, fx, fy):
     return np.where(live, val, 0.0)
 
 
-_BLOCK = 1 << 16  # values per pool task
-_MIN_BLOCKS = 2  # smaller batches run in one serial call
-_pool = None
-_pool_lock = threading.Lock()
+_BLOCK = 1 << 16  # values per pool task; batches under two blocks run in one serial call
 
 
 def _usable_cpus():
@@ -218,96 +216,78 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _reset_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+@cache
+def _pool(workers):
+    # one pool per worker count, kept across calls: a pool per call, with fresh
+    # threads, read kernel-batch's wall time 1-3 % higher on a shared 2-vCPU host.
+    # concurrent.futures loads here, on the first split, not at import: it
+    # pulls in logging, 6 ms of the import
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="fraclap-block")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
+    # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _green_between(params: FracParams, x, y, fx, fy, scale=1.0):
     """``_green_from_psi``'s values at d2 = |x-y|^2 for checked points ``x`` and ``y``.
 
     ``_green_pairs`` gets the point columns with fx and fy and forms d2
-    itself: in one call, or, on a batch of at least ``_MIN_BLOCKS *
-    _BLOCK`` pairs in a process allowed at least two CPUs, in blocks on the
-    module's pool (``_in_blocks``).  Raises ``DiagonalSingularity`` at x = y
-    where fx > 0 and fy > 0.
+    itself: in one call, or, on a batch of at least two ``_BLOCK``s in a
+    process allowed at least two CPUs, in blocks on the module's pool,
+    bit-identical to the one call.  A block is a run of whole subarrays
+    along the first axis, as many as fit in ``_BLOCK`` values and at least
+    one, of views: a broadcast input is never copied to the batch's shape.
+    Each block runs in a copy of the caller's context, so that its
+    ``np.errstate`` holds there too.  If a block raised, once every block
+    is done, ``_green_pairs`` runs over the whole batch in the calling
+    thread and raises what one serial call raises.  Raises
+    ``DiagonalSingularity`` at x = y where fx > 0 and fy > 0.
     """
     columns = (*np.moveaxis(x, -1, 0), *np.moveaxis(y, -1, 0))
     batch = np.broadcast(columns[0], columns[-1], fx, fy)
-    if batch.size < _MIN_BLOCKS * _BLOCK or _usable_cpus() < 2:
-        out = _green_pairs(params, scale, incomplete_kernel_integral, [], fx, fy, *columns)
+    workers = _usable_cpus()
+    if batch.size < 2 * _BLOCK or workers < 2:
+        out = _green_pairs(params, scale, incomplete_kernel_integral, fx, fy, *columns)
         return float(out) if out.ndim == 0 else out
-    return _in_blocks(params, scale, batch.shape, fx, fy, *columns)
+    from concurrent.futures import wait
 
-
-def _in_blocks(params, scale, shape, *arrays):
-    """``_green_pairs`` on the blocks of ``arrays`` (fx, fy and the point
-    columns) broadcast to ``shape``, bit-identical to one call over the batch.
-
-    A block is a run of whole subarrays along the first axis, as many as fit
-    in ``_BLOCK`` values and at least one, of views: a broadcast input is
-    never copied to ``shape``.  The blocks run on the module's pool, created
-    on first use with one worker per usable CPU, each in a copy of the
-    caller's context so that its ``np.errstate`` holds there too.  Once
-    every block is done, the error of the earliest step at which a block
-    failed is raised, as one call over the whole batch raises it: forming
-    d2, then the diagonal scan, then the body; of those, the first block's.
-    """
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    from scipy import special  # noqa: F401  loaded in this thread, not raced for by the workers
-
-    global _pool
-    core._kernel_fit(params)  # fitted here once; the workers read the cache
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="fraclap-block")
-        pool = _pool
-    views = [np.broadcast_to(a, shape) for a in arrays]
+    # filled here once; the workers only read the caches
+    core._kernel_fit(params)
+    green_constant_k(params)
+    shape = batch.shape
+    views = [np.broadcast_to(a, shape) for a in (fx, fy, *columns)]
     # each worker writes into one output array: concatenating per-block
     # results held a second copy and raised kernel-batch's peak RSS by 8 MB
     out = np.empty(shape)
-    failures = []  # (step, error) of each block that raised
 
     def block(rows):
-        out[rows] = _green_pairs(params, scale, _private_integral, failures, *(v[rows] for v in views))
+        out[rows] = _green_pairs(params, scale, _private_integral, *(v[rows] for v in views))
 
     step = max(1, _BLOCK // math.prod(shape[1:]))
     futures = [
-        pool.submit(contextvars.copy_context().run, block, slice(a, a + step)) for a in range(0, shape[0], step)
+        _pool(workers).submit(copy_context().run, block, slice(a, a + step)) for a in range(0, shape[0], step)
     ]
     wait(futures)
     errors = [f.exception() for f in futures if f.exception() is not None]
     if errors:
-        steps = {id(error): k for k, error in failures}
-        raise min(errors, key=lambda error: steps.get(id(error), -1))
+        _green_pairs(params, scale, incomplete_kernel_integral, fx, fy, *columns)
+        raise errors[0]
     return out
 
 
-def _green_pairs(params, scale, integral, failures, fx, fy, *columns):
+def _green_pairs(params, scale, integral, fx, fy, *columns):
     """``_green_body`` at d2 = |x-y|^2 from the N columns of x, then the N of
-    y; ``DiagonalSingularity`` at d2 = 0 where fx > 0 and fy > 0.  An error
-    is appended to ``failures`` with its step: 0 forming d2, 1 the diagonal
-    scan, 2 the body."""
+    y; ``DiagonalSingularity`` at d2 = 0 where fx > 0 and fy > 0."""
     n = len(columns) // 2
-    step = 0
-    try:
-        d2 = _column_dist2(columns[:n], columns[n:])
-        step = 1
-        zero = d2 == 0.0
-        if np.any(zero) and np.any(zero & (fx > 0.0) & (fy > 0.0)):
-            raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
-        step = 2
-        return _green_body(params, scale, integral, d2, fx, fy)
-    except Exception as error:
-        failures.append((step, error))
-        raise
+    d2 = _column_dist2(columns[:n], columns[n:])
+    zero = d2 == 0.0
+    if np.any(zero) and np.any(zero & (fx > 0.0) & (fy > 0.0)):
+        raise DiagonalSingularity("Green kernel requested on the diagonal x = y")
+    return _green_body(params, scale, integral, d2, fx, fy)
 
 
 def green_ball(params: FracParams, R: float, x, y):
@@ -363,13 +343,11 @@ def h_function(params: FracParams, r, t):
 
 
 def _h_value(params: FracParams, r, t) -> float:
-    """H at NumPy floats r > 0 and t >= 0: ``_green_from_psi``'s operations
+    """H at NumPy floats r > 0 and 0 <= t < inf: ``_green_from_psi``'s operations
     on one value, to the same bits, without the array path's masks."""
     if not t > 0.0:
         return 0.0
     psi = t / r
-    if psi != psi:
-        raise ValueError("H(r,t) is undefined at r = t = inf")
     if params.regime is Regime.N_EQ_2S:
         return float(np.arcsinh(np.sqrt(psi)) / np.pi)
     # ndarray ** on a 0-d array, as in the array path: NumPy's power loop, which
@@ -397,14 +375,15 @@ def h_function_partials(params: FracParams, r: float, t: float) -> HDerivatives:
     with k = ``green_constant_k``.  They hold in all three regimes (at
     N = 1 = 2s, k = 1/pi and they are the derivatives of the arcsinh form).
     At t = 0 the true limits for s < 1 are returned: value = d_r = 0,
-    d_t = +inf, d_rt = -inf.  Requires r > 0 and t >= 0.
+    d_t = +inf, d_rt = -inf.  Requires r > 0 and 0 <= t < inf; at
+    t = inf, d_r's second term would be 0 * inf.
 
     H is ``h_function`` on scalars, the same bits.
     """
     if not r > 0.0:
         raise ValueError("H(r,t) requires r > 0")
-    if not t >= 0.0:
-        raise ValueError("H(r,t) requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("H(r,t) partials require 0 <= t < inf")
     s, half_n = params.s, params.N / 2.0
     r, t = np.float64(r), np.float64(t)  # 0.0 ** (s - 1) is inf, not ZeroDivisionError
     value = _h_value(params, r, t)

@@ -1001,6 +1001,8 @@ def box_green_mass(params: FracParams, x, lo, hi, spec: QuadratureSpec | None = 
         raise ValueError("box needs lo < hi in every coordinate")
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("apex x must lie in the closed box")
+    if not x.size:  # zero rows
+        return np.empty(0)
     values = _box_integral(params, x, lo, hi, spec)[0]
     return float(values[0]) if x.ndim == 1 else values
 

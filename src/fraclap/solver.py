@@ -129,7 +129,7 @@ class GridFunction:
         out, inside = self._interp(pts)
         out = np.where(inside, out, 0.0)
         if self.exterior_field is not None and np.any(~inside):
-            out = np.where(inside, out, np.asarray(self.exterior_field(pts), dtype=float))
+            out[~inside] = self.exterior_field(pts[~inside])
         return float(out[0]) if scalar else out
 
     def sup_norm(self):

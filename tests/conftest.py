@@ -7,11 +7,8 @@ from fraclap import kernels
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPU count for one test, on a fresh ``kernels`` pool that is shut down after it."""
-    monkeypatch.setattr(kernels, "_pool", None)
-    yield lambda n: monkeypatch.setattr(kernels, "_usable_cpus", lambda: n)
-    if kernels._pool is not None:
-        kernels._pool.shutdown()
+    """Set the usable CPU count for one test."""
+    return lambda n: monkeypatch.setattr(kernels, "_usable_cpus", lambda: n)
 
 
 @pytest.fixture(scope="session")

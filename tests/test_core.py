@@ -439,20 +439,23 @@ class TestBlockedKernelIntegral:
         assert got.shape == views[0].shape
         assert got.tobytes() == ref.tobytes()
         assert [(ident, size) for ident, size, _ in calls] == [(threading.get_ident(), got.size)]
-        assert kernels._pool is None
 
     def test_kernel_fit_in_the_calling_thread(self, cpus, monkeypatch):
-        # the workers only read _kernel_fit's cache: the caller fills it before the split
+        # the workers only read the caches of _kernel_fit and green_constant_k:
+        # the caller fills them before the split
         cpus(2)
-        fitted = []
-        fit = core._chebyshev_monomials
+        fitted, gammas = [], []
+        fit, gamma = core._chebyshev_monomials, sp.gamma
         monkeypatch.setattr(core, "_chebyshev_monomials", lambda func: fitted.append(threading.get_ident()) or fit(func))
+        monkeypatch.setattr(sp, "gamma", lambda z: gammas.append(threading.get_ident()) or gamma(z))
         core._kernel_fit.cache_clear()
+        core.green_constant_k.cache_clear()
         calls = _record_body(monkeypatch)
         kernels.green_halfspace(FracParams(3, 0.3), *_halfspace_points(2 * kernels._BLOCK, 3))
         assert len(calls) == 2
         assert all(ident != threading.get_ident() for ident, _, _ in calls)
         assert fitted == [threading.get_ident()] * 2  # Q and H, once
+        assert gammas and set(gammas) == {threading.get_ident()}
 
     @pytest.mark.parametrize("kernel", sorted(GREEN_KERNELS))
     @pytest.mark.parametrize("N,s", BLOCK_REGIMES)
@@ -588,6 +591,48 @@ class TestBlockedKernelIntegral:
         assert caller["over"] == "raise"
         assert len(calls) == 2
         assert all(ident != threading.get_ident() and err == caller for ident, _, err in calls)
+
+    def test_concurrent_callers_get_serial_bits(self, cpus):
+        # two threads split their batches at once, both meeting an empty pool cache
+        p = FracParams(3, 0.25)
+        batches = [_halfspace_points(3 * kernels._BLOCK, 3, seed) for seed in (5, 6)]
+        cpus(1)
+        ref = [kernels.green_halfspace(p, x, y) for x, y in batches]
+        cpus(2)
+        kernels._pool.cache_clear()
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def call(k):
+            start.wait()
+            got[k] = kernels.green_halfspace(p, *batches[k])
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [g is not None and g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+    def test_successive_calls_share_the_workers(self, cpus, monkeypatch):
+        cpus(2)
+        workers = []
+        body = kernels._green_body
+
+        def recorder(*args):
+            time.sleep(0.01)  # a block outlasts the next submit: both workers take blocks
+            workers.append(threading.current_thread())
+            return body(*args)
+
+        monkeypatch.setattr(kernels, "_green_body", recorder)
+        x, y = _halfspace_points(4 * kernels._BLOCK, 2)
+        kernels.green_halfspace(FracParams(2, 0.75), x, y)
+        first = set(workers)
+        workers.clear()
+        kernels.green_halfspace(FracParams(2, 0.75), x, y)
+        assert len(first) == 2 and threading.current_thread() not in first
+        assert set(workers) == first
 
     def test_forked_child_gets_a_fresh_pool(self, cpus):
         cpus(2)

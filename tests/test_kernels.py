@@ -359,6 +359,12 @@ class TestHFunction:
             with pytest.raises(ValueError), np.errstate(invalid="ignore"):
                 h(params, r, t)
 
+    @pytest.mark.parametrize("params", [P1, P2, FracParams(3, 0.25), FracParams(1, 0.75)], ids=str)
+    def test_partials_reject_infinite_t(self, params):
+        # d_r's second term would be 0 * inf
+        with pytest.raises(ValueError, match="t < inf"):
+            h_function_partials(params, 1.0, math.inf)
+
     @pytest.mark.parametrize("params", [P1, P2, FracParams(3, 0.25)], ids=str)
     def test_infinite_pair_on_arrays_names_psi(self, params):
         # r = t = inf is psi = inf / inf; the error names psi, not the kernel integral's t

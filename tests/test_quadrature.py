@@ -1323,6 +1323,11 @@ class TestBoxBatch:
                 box_green_mass(P2, *args)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_zero_rows(self, N):
+        got = box_green_mass(FracParams(N, 0.5), *(np.empty((0, N)) for _ in range(3)))
+        assert got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
     def test_operator_diagonal_is_the_one_box_call(self, N):
         # on dyadic nodes every cell's offsets lo - x and hi - x are exact, so
         # each node's one-box call is the call the operator made for its cell shape

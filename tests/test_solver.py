@@ -151,6 +151,17 @@ class TestBallSolve:
         bare = GridFunction(domain=gf.domain, axes=gf.axes, values=gf.values)
         assert np.all(bare.eval(outside) == 0.0)
 
+    def test_eval_calls_the_exterior_field_outside_the_hull_only(self):
+        evaluated = []
+        g = lambda p: evaluated.append(p) or 2.0 + p[..., 0]
+        gf = solve_ball_dirichlet(P1, 1.0, ZERO, g, (np.linspace(-0.8, 0.8, 5),))
+        evaluated.clear()
+        got = gf.eval([[0.1], [0.95], [-2.0]])
+        assert [p.tolist() for p in evaluated] == [[[0.95], [-2.0]]]
+        assert got[1:].tolist() == (2.0 + np.array([0.95, -2.0])).tolist()
+        bare = GridFunction(domain=gf.domain, axes=gf.axes, values=gf.values)
+        assert got[0] == bare.eval([0.1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_eval_rejects_a_point_that_is_not_finite(self, bad):
         # the exterior field g is not called for the point, nor for the finite ones beside it
