@@ -141,19 +141,20 @@ def _column_dist2(xs, ys):
 
 
 def poisson_ball(params: FracParams, R: float, x, y):
-    """Exit density C ((R^2-|x|^2)/(|y|^2-R^2))^s |x-y|^(-N); zero unless |x|<R<|y|."""
+    """Exit density C ((R^2-|x|^2)/(|y|^2-R^2))^s |x-y|^(-N); zero unless |x|<R<|y|.
+    Evaluated as R^(-N) P_1(x/R, y/R), where no square of R over- or underflows."""
     R = _radius(R)
-    x, y = _as_points(params, x, y)
+    x, y = (p / R for p in _as_points(params, x, y))
     C = poisson_constant_C(params)
     s, N = params.s, params.N
     x2 = np.sum(x * x, axis=-1)
     y2 = np.sum(y * y, axis=-1)
     d2 = _dist2(x, y)
-    live = (x2 < R * R) & (y2 > R * R)
-    num = np.where(live, R * R - x2, 1.0)
-    den = np.where(live, y2 - R * R, 1.0)
+    live = (x2 < 1.0) & (y2 > 1.0)
+    num = np.where(live, 1.0 - x2, 1.0)
+    den = np.where(live, y2 - 1.0, 1.0)
     d2safe = np.where(live, d2, 1.0)
-    val = C * (num / den) ** s * d2safe ** (-N / 2.0)
+    val = C * (num / den) ** s * d2safe ** (-N / 2.0) * R**-N
     out = np.where(live, val, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -294,12 +295,13 @@ def green_ball(params: FracParams, R: float, x, y):
     """Green function of the ball B_R; zero if either point leaves the closed ball.
 
     The kernel-integral form with psi = (R^2-|x|^2)(R^2-|y|^2)/(R^2 |x-y|^2)
-    (for N = 1 = 2s, ``_green_from_psi``'s log form).
+    (for N = 1 = 2s, ``_green_from_psi``'s log form), evaluated as
+    R^(2s-N) G_1(x/R, y/R): on B_R, psi's factors overflow from R ~ 1e77.
     """
     R = _radius(R)
-    x, y = _as_points(params, x, y)
-    R2 = R * R
-    return _green_between(params, x, y, R2 - np.sum(x * x, axis=-1), R2 - np.sum(y * y, axis=-1), R2)
+    x, y = (p / R for p in _as_points(params, x, y))
+    g = _green_between(params, x, y, 1.0 - np.sum(x * x, axis=-1), 1.0 - np.sum(y * y, axis=-1))
+    return g * R ** (2.0 * params.s - params.N)
 
 
 def green_shifted_ball(params: FracParams, R: float, x, y):
@@ -331,11 +333,11 @@ def green_halfspace(params: FracParams, x, y):
 
 
 def h_function(params: FracParams, r, t):
-    """H(r,t) = r^(s - N/2) I(t/r) for r > 0, t >= 0."""
+    """H(r,t) = r^(s - N/2) I(t/r) for 0 < r < inf, t >= 0; ``ValueError`` otherwise."""
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    if not np.all(r > 0.0):
-        raise ValueError("H(r,t) requires r > 0")
+    if not np.all((r > 0.0) & (r < np.inf)):
+        raise ValueError("H(r,t) requires 0 < r < inf")
     if not np.all(t >= 0.0):
         raise ValueError("H(r,t) requires t >= 0")
     out = _green_from_psi(params, r, t, 1.0)
@@ -375,13 +377,14 @@ def h_function_partials(params: FracParams, r: float, t: float) -> HDerivatives:
     with k = ``green_constant_k``.  They hold in all three regimes (at
     N = 1 = 2s, k = 1/pi and they are the derivatives of the arcsinh form).
     At t = 0 the true limits for s < 1 are returned: value = d_r = 0,
-    d_t = +inf, d_rt = -inf.  Requires r > 0 and 0 <= t < inf; at
-    t = inf, d_r's second term would be 0 * inf.
+    d_t = +inf, d_rt = -inf.  Requires 0 < r < inf and 0 <= t < inf, else
+    ``ValueError``: at t = inf, d_r's second term would be 0 * inf, and at
+    r = inf a product 0 * inf turns the value or the partials NaN.
 
     H is ``h_function`` on scalars, the same bits.
     """
-    if not r > 0.0:
-        raise ValueError("H(r,t) requires r > 0")
+    if not 0.0 < r < math.inf:
+        raise ValueError("H(r,t) requires 0 < r < inf")
     if not 0.0 <= t < math.inf:
         raise ValueError("H(r,t) partials require 0 <= t < inf")
     s, half_n = params.s, params.N / 2.0

@@ -14,6 +14,7 @@ n1 (n1 + 1)/2 prod n_k kernel values and mirrored.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -163,8 +164,8 @@ class Nonlinearity:
 
     @classmethod
     def power(cls, q: float):
-        if not q >= 1.0:
-            raise ValueError("power nonlinearity needs q >= 1")
+        if not 1.0 <= q < np.inf:
+            raise ValueError("power nonlinearity needs a finite q >= 1")
         return cls(func=lambda t: np.maximum(t, 0.0) ** q)
 
     @classmethod
@@ -513,8 +514,8 @@ def lambda0_estimate(params: FracParams, c_lip: float, n_samples: int = 64):
     """
     if not 0.0 < c_lip < np.inf:
         raise ValueError("Lipschitz constant must be positive and finite")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError("n_samples must be an integer >= 1")
     spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8, max_refinements=10)
     xs = np.zeros((n_samples, params.N))
     xs[:, 0] = _vdc_sequence(n_samples)

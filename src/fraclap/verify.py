@@ -36,7 +36,6 @@ from .quadrature import (
     _adaptive_panels,
     _checked,
     _graded_edges,
-    _sphere_rule,
     ball_green_integral,
     constant_field,
     frac_laplacian_point,
@@ -507,42 +506,34 @@ def check_dimension_reduction(seed=42):
 
 
 def meanvalue_convolution(params, u, x, eps: float):
-    """(regularized kernel_eps * u)(x) for x in the eps-interior of the ball; u takes (..., N) arrays."""
+    """(regularized kernel_eps * u)(x) for x in the eps-interior of the unit
+    ball, at N = 1, where the sphere is the two points +-1; u takes (..., 1) arrays.
+
+    The kernel's radial profile at m = |y - x| / eps lives on m > 1/2 and
+    decays like m^(-1-2s).  One ``_adaptive_panels`` call integrates it
+    times u(x + eps m) + u(x - eps m) on two rows, with no truncation
+    radius: m over [1/2, 1], and t = 1/m over (0, 1] (dm = m^2 dt), whose
+    tail m^(-1-2s) m^2 = t^(2s-1) is the t = 0 end's Gauss-Jacobi weight.
+    Each row starts on 7 panels, row 1's in ratio-2 steps of m up to 64.
+    ``_checked`` enforces the panels' error.  ``ValueError`` for N != 1 or
+    an x outside the eps-interior.
+    """
+    if params.N != 1:
+        raise ValueError(f"mean-value convolution needs N = 1, got {params.N}")
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-9)
     x = np.asarray(x, dtype=float)
     if 1.0 - float(np.linalg.norm(x)) <= eps:
         raise ValueError("x must lie in the eps-interior of the unit ball")
-    N, s = params.N, params.s
-    # radial profile of the regularized kernel, supported on m > 1/2
-    m_far = 8.0
-    while (
-        regularized_poisson(params, 1.0, np.array([m_far] + [0.0] * (N - 1)))
-        * m_far ** (N - 1)
-        * m_far
-        / (2.0 * s)
-        > 0.1 * spec.abs_tol
-        and m_far < 1e7
-    ):
-        m_far *= 2.0
-    edges = np.unique(np.concatenate([
-        np.linspace(0.5, 1.0, 9),
-        np.logspace(0.0, math.log10(m_far), 24),
-    ]))
-    dirs, wts = _sphere_rule(N, 16, antipodal=False)
+    sides = np.array([[1.0], [-1.0]])
 
-    def radial_integrand(m):
-        m = np.asarray(m, dtype=float)
-        gamma = regularized_poisson(
-            params, 1.0, np.stack([m] + [np.zeros_like(m)] * (N - 1), axis=-1)
-        )
-        # u at every (m, direction) point in one call; the sum keeps the directions' order
-        values = np.asarray(u(x - eps * m[:, None, None] * dirs), dtype=float)
-        sphere_avg = np.zeros_like(m)
-        for j, w in enumerate(wts):
-            sphere_avg += w * values[:, j]
-        return gamma * m ** (N - 1.0) * sphere_avg
+    def integrand(r, d):
+        m = np.where(d == 0, r, 1.0 / r)
+        gamma = regularized_poisson(params, 1.0, m[:, None]) * np.where(d == 0, 1.0, m * m)
+        return gamma * np.sum(u(x + eps * m[:, None, None] * sides), axis=1)
 
-    value, err = _adaptive_panels(lambda m, d: radial_integrand(m), edges, spec)
+    far = _graded_edges(6, n_coarse=1)
+    edges = np.stack([np.linspace(0.5, 1.0, len(far)), far])
+    value, err = _adaptive_panels(integrand, edges, spec, (1.0, 1.0), ends=([0.0, 2.0 * params.s - 1.0], 0.0))
     return _checked(value[0], err[0], spec, "mean-value convolution")
 
 

@@ -62,6 +62,23 @@ class TestPoissonBall:
         assert v == pytest.approx((1.0 / math.pi) * (1.0 / 3.0) ** 0.5 * 0.5, rel=1e-12)
         assert v == pytest.approx(0.091888, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "params,R",
+        [(P1, 1e200), (FracParams(1, 0.75), 1e200), (P2, 1e100), (P2, 1e-100), (FracParams(3, 0.25), 1e100)],
+        ids=str,
+    )
+    def test_dilation(self, params, R):
+        # P_R(x, y) = R^(-N) P_1(x/R, y/R), also where R^2 over- or underflows
+        # (R^(-N) is representable at each of these)
+        rng = np.random.default_rng(6)
+        x = rand_points(rng, 20, params.N, 0.9 / np.sqrt(params.N))
+        y = rand_points(rng, 20, params.N, 1.0)
+        y *= (1.5 + rng.uniform(size=(20, 1))) / np.linalg.norm(y, axis=-1, keepdims=True)
+        unit = poisson_ball(params, 1.0, x, y)
+        assert np.all(unit > 0.0)
+        lhs = poisson_ball(params, R, x * R, y * R)
+        assert np.allclose(lhs, R ** -params.N * unit, rtol=1e-12, atol=0.0)
+
     def test_vectorized(self):
         ys = np.array([[2.0], [3.0], [0.5]])
         vals = poisson_ball(P1, 1.0, np.array([0.0]), ys)
@@ -100,15 +117,18 @@ class TestGreenBall:
         assert green_ball(P2, 1.0, [3.0, 0.0], [3.0, 0.0]) == 0.0
 
     def test_dilation(self):
-        # G_R(x,y) = R^(2s-N) G_1(x/R, y/R)
-        rng = np.random.default_rng(3)
-        for params in (P2, FracParams(3, 0.75), FracParams(1, 0.25)):
-            R = 5.0
-            x = rand_points(rng, 100, params.N, 0.9 * R)
-            y = rand_points(rng, 100, params.N, 0.9 * R)
-            lhs = green_ball(params, R, x, y)
-            rhs = R ** (2 * params.s - params.N) * green_ball(params, 1.0, x / R, y / R)
-            assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-14)
+        # G_R(x,y) = R^(2s-N) G_1(x/R, y/R), also where psi's factors on B_R
+        # (~R^4) or R^2 over- or underflow, R^(2s-N) being representable
+        for R in (5.0, 1e100, 1e200, 1e-100):
+            rng = np.random.default_rng(3)
+            for params in (P2, FracParams(3, 0.75), FracParams(1, 0.25), P1, FracParams(1, 0.75)):
+                x = rand_points(rng, 100, params.N, 0.9 * R)
+                y = rand_points(rng, 100, params.N, 0.9 * R)
+                scale = R ** (2 * params.s - params.N)
+                lhs = green_ball(params, R, x, y)
+                rhs = scale * green_ball(params, 1.0, x / R, y / R)
+                assert np.count_nonzero(rhs) > 10
+                assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-14 * scale)
 
 
 class TestGreenShiftedBall:
@@ -365,11 +385,26 @@ class TestHFunction:
         with pytest.raises(ValueError, match="t < inf"):
             h_function_partials(params, 1.0, math.inf)
 
+    @pytest.mark.parametrize("params", [P2, FracParams(1, 0.75), P1, FracParams(3, 0.25)], ids=str)
+    @pytest.mark.parametrize("t", [0.0, 1.0, math.inf])
+    def test_reject_infinite_r(self, params, t):
+        # r^(s - N/2) I(0) or a partial would be 0 * inf, NaN
+        for h in (h_function, h_function_partials):
+            with pytest.raises(ValueError, match="0 < r < inf"):
+                h(params, math.inf, t)
+        with pytest.raises(ValueError, match="0 < r < inf"):
+            h_function(params, np.array([1.0, math.inf]), np.array([1.0, t]))
+
     @pytest.mark.parametrize("params", [P1, P2, FracParams(3, 0.25)], ids=str)
     def test_infinite_pair_on_arrays_names_psi(self, params):
-        # r = t = inf is psi = inf / inf; the error names psi, not the kernel integral's t
-        with pytest.raises(ValueError, match="psi = .* is NaN"), np.errstate(invalid="ignore"):
-            h_function(params, np.array([1.0, math.inf]), np.array([1.0, math.inf]))
+        # fx fy and |x-y|^2 both overflow, psi = inf / inf; the error names psi,
+        # not the kernel integral's t (an infinite r is rejected before psi is formed)
+        x = np.zeros((2, params.N))
+        x[:, 0] = [1.0, 1e200]
+        y = x.copy()
+        y[:, -1] += [1.0, 1e200]
+        with pytest.raises(ValueError, match="psi = .* is NaN"), np.errstate(over="ignore", invalid="ignore"):
+            green_halfspace(params, x, y)
 
     @pytest.mark.parametrize(
         "params", [FracParams(N, s) for N, s in PARTIALS_REGIMES], ids=lambda p: f"N{p.N}-s{p.s:g}"

@@ -99,7 +99,7 @@ class TestNonlinearity:
         assert f(np.array([0.0, 2.0]))[1] == 4.0
         f.validate(10.0)
 
-    @pytest.mark.parametrize("q", [np.nan, 0.5, -np.inf])
+    @pytest.mark.parametrize("q", [np.nan, 0.5, -np.inf, np.inf])
     def test_power_rejects_exponent_below_one(self, q):
         with pytest.raises(ValueError, match="q >= 1"):
             Nonlinearity.power(q)
@@ -699,5 +699,10 @@ class TestLambda0:
     @pytest.mark.parametrize("n_samples", [0, -1])
     def test_rejects_no_samples(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
+            lambda0_estimate(P2, 1.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 8.0, "8"])
+    def test_rejects_a_non_integer_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
             lambda0_estimate(P2, 1.0, n_samples=n_samples)
 

@@ -190,6 +190,19 @@ def test_harmonicity_meanvalue_passes():
     assert max(rep.measured.values()) <= 1e-6
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_meanvalue_convolution_of_one_is_one(s):
+    # the kernel's tail m^(-1-2s) runs to infinity: a truncated range leaves
+    # 1.9e-4 of the mass out at s = 1/4
+    one = verify.meanvalue_convolution(FracParams(1, s), lambda p: np.ones(p.shape[:-1]), np.zeros(1), 0.1)
+    assert abs(one - 1.0) <= 1e-8
+
+
+def test_meanvalue_convolution_needs_one_dimension():
+    with pytest.raises(ValueError, match="N = 1"):
+        verify.meanvalue_convolution(FracParams(2, 0.5), lambda p: np.ones(p.shape[:-1]), np.zeros(2), 0.1)
+
+
 def test_kernel_bounds_passes_on_explicit_constants():
     # every sample lies below the explicit bound, and within 1 % of it (the
     # bound scaled by 0.99 fails), so a kernel 0.1 % too large fails too
