@@ -28,10 +28,8 @@ from .kernels import (
     h_function,
     h_function_partials,
     poisson_ball,
-    poisson_shifted_ball,
     reflect_point,
     regularized_poisson,
-    riesz_potential,
 )
 
 __version__ = "0.1.0"

@@ -152,11 +152,11 @@ def incomplete_kernel_integral(params: FracParams, t):
       B is continued to b < 0, where u^b/b carries the divergence.
     """
     t_arr = np.asarray(t, dtype=float)
-    out = _kernel_integral(params, _checked(np.atleast_1d(t_arr)))
+    out = _kernel_integral(params, _nonnegative(np.atleast_1d(t_arr)))
     return float(out[0]) if t_arr.ndim == 0 else out
 
 
-def _checked(t):
+def _nonnegative(t):
     """``t``, after a ``ValueError`` if any value is negative or NaN."""
     if not np.all(t >= 0.0):
         raise ValueError("incomplete_kernel_integral requires t >= 0")

@@ -1,6 +1,6 @@
 """Closed-form kernels: Poisson and Green functions on balls, shifted balls
-and the half-space, the H(r,t) reparametrization, the Riesz potential and
-the regularized Poisson kernel.
+and the half-space, the H(r,t) reparametrization and the regularized
+Poisson kernel.
 
 All kernel functions broadcast over trailing point axes: ``x`` and ``y``
 are arrays of shape ``(..., N)`` and the returned values have the
@@ -56,7 +56,6 @@ __all__ = [
     "DiagonalSingularity",
     "shifted_center",
     "poisson_ball",
-    "poisson_shifted_ball",
     "green_ball",
     "green_shifted_ball",
     "green_halfspace",
@@ -64,8 +63,6 @@ __all__ = [
     "h_function_partials",
     "HDerivatives",
     "reflect_point",
-    "riesz_constant",
-    "riesz_potential",
     "regularized_poisson",
 ]
 
@@ -159,14 +156,6 @@ def poisson_ball(params: FracParams, R: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def poisson_shifted_ball(params: FracParams, R: float, x, y):
-    """Poisson kernel of the ball centered at P_R = (R, 0, ..., 0)."""
-    R = _radius(R)
-    x, y = _as_points(params, x, y)
-    p = shifted_center(params.N, R)
-    return poisson_ball(params, R, x - p, y - p)
-
-
 # ---------------------------------------------------------------------------
 # Green functions
 
@@ -184,7 +173,7 @@ def _green_from_psi(params: FracParams, d2, fx, fy, scale=1.0):
 
 def _private_integral(params, t):
     """``incomplete_kernel_integral``'s check and body, for the workers."""
-    return core._kernel_integral(params, core._checked(t))
+    return core._kernel_integral(params, core._nonnegative(t))
 
 
 def _green_body(params, scale, integral, d2, fx, fy):
@@ -198,7 +187,7 @@ def _green_body(params, scale, integral, d2, fx, fy):
     try:
         if params.regime is Regime.N_EQ_2S:
             # (1/pi) log(sqrt(psi) + sqrt(1+psi)); |x-y|^(2s-N) = 1
-            return np.where(live, np.arcsinh(np.sqrt(core._checked(psi))) / np.pi, 0.0)
+            return np.where(live, np.arcsinh(np.sqrt(core._nonnegative(psi))) / np.pi, 0.0)
         # I(psi) is a temporary, freed before the where allocates the result: on
         # large batches the result then reuses its memory instead of growing the heap
         val = 0.5 * green_constant_k(params) * d2 ** ((2.0 * s - N) / 2.0) * integral(params, psi)
@@ -408,35 +397,6 @@ def reflect_point(x, lam: float):
     out = x.copy()
     out[..., 0] = 2.0 * lam - x[..., 0]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Riesz potential (fundamental solution)
-
-
-def riesz_constant(params: FracParams) -> float:
-    """Signed Riesz normalization Gamma(N/2-s) / (4^s pi^(N/2) Gamma(s)).
-
-    Positive for N > 2s; negative for N = 1 < 2s, which produces the
-    -C |x-y|^(2s-1) branch with C > 0.  Not used for N = 1 = 2s.
-    """
-    from scipy import special as _spec
-    N, s = params.N, params.s
-    return _spec.gamma(N / 2.0 - s) / (4.0**s * np.pi ** (N / 2.0) * _spec.gamma(s))
-
-
-def riesz_potential(params: FracParams, x, y):
-    """Fundamental-solution kernel of (-Delta)^s evaluated at (x, y), x != y."""
-    x, y = _as_points(params, x, y)
-    d2 = _dist2(x, y)
-    if np.any(d2 == 0.0):
-        raise DiagonalSingularity("Riesz potential requested on the diagonal x = y")
-    s, N = params.s, params.N
-    if params.regime is Regime.N_EQ_2S:
-        out = np.log(1.0 / np.sqrt(d2)) / np.pi
-    else:
-        out = riesz_constant(params) * d2 ** ((2.0 * s - N) / 2.0)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ integral and the strip mass) start every ray at x, with the weight
 (r - a)^(2s-1) for the |x-y|^(2s-N) singularity there and
 (t_exit - r)^beta where the ray leaves the domain (beta = s at the sphere
 and at y1 = 0).
-``exterior_poisson_integral`` maps rho in [R, inf) to sigma = 1 - (R/rho)^2
+The ball and exterior integrals work on the unit ball: R enters once, as
+the dilation x = R u (``_unit`` forms u = x/R and holds the one inside test
+of B_R, |u|^2 < 1).  Their fields take the points of B_R and its exterior,
+R times the unit-ball nodes, and the ball integral returns R^(2s) times its
+unit-ball value and error, since G_R(x, y) = R^(2s-N) G_1(x/R, y/R) and
+P_R(x, y) = R^(-N) P_1(x/R, y/R); no radius overflows the geometry.
+``exterior_poisson_integral`` maps rho in [1, inf) to sigma = 1 - rho^(-2)
 in [0, 1) with the weights sigma^(-s) and (1 - sigma)^(s-1), so the whole
 exterior is integrated without a truncation radius; its row 0 is the peak
 of the kernel |x - rho w|^(-N), whose angular mass is known in closed
@@ -505,15 +511,22 @@ def _checked(value, err, spec, what):
     return value
 
 
-def _inside(params, R, xs):
-    """Points (n, N) and their squared norms; ``ValueError`` unless R is a
-    radius (``_radius``) and all lie inside B_R (a NaN point does not)."""
+def _unit(params, R, xs):
+    """(R, u, u2, inside): R checked by ``_radius``, the points ``xs`` (n, N)
+    dilated onto the unit ball, u = x/R, their squared norms, and where
+    |u|^2 < 1 (not at a NaN point): the one inside test of B_R."""
     R = _radius(R)
-    xs = np.asarray(xs, dtype=float).reshape(-1, params.N)
-    x2 = np.sum(xs * xs, axis=-1)
-    if not np.all(x2 < R * R):
+    u = np.asarray(xs, dtype=float).reshape(-1, params.N) / R
+    u2 = np.sum(u * u, axis=-1)
+    return R, u, u2, u2 < 1.0
+
+
+def _inside(params, R, xs):
+    """``_unit``'s (R, u, u2); ``ValueError`` unless every point lies inside B_R."""
+    R, u, u2, inside = _unit(params, R, xs)
+    if not np.all(inside):
         raise ValueError("evaluation point must lie inside the ball")
-    return xs, x2
+    return R, u, u2
 
 
 def _finite(*arrays):
@@ -533,8 +546,8 @@ def _point(params, x):
 
 def _ball_green_batch(params, R, f, xs, spec):
     """(values, errors) of ``ball_green_integral`` at every point of ``xs`` (n, N)."""
-    xs, x2 = _inside(params, R, xs)
-    h = R * R - x2
+    R, xs, x2 = _inside(params, R, xs)
+    h = 1.0 - x2
     N = params.N
     alpha, depth = _end_rule_at_x(N, params.s, spec)
     graded = _graded_edges(depth)
@@ -547,13 +560,14 @@ def _ball_green_batch(params, R, f, xs, spec):
             c, hp = np.sum(xs[pts][:, None, :] * dirs, axis=-1), h[pts][:, None]
             q = np.sqrt(c * c + hp) + np.abs(c)
             t_exit, t_back = np.where(c > 0.0, hp / q, q), np.where(c > 0.0, q, hp / q)
-            x = np.repeat(xs[pts], len(dirs), axis=0)
-            omega = np.tile(dirs, (len(pts), 1))
+            # f takes the points of B_R: R u + r (R w), so the integrand adds no array operation
+            x = np.repeat(R * xs[pts], len(dirs), axis=0)
+            omega = np.tile(R * dirs, (len(pts), 1))
             hr, te, tb = np.repeat(h[pts], len(dirs)), t_exit.ravel(), t_back.ravel()
 
             def integrand(r, d):
                 y = np.take(x, d, axis=0) + r[:, None] * np.take(omega, d, axis=0)
-                g = _green_from_psi(params, r * r, hr[d] * (te[d] - r), r + tb[d], R * R)
+                g = _green_from_psi(params, r * r, hr[d] * (te[d] - r), r + tb[d])
                 return g * f(y) * r ** (N - 1.0)
 
             return _adaptive_panels(
@@ -567,20 +581,25 @@ def _ball_green_batch(params, R, f, xs, spec):
 
         return len(dirs) * (len(graded) - 1), run
 
-    return _angular_converge(level, spec, 8, 4 if N > 1 else 0, len(xs))
+    value, err = _angular_converge(level, spec, 8, 4 if N > 1 else 0, len(xs))
+    scale = R ** (2.0 * params.s)
+    return value * scale, err * scale
 
 
 def ball_green_integral(params: FracParams, R: float, f, x, spec: QuadratureSpec | None = None):
     """int_{B_R} G_R(x, y) f(y) dy for x inside B_R.
 
-    Polar rays around x: one ``_adaptive_panels`` call takes all (point,
+    Evaluated on the unit ball at u = x/R, as R^(2s) int_{B_1} G_1(u, z)
+    f(R z) dz: the value and its error are the unit-ball ones times R^(2s),
+    and the levels converge on the unit-ball value.
+    Polar rays around u: one ``_adaptive_panels`` call takes all (point,
     direction, panel) triples of an angular level and a block of points,
     and ``_angular_converge`` doubles the levels from m = 8 to m = 128
     (N = 1 runs one level, its two-point rule being exact).  With
-    c = x.w and h = R^2 - |x|^2, the ray x + r w leaves the ball at the
-    root t_exit of r^2 + 2 c r - h, and R^2 - |x + r w|^2 = (t_exit - r)
+    c = u.w and h = 1 - |u|^2, the ray u + r w leaves the ball at the
+    root t_exit of r^2 + 2 c r - h, and 1 - |u + r w|^2 = (t_exit - r)
     (r - t_neg) in terms of both roots, so psi is formed without
-    cancellation.  The panels are halved toward x, where the |x-y|^(2s-N)
+    cancellation.  The panels are halved toward u, where the |u-z|^(2s-N)
     singularity is the weight r^alpha of the first panel
     (``_end_rule_at_x``); at the sphere I(psi) is psi^s times an analytic
     function, so the last panel carries the weight (t_exit - r)^s.
@@ -609,30 +628,30 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
     """(values, errors) of ``exterior_poisson_integral`` at every point of ``xs`` (n, N).
 
     At each level a point's rows are its axis row and the directions of the
-    level, or its axis row alone where its remainder g(rho w) - g(rho x^)
+    level, or its axis row alone where its remainder g(R rho w) - g(R rho x^)
     is 0.0 at every node of its initial sigma panels in every direction:
     the engine samples exactly those nodes first, and rows that are zero
     there never bisect, so they would add exactly 0.0.  Its sigma edges
     depend on its distance to the sphere, so the rows of a block go to the
     engine as flat panels, read from one table of every point's edges.
     """
-    xs, x2 = _inside(params, R, xs)
+    R, xs, x2 = _inside(params, R, xs)
     N, s = params.N, params.s
     norm = np.sqrt(x2)
     axis = np.tile(np.eye(N)[0], (len(xs), 1))
     off = x2 > 0.0
     axis[off] = xs[off] / norm[off, None]
     # edges[p]: 0, then layer * 2^j for j < halvings, then 1/2, 3/4, 1 (halvings + 3 panels)
-    layer = np.maximum(2.0 * (1.0 - norm / R), 1e-12)
+    layer = np.maximum(2.0 * (1.0 - norm), 1e-12)
     halvings = np.maximum(np.ceil(np.log2(0.5 / layer)), 0.0).astype(int)
     i, h = np.arange(halvings.max(initial=0) + 4), halvings[:, None]
     edges = np.where(i <= h, layer[:, None] * 2.0 ** (i - 1), np.array([0.5, 0.75, 1.0])[np.clip(i - h - 1, 0, 2)])
     edges[:, 0] = 0.0
-    # with t = R/rho, |x - rho w|^(-N) = (t/R)^N |w - x t/R|^(-N) and the angular
-    # mass is (t/R)^N |S^(N-1)| R^2 / (R^2 - |x|^2 t^2): the (t/R)^N cancels the
-    # Jacobian's (1 - sigma)^(-N/2) and leaves C (R^2 - |x|^2)^s R^(-2s) / 2 outside
-    scale = 0.5 * poisson_constant_C(params) * (1.0 - x2 / (R * R)) ** s
-    peak = sphere_surface(N) * R * R
+    # on the unit ball, with t = 1/rho, |x - rho w|^(-N) = t^N |w - x t|^(-N) and the
+    # angular mass is t^N |S^(N-1)| / (1 - |x|^2 t^2): the t^N cancels the
+    # Jacobian's (1 - sigma)^(-N/2) and leaves C (1 - |x|^2)^s / 2 outside
+    scale = 0.5 * poisson_constant_C(params) * (1.0 - x2) ** s
+    peak = sphere_surface(N)
     ends = (-s, s - 1.0)  # the weights sigma^(-s) and (1 - sigma)^(s-1)
 
     def level(m):
@@ -679,12 +698,12 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
             panels = (np.take(edges, at), np.take(edges, at + 1), d)
 
             def integrand(sigma, d):
-                t = np.sqrt(1.0 - sigma)  # R / rho
+                t = np.sqrt(1.0 - sigma)  # 1 / rho on the unit ball; g takes R rho w
                 x2d, w = row_x2[d], np.take(rows, d, axis=0)
                 g_axis = np.asarray(g(np.take(row_axis, d, axis=0) * (R / t)[:, None]), dtype=float)
                 rest = np.asarray(g(w * (R / t)[:, None]), dtype=float) - g_axis
-                kernel = np.sum((w - np.take(row_x, d, axis=0) * (t / R)[:, None]) ** 2, axis=-1) ** (-N / 2.0)
-                out = np.where(first[d], peak * g_axis / (R * R - x2d + x2d * sigma), kernel * rest)
+                kernel = np.sum((w - np.take(row_x, d, axis=0) * t[:, None]) ** 2, axis=-1) ** (-N / 2.0)
+                out = np.where(first[d], peak * g_axis / (1.0 - x2d + x2d * sigma), kernel * rest)
                 return sigma**-s * (1.0 - sigma) ** (s - 1.0) * out
 
             return _adaptive_panels(
@@ -704,32 +723,34 @@ def _exterior_poisson_batch(params, R, g, xs, spec):
 def exterior_poisson_integral(params: FracParams, R: float, g, x, spec: QuadratureSpec | None = None):
     """int_{|y|>R} Poisson_R(x, y) g(y) dy for x inside B_R.
 
-    The radius maps to sigma = 1 - (R/rho)^2 in [0, 1), which takes the
+    Evaluated on the unit ball at x/R with the data g(R .), the same value
+    (P_R(x, y) = R^(-N) P_1(x/R, y/R)); below, x is that unit-ball point.
+    The radius maps to sigma = 1 - rho^(-2) in [0, 1), which takes the
     whole exterior with no truncation radius:
 
-        rho^(N-1) (rho^2 - R^2)^(-s) drho = (R^(N-2s)/2) sigma^(-s) (1 - sigma)^(s-1-N/2) dsigma.
+        rho^(N-1) (rho^2 - 1)^(-s) drho = (1/2) sigma^(-s) (1 - sigma)^(s-1-N/2) dsigma.
 
     The kernel's angular mass is exact (the normalisation of the Poisson
     kernel, for every N):
 
         int over S^(N-1) of |x - rho w|^(-N) dw = |S^(N-1)| rho^(2-N) / (rho^2 - |x|^2),
 
-    so row 0 of one ``_adaptive_panels`` call integrates g(rho x^) times
+    so row 0 of one ``_adaptive_panels`` call integrates g(R rho x^) times
     that mass, x^ = x/|x| (e_1 at x = 0), and the rows of a sphere rule
-    integrate only |x - rho w|^(-N) (g(rho w) - g(rho x^)).  At each level
+    integrate only |x - rho w|^(-N) (g(R rho w) - g(R rho x^)).  At each level
     the points of a block are tested at once, one sigma node in every
     direction and then every node of the points that pass: a point whose
     remainder is 0.0 at every node of its initial panels in every direction
     (radial data) runs row 0 alone.  Its direction rows would add exactly
     0.0, since those are the nodes they sample first and a zero row never
     bisects.  Row 0 and the direction rows decay like rho^(-N) =
-    R^(-N) (1 - sigma)^(N/2), so every row is sigma^(-s) (1 - sigma)^(s-1)
+    (1 - sigma)^(N/2), so every row is sigma^(-s) (1 - sigma)^(s-1)
     times a function smooth at both ends for data smooth in 1/|y|^2 at
     infinity, and both ends are Gauss-Jacobi weights.  Data that is not (a
     jump, slow or oscillating decay) makes the panels bisect or the call
     raise; it is never truncated.  The sigma
-    edges halve from 1/2 down to 2 (R - |x|)/R, the kernel's boundary layer
-    R - |x| (sigma ~ 2 (rho - R)/R there).  Angular levels double from
+    edges halve from 1/2 down to 2 (1 - |x|), the kernel's boundary layer
+    1 - |x| (sigma ~ 2 (rho - 1) there).  Angular levels double from
     m = 16 (``_angular_converge``); N = 1 runs one level, its two
     directions being exact.  Raises ``ValueError`` for an x not of shape
     (N,) or a radius that is not positive, and ``ToleranceNotMet``,
@@ -758,7 +779,7 @@ def poisson_extension_field(params: FracParams, R: float, g, spec: QuadratureSpe
     def func(pts):
         flat = pts.reshape(-1, params.N)
         _finite(flat)
-        inside = np.sum(flat * flat, axis=-1) < R * R
+        *_, inside = _unit(params, R, flat)
         out = np.empty(len(flat))
         if not np.all(inside):
             out[~inside] = g(flat[~inside])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FracParams
-from .kernels import Ball, HalfSpace, _green_from_psi, _radius
+from .kernels import Ball, HalfSpace, _green_from_psi
 # ball_green_integral and exterior_poisson_integral are not called here, but stay
 # names of this module: bench/fraclap_bench patches them on it to trace and lap
 from .quadrature import (  # noqa: F401
@@ -31,6 +31,7 @@ from .quadrature import (  # noqa: F401
     _finite,
     _grid_nodes,
     _misses,
+    _unit,
     ball_green_integral,
     box_green_mass,
     exterior_poisson_integral,
@@ -210,11 +211,10 @@ def solve_ball_dirichlet(
     radius that is not positive raises ``ValueError`` before any evaluation.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10)
-    R = _radius(R)
     axes = _grid_axes(grid)
     shape = tuple(len(a) for a in axes)
     pts = _grid_nodes(axes)
-    inside = np.sum(pts * pts, axis=-1) < R * R
+    R, _, _, inside = _unit(params, R, pts)
     flat = np.empty(len(pts))
     if not np.all(inside):
         flat[~inside] = g(pts[~inside])

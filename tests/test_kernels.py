@@ -17,11 +17,8 @@ from fraclap.kernels import (
     h_function,
     h_function_partials,
     poisson_ball,
-    poisson_shifted_ball,
     reflect_point,
     regularized_poisson,
-    riesz_constant,
-    riesz_potential,
     shifted_center,
 )
 
@@ -167,21 +164,6 @@ class TestGreenShiftedBall:
         R = 1e12
         v = green_shifted_ball(P2, R, x, y)
         assert v == pytest.approx(green_halfspace(P2, x, y), rel=1e-9)
-
-
-class TestPoissonShiftedBall:
-    def test_zero_inside(self):
-        assert poisson_shifted_ball(P2, 1.0, [1.0, 0.0], [0.5, 0.1]) == 0.0
-
-    def test_matches_translated(self):
-        rng = np.random.default_rng(6)
-        R = 1.5
-        p = shifted_center(2, R)
-        x = p + rand_points(rng, 500, 2, 0.99 * R)
-        y = p + 3.0 * rand_points(rng, 500, 2, R)
-        a = poisson_shifted_ball(P2, R, x, y)
-        b = poisson_ball(P2, R, x - p, y - p)
-        assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + a))
 
 
 # off the diagonal with both points outside the domain: fx < 0 and fy < 0,
@@ -440,25 +422,6 @@ class TestReflection:
         assert np.allclose(reflect_point(np.array([0.2, 1.0, -1.0]), 1.0), [1.8, 1.0, -1.0])
 
 
-class TestRieszPotential:
-    def test_negative_branch_sign(self):
-        p = FracParams(1, 0.75)
-        assert riesz_potential(p, [0.0], [1.0]) < 0.0
-        assert riesz_constant(p) < 0.0
-
-    def test_log_zero_at_unit_distance(self):
-        assert riesz_potential(P1, [0.0], [1.0]) == 0.0
-
-    def test_positive_branch(self):
-        # Gamma(1) / (2 pi^(3/2) Gamma(1/2)) = 1/(2 pi^2) for N=3, s=1/2
-        assert riesz_potential(P3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) > 0.0
-        assert riesz_constant(P3) == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-12)
-
-    def test_diagonal_raises(self):
-        with pytest.raises(DiagonalSingularity):
-            riesz_potential(P3, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-
-
 class TestRegularizedPoisson:
     def test_scaling_exact(self):
         y = np.array([0.9, 0.3])
@@ -570,11 +533,9 @@ def test_dist2_column_sum_bit_identical_to_reduction(N):
 
 PUBLIC_KERNELS = {
     "poisson_ball": lambda p, x, y: poisson_ball(p, 1.0, x, y),
-    "poisson_shifted_ball": lambda p, x, y: poisson_shifted_ball(p, 1.0, x, y),
     "green_ball": lambda p, x, y: green_ball(p, 1.0, x, y),
     "green_shifted_ball": lambda p, x, y: green_shifted_ball(p, 1.0, x, y),
     "green_halfspace": green_halfspace,
-    "riesz_potential": riesz_potential,
     "regularized_poisson": lambda p, x, y: regularized_poisson(p, 0.5, x) + regularized_poisson(p, 0.5, y),
 }
 
@@ -595,7 +556,6 @@ def test_public_kernels_reject_nonfinite_points(kernel, bad):
 BALL_KERNELS = {
     "Ball": lambda p, R, x, y: Ball(R),
     "poisson_ball": poisson_ball,
-    "poisson_shifted_ball": poisson_shifted_ball,
     "green_ball": green_ball,
     "green_shifted_ball": green_shifted_ball,
 }
